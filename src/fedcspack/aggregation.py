@@ -11,7 +11,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import FlatParams
-from .packing import DeltaPackages, LocalMask, package_views
+from .packing import DeltaPackages, LocalMask, PackageLayout, as_layout
+
+# Kept importable from this module too: tools that time package_views patch
+# it in every namespace that used to look it up (see perfbench/spans.py).
+from .packing import package_views  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,25 +62,35 @@ def fold_masks(masks: list[LocalMask], num_packages: int) -> GlobalMask:
 def combine_updates(
     accepted: list[tuple[int, LocalMask, DeltaPackages]],
     mask: GlobalMask,
-    views,
+    layout: PackageLayout,
     total_params: int,
 ) -> np.ndarray:
     """Weight-normalized float64 combination of accepted payloads, folded in
-    the order given (callers sort by client id first)."""
+    the order given (callers sort by client id first).
+
+    Each client adds (w_j / total_j) * payload to its packages' elements in
+    one scatter; packages of one client never overlap, so every element
+    sums its clients' terms in the given order.
+    """
     acc = np.zeros(total_params)
     for _, local_mask, deltas in accepted:
-        for j, payload in deltas.packages.items():
-            v = views[j]
-            acc[v.offset : v.stop] += (
-                local_mask.weights[j] / mask.totals[j]
-            ) * payload.astype(np.float64)
+        if not deltas.packages:
+            continue
+        chosen = _package_indices(deltas)
+        scale = local_mask.weights[chosen] / mask.totals[chosen]
+        payload = np.concatenate(list(deltas.packages.values())).astype(np.float64)
+        acc[layout.elements(chosen)] += np.repeat(scale, layout.lengths[chosen]) * payload
     return acc
+
+
+def _package_indices(deltas: DeltaPackages) -> np.ndarray:
+    return np.fromiter(deltas.packages, dtype=np.intp, count=len(deltas.packages))
 
 
 def aggregate(
     server: ServerState,
     updates: list[tuple[int, LocalMask, DeltaPackages]],
-    pack: int,
+    pack: int | PackageLayout,
 ) -> AggregateResult:
     """One round of dual-weight aggregation.
 
@@ -87,8 +101,9 @@ def aggregate(
     violations.  Folding is fixed to ascending client id so float sums are
     order-independent of the caller.
     """
-    views = package_views(server.global_params.shape.total_params, pack)
-    j_count = len(views)
+    total_params = server.global_params.shape.total_params
+    layout = as_layout(total_params, pack)
+    j_count = layout.num_packages
 
     accepted = []
     violations = 0
@@ -97,22 +112,22 @@ def aggregate(
             raise ShapeError(
                 f"mask length {len(mask.weights)} != package count {j_count}"
             )
-        if any(mask.weights[j] <= 0 for j in deltas.packages):
+        chosen = _package_indices(deltas)
+        if (mask.weights[chosen] <= 0).any():
             violations += 1
             continue
-        for j, payload in deltas.packages.items():
-            if len(payload) != views[j].len:
-                raise ShapeError(f"payload length mismatch on package {j}")
+        sizes = np.fromiter(map(len, deltas.packages.values()), dtype=np.intp, count=len(chosen))
+        wrong = np.flatnonzero(sizes != layout.lengths[chosen])
+        if len(wrong):
+            raise ShapeError(f"payload length mismatch on package {chosen[wrong[0]]}")
         accepted.append((client_id, mask, deltas))
 
     new_mask = fold_masks([m for _, m, _ in accepted], j_count)
-    acc = combine_updates(accepted, new_mask, views, server.global_params.shape.total_params)
+    acc = combine_updates(accepted, new_mask, layout, total_params)
 
     new_values = server.global_params.values.copy()
-    for v in views:
-        if new_mask.totals[v.index] > 0:
-            seg = new_values[v.offset : v.stop].astype(np.float64) + acc[v.offset : v.stop]
-            new_values[v.offset : v.stop] = seg.astype(np.float32)
+    touched = layout.element_mask(new_mask.valid)
+    new_values[touched] = (new_values[touched].astype(np.float64) + acc[touched]).astype(np.float32)
 
     state = ServerState(
         global_params=FlatParams(new_values, server.global_params.shape),
@@ -126,18 +141,15 @@ def selective_pull(
     local: FlatParams,
     global_: FlatParams,
     global_mask: GlobalMask,
-    pack: int,
+    pack: int | PackageLayout,
 ) -> FlatParams:
     """Adopt global packages at valid mask positions, keep local elsewhere."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    views = package_views(local.shape.total_params, pack)
-    if len(global_mask.totals) != len(views):
+    layout = as_layout(local.shape.total_params, pack)
+    if len(global_mask.totals) != layout.num_packages:
         raise ShapeError(
-            f"mask length {len(global_mask.totals)} != package count {len(views)}"
+            f"mask length {len(global_mask.totals)} != package count {layout.num_packages}"
         )
-    out = local.values.copy()
-    for v in views:
-        if global_mask.totals[v.index] > 0:
-            out[v.offset : v.stop] = global_.values[v.offset : v.stop]
-    return FlatParams(out, local.shape)
+    adopt = layout.element_mask(global_mask.valid)
+    return FlatParams(np.where(adopt, global_.values, local.values), local.shape)

@@ -75,6 +75,14 @@ class RunConfig:
             raise ConfigError("pack must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if self.local_epochs < 1:
+            raise ConfigError("local_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not 0 < self.cap_ratio <= 1:
+            raise ConfigError("cap_ratio must be in (0, 1]")
+        if self.weight_override is not None and not self.weight_override > 0:
+            raise ConfigError("weight_override must be > 0")
         if self.payload not in PAYLOADS:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:

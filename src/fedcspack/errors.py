@@ -31,3 +31,7 @@ class IngestError(ValueError):
 
 class ProtocolViolation(ValueError):
     """Update payload inconsistent with its mask."""
+
+
+class InvariantError(RuntimeError):
+    """An invariant of the round loop broke: a bug, not bad input."""

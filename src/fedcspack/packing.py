@@ -32,17 +32,64 @@ class PackageView:
         return self.offset + self.len
 
 
-def package_views(total_params: int, pack: int) -> list[PackageView]:
+class PackageLayout:
+    """The package geometry of one flat model, built once per run.
+
+    Package j covers [offsets[j], offsets[j] + lengths[j]); every package
+    holds `pack` elements except a possibly shorter last one.  Indexing and
+    iteration yield PackageViews, but the kernels below work on the arrays.
+    """
+
+    def __init__(self, total_params: int, pack: int):
+        if pack < 1:
+            raise ValueError("pack must be >= 1")
+        if total_params < 1:
+            raise ValueError("total_params must be >= 1")
+        self.total_params = total_params
+        self.pack = pack
+        self.offsets = np.arange(0, total_params, pack)
+        self.lengths = np.minimum(pack, total_params - self.offsets)
+        self.num_packages = len(self.offsets)
+        # packages of exactly `pack` elements: all but a short tail
+        self.num_full = total_params // pack
+        self.offsets.setflags(write=False)
+        self.lengths.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.num_packages
+
+    def __getitem__(self, j: int) -> PackageView:
+        j = range(self.num_packages)[j]
+        return PackageView(j, int(self.offsets[j]), int(self.lengths[j]))
+
+    def __iter__(self):
+        return (self[j] for j in range(self.num_packages))
+
+    def element_mask(self, package_mask: np.ndarray) -> np.ndarray:
+        """Per-element copy of a per-package boolean mask."""
+        return np.repeat(package_mask, self.pack)[: self.total_params]
+
+    def elements(self, packages: np.ndarray) -> np.ndarray:
+        """Indices of the elements of `packages`, package by package in the
+        order given."""
+        lengths = self.lengths[packages]
+        starts = np.cumsum(lengths) - lengths
+        return np.repeat(self.offsets[packages] - starts, lengths) + np.arange(lengths.sum())
+
+
+def package_views(total_params: int, pack: int) -> PackageLayout:
     """Tile [0, total_params) into ceil(total/pack) slices; tail may be short."""
-    if pack < 1:
-        raise ValueError("pack must be >= 1")
-    if total_params < 1:
-        raise ValueError("total_params must be >= 1")
-    views = []
-    for j in range(math.ceil(total_params / pack)):
-        off = j * pack
-        views.append(PackageView(j, off, min(pack, total_params - off)))
-    return views
+    return PackageLayout(total_params, pack)
+
+
+def as_layout(total_params: int, pack: int | PackageLayout) -> PackageLayout:
+    """`pack` itself when it is already a layout of total_params elements,
+    else a new layout of that package size."""
+    if not isinstance(pack, PackageLayout):
+        return package_views(total_params, pack)
+    if pack.total_params != total_params:
+        raise ShapeError(f"layout of {pack.total_params} params used for {total_params}")
+    return pack
 
 
 @dataclass(frozen=True)
@@ -118,19 +165,72 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
     return max(kl, 0.0)
 
 
-def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> SimilarityProfile:
-    """Score every package of `local` against its global counterpart."""
+# Scoring works on row blocks of this many elements, so its float64
+# temporaries stay small whatever the model size.
+SCORE_BLOCK = 1 << 14
+
+
+def _simplex_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise kl_package simplex map of a float64 block, in place: the
+    stabilized softmax, floored at EPS_Q and renormalized."""
+    v -= v.max(axis=1, keepdims=True)
+    np.exp(v, out=v)
+    v /= v.sum(axis=1, keepdims=True)
+    np.maximum(v, EPS_Q, out=v)
+    v /= v.sum(axis=1, keepdims=True)
+    return v
+
+
+def _score_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosine and kl_package of every row pair of two float64 blocks.
+
+    Bit-identical to the per-row calls: each row product goes to the same
+    BLAS dot as the 1-D `@` and `np.linalg.norm`, and each row sum of a
+    contiguous row is the same pairwise sum as the 1-D `.sum()`.  Both
+    blocks are overwritten.
+    """
+    dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
+    na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
+    nb = np.sqrt(np.matmul(b[:, None, :], b[:, :, None]).ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(dot / (na * nb), -1.0, 1.0)
+    cos[(na == 0.0) | (nb == 0.0)] = 0.0
+
+    p = _simplex_rows(a)
+    q = _simplex_rows(b)
+    np.divide(p, q, out=q)
+    np.log(q, out=q)
+    q *= p
+    kl = q.sum(axis=1)
+    return cos, np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), -0.0 kept
+
+
+def score_packages(
+    local: FlatParams, global_: FlatParams, pack: int | PackageLayout
+) -> SimilarityProfile:
+    """Score every package of `local` against its global counterpart.
+
+    Full packages are scored as rows of (rows, pack) blocks; a short tail
+    package is scored on its own, since padding it would regroup its sums.
+    """
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    views = package_views(local.shape.total_params, pack)
+    layout = as_layout(local.shape.total_params, pack)
     overall = cosine(local.values, global_.values)
-    cos = np.empty(len(views))
-    kl = np.empty(len(views))
-    for v in views:
-        lv = local.values[v.offset : v.stop]
-        gv = global_.values[v.offset : v.stop]
-        cos[v.index] = cosine(lv, gv)
-        kl[v.index] = kl_package(lv, gv)
+    cos = np.empty(layout.num_packages)
+    kl = np.empty(layout.num_packages)
+    width = layout.pack
+    step = max(1, SCORE_BLOCK // width)
+    for r0 in range(0, layout.num_full, step):
+        r1 = min(r0 + step, layout.num_full)
+        span = slice(r0 * width, r1 * width)
+        a = local.values[span].astype(np.float64).reshape(r1 - r0, width)
+        b = global_.values[span].astype(np.float64).reshape(r1 - r0, width)
+        cos[r0:r1], kl[r0:r1] = _score_rows(a, b)
+    if layout.num_full < layout.num_packages:
+        tail = slice(layout.num_full * width, layout.total_params)
+        cos[-1] = cosine(local.values[tail], global_.values[tail])
+        kl[-1] = kl_package(local.values[tail], global_.values[tail])
     return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 
@@ -143,14 +243,37 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> frozenset
     if not 0 < cap_ratio <= 1:
         raise ValueError("cap_ratio must be in (0, 1]")
     cos = profile.per_package_cos
-    j_count = profile.num_packages
-    candidates = [j for j in range(j_count) if cos[j] < profile.overall]
-    if not candidates:
-        return frozenset({min(range(j_count), key=lambda j: (cos[j], j))})
-    cap = math.ceil(cap_ratio * j_count)
-    k = min(len(candidates), cap)
-    candidates.sort(key=lambda j: (cos[j], j))
-    return frozenset(candidates[:k])
+    candidates = np.flatnonzero(cos < profile.overall)
+    if len(candidates) == 0:
+        return frozenset({int(np.argmin(cos))})
+    k = min(len(candidates), math.ceil(cap_ratio * profile.num_packages))
+    order = np.lexsort((candidates, cos[candidates]))
+    return frozenset(candidates[order[:k]].tolist())
+
+
+def mask_weights(
+    cos: np.ndarray,
+    kl: np.ndarray,
+    weight_mode: str = "dual",
+    weight_override: float | None = None,
+) -> np.ndarray:
+    """Mask weight of each shared package from its cosine and KL terms,
+    floored at EPS_W.
+
+    weight_mode drops one of the two terms for ablations; weight_override
+    forces a constant weight (used by the dense-equivalence harness).
+    """
+    if weight_override is not None:
+        w = np.full(len(cos), float(weight_override))
+    elif weight_mode == "dual":
+        w = np.add(cos, kl)
+    elif weight_mode == "cos_only":
+        w = np.asarray(cos, dtype=np.float64)
+    elif weight_mode == "kl_only":
+        w = np.asarray(kl, dtype=np.float64)
+    else:
+        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    return np.maximum(w, EPS_W)
 
 
 def build_mask(
@@ -159,26 +282,17 @@ def build_mask(
     weight_mode: str = "dual",
     weight_override: float | None = None,
 ) -> LocalMask:
-    """Dual-weight mask: cosine + KL on the selected packages, 0 elsewhere.
-
-    weight_mode drops one of the two terms for ablations; weight_override
-    forces a constant weight (used by the dense-equivalence harness).
-    """
+    """Dual-weight mask: cosine + KL on the selected packages, 0 elsewhere."""
     if not set(selected) <= set(range(profile.num_packages)):
         raise ValueError("selected indices out of range")
+    chosen = np.array(sorted(selected), dtype=np.intp)
     weights = np.zeros(profile.num_packages)
-    for j in selected:
-        if weight_override is not None:
-            w = weight_override
-        elif weight_mode == "dual":
-            w = profile.per_package_cos[j] + profile.per_package_kl[j]
-        elif weight_mode == "cos_only":
-            w = profile.per_package_cos[j]
-        elif weight_mode == "kl_only":
-            w = profile.per_package_kl[j]
-        else:
-            raise ValueError(f"unknown weight_mode {weight_mode!r}")
-        weights[j] = max(w, EPS_W)
+    weights[chosen] = mask_weights(
+        profile.per_package_cos[chosen],
+        profile.per_package_kl[chosen],
+        weight_mode,
+        weight_override,
+    )
     return LocalMask(weights=weights, selected=frozenset(selected))
 
 
@@ -186,16 +300,15 @@ def extract_deltas(
     local: FlatParams,
     global_: FlatParams,
     selected: frozenset[int],
-    pack: int,
+    pack: int | PackageLayout,
 ) -> DeltaPackages:
     """Payloads for the shared packages, local-minus-global float32 slices."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    views = package_views(local.shape.total_params, pack)
+    layout = as_layout(local.shape.total_params, pack)
+    delta = local.values - global_.values
     out = {}
     for j in sorted(selected):
-        v = views[j]
-        out[j] = (local.values[v.offset : v.stop] - global_.values[v.offset : v.stop]).astype(
-            np.float32
-        )
+        start = int(layout.offsets[j])
+        out[j] = delta[start : start + int(layout.lengths[j])]
     return DeltaPackages(packages=out)

@@ -197,22 +197,19 @@ def _split_train_test(
             train.append(rows)
             test.append(np.array([], dtype=np.int64))
             continue
-        te: list[int] = []
-        for c in np.unique(labels[rows]):
-            c_rows = rows[labels[rows] == c]
-            c_rows = rng.permutation(c_rows)
-            n_te = int(np.floor(len(c_rows) * test_fraction))
-            te.extend(c_rows[:n_te].tolist())
-        n_te_target = max(1, int(np.floor(len(rows) * test_fraction)))
+        row_labels = labels[rows]
+        te_parts = []
+        for c in np.unique(row_labels):
+            c_rows = rng.permutation(rows[row_labels == c])
+            te_parts.append(c_rows[: int(np.floor(len(c_rows) * test_fraction))])
+        te = np.concatenate(te_parts)
         if len(te) == 0:
-            shuffled = rng.permutation(rows)
-            te = shuffled[:n_te_target].tolist()
-        if len(te) >= len(rows):
-            te = te[: len(rows) - 1]
-        te_set = set(te)
-        tr = np.array([r for r in rows if r not in te_set], dtype=np.int64)
-        train.append(np.sort(tr))
-        test.append(np.sort(np.array(te, dtype=np.int64)))
+            n_te_target = max(1, int(np.floor(len(rows) * test_fraction)))
+            te = rng.permutation(rows)[:n_te_target]
+        te = te[: len(rows) - 1]
+        tr = rows[~np.isin(rows, te)]
+        train.append(np.sort(tr).astype(np.int64))
+        test.append(np.sort(te).astype(np.int64))
     return train, test
 
 

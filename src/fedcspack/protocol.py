@@ -17,14 +17,13 @@ import numpy as np
 
 from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
 from .packing import (
-    EPS_W,
     DeltaPackages,
     LocalMask,
-    build_mask,
-    extract_deltas,
+    PackageLayout,
+    mask_weights,
     package_views,
     score_packages,
     select_topk,
@@ -97,40 +96,52 @@ def baseline_magnitude_topk(
     return kept, delta[kept].astype(np.float32)
 
 
+def _entries(
+    layout: PackageLayout,
+    chosen: np.ndarray,
+    theta: np.ndarray,
+    beta: np.ndarray,
+    source: np.ndarray,
+) -> list[UpdateEntry]:
+    """One wire entry per chosen package, its payload sliced from `source`."""
+    return [
+        UpdateEntry(package_index=j, theta=t, beta=b, payload=source[start : start + n])
+        for j, t, b, start, n in zip(
+            chosen.tolist(),
+            theta.tolist(),
+            beta.tolist(),
+            layout.offsets[chosen].tolist(),
+            layout.lengths[chosen].tolist(),
+        )
+    ]
+
+
 def _client_update(
     config: RunConfig,
     client_id: int,
     round_: int,
     trained: FlatParams,
     global_snapshot: FlatParams,
+    layout: PackageLayout,
 ) -> PackedUpdate:
     """Build the wire update for one client according to the method."""
-    pack = effective_pack(config)
-    views = package_views(trained.shape.total_params, pack)
-
     if config.method == "fedcspack":
-        profile = score_packages(trained, global_snapshot, pack)
+        profile = score_packages(trained, global_snapshot, layout)
         if config.force_full_selection:
-            selected = frozenset(range(len(views)))
+            chosen = np.arange(layout.num_packages)
         else:
-            selected = select_topk(profile, config.cap_ratio)
-        entries = []
-        for j in sorted(selected):
-            v = views[j]
-            if config.payload == "raw":
-                payload = trained.values[v.offset : v.stop].copy()
-            else:
-                payload = (
-                    trained.values[v.offset : v.stop] - global_snapshot.values[v.offset : v.stop]
-                )
-            entries.append(
-                UpdateEntry(
-                    package_index=j,
-                    theta=float(profile.per_package_cos[j]),
-                    beta=float(profile.per_package_kl[j]),
-                    payload=payload.astype(np.float32),
-                )
-            )
+            chosen = np.array(sorted(select_topk(profile, config.cap_ratio)), dtype=np.intp)
+        if config.payload == "raw":
+            source = trained.values.copy()
+        else:
+            source = trained.values - global_snapshot.values
+        entries = _entries(
+            layout,
+            chosen,
+            profile.per_package_cos[chosen],
+            profile.per_package_kl[chosen],
+            source,
+        )
     elif config.method == "magnitude_topk":
         kept, values = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
         entries = [
@@ -138,20 +149,22 @@ def _client_update(
             for j, v in zip(kept, values)
         ]
     else:  # fedavg / fedprox: dense delta, every package
-        entries = []
-        for v in views:
-            payload = trained.values[v.offset : v.stop] - global_snapshot.values[v.offset : v.stop]
-            entries.append(
-                UpdateEntry(package_index=v.index, theta=1.0, beta=0.0, payload=payload.astype(np.float32))
-            )
-    return PackedUpdate(client_id=client_id, round=round_, pack=pack, entries=tuple(entries))
+        chosen = np.arange(layout.num_packages)
+        entries = _entries(
+            layout,
+            chosen,
+            np.ones(len(chosen)),
+            np.zeros(len(chosen)),
+            trained.values - global_snapshot.values,
+        )
+    return PackedUpdate(client_id=client_id, round=round_, pack=layout.pack, entries=tuple(entries))
 
 
 def _server_ingest(
     config: RunConfig,
     update: PackedUpdate,
     global_snapshot: FlatParams,
-    num_packages: int,
+    layout: PackageLayout,
 ) -> tuple[int, LocalMask, DeltaPackages]:
     """Rebuild (mask, deltas) from a decoded wire update.
 
@@ -159,29 +172,30 @@ def _server_ingest(
     configured weight mode; baselines weigh every package equally so the
     normalized combination is the plain mean over senders.
     """
-    views = package_views(global_snapshot.shape.total_params, update.pack)
-    weights = np.zeros(num_packages)
-    payloads: dict[int, np.ndarray] = {}
-    for e in update.entries:
-        if config.method == "fedcspack":
-            if config.weight_override is not None:
-                w = config.weight_override
-            elif config.weight_mode == "dual":
-                w = e.theta + e.beta
-            elif config.weight_mode == "cos_only":
-                w = e.theta
-            else:  # kl_only
-                w = e.beta
-            weights[e.package_index] = max(w, EPS_W)
-        else:
-            weights[e.package_index] = 1.0
-        payload = e.payload
-        if config.method == "fedcspack" and config.payload == "raw":
-            v = views[e.package_index]
-            payload = payload - global_snapshot.values[v.offset : v.stop]
-        payloads[e.package_index] = payload.astype(np.float32)
-    mask = LocalMask(weights=weights, selected=frozenset(payloads))
-    return update.client_id, mask, DeltaPackages(packages=payloads)
+    entries = update.entries
+    chosen = np.fromiter((e.package_index for e in entries), dtype=np.intp, count=len(entries))
+    weights = np.zeros(layout.num_packages)
+    if config.method == "fedcspack":
+        weights[chosen] = mask_weights(
+            np.fromiter((e.theta for e in entries), dtype=np.float64, count=len(entries)),
+            np.fromiter((e.beta for e in entries), dtype=np.float64, count=len(entries)),
+            config.weight_mode,
+            config.weight_override,
+        )
+    else:
+        weights[chosen] = 1.0
+    payloads = [e.payload for e in entries]
+    if config.method == "fedcspack" and config.payload == "raw":
+        g = global_snapshot.values
+        payloads = [
+            p - g[start : start + n]
+            for p, start, n in zip(
+                payloads, layout.offsets[chosen].tolist(), layout.lengths[chosen].tolist()
+            )
+        ]
+    packages = dict(zip(chosen.tolist(), payloads))
+    mask = LocalMask(weights=weights, selected=frozenset(packages))
+    return update.client_id, mask, DeltaPackages(packages=packages)
 
 
 def evaluate(
@@ -189,7 +203,7 @@ def evaluate(
     locals_: list[FlatParams],
     partition: Partition,
     dataset: Dataset,
-    pack: int,
+    pack: int | PackageLayout,
 ) -> tuple[float, float]:
     """Global accuracy on the pooled test rows and the dataset-size weighted
     mean of per-client post-pull accuracies on their own test rows."""
@@ -231,12 +245,11 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     partition = make_partition(dataset, config.partition)
     pack = effective_pack(config)
     d = config.model.total_params
-    views = package_views(d, pack)
-    j_count = len(views)
+    layout = package_views(d, pack)
 
     server = ServerState(
         global_params=init_params(config.model, config.seed),
-        global_mask=GlobalMask.all_valid(j_count),
+        global_mask=GlobalMask.all_valid(layout.num_packages),
         round=0,
     )
     locals_ = [server.global_params.copy() for _ in range(config.clients)]
@@ -249,7 +262,8 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         sampled = sorted(
             sample_rng.choice(config.clients, size=sample_size, replace=False).tolist()
         )
-        assert len(set(sampled)) == sample_size
+        if len(set(sampled)) != sample_size:
+            raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
 
         global_snapshot = server.global_params.copy()
         mask_snapshot = server.global_mask
@@ -261,7 +275,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 log.info("round %d: client %d has no train data, skipped", t, i)
                 continue
             if config.method == "fedcspack":
-                pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, pack)
+                pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)
             else:
                 pulled = global_snapshot.copy()
             rows = partition.train[i]
@@ -278,17 +292,21 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 anchor=pulled if config.method == "fedprox" else None,
             )
             locals_[i] = trained
-            update = _client_update(config, i, t, trained, global_snapshot)
+            update = _client_update(config, i, t, trained, global_snapshot, layout)
             blob = encode_update(update)
             wire_blobs.append(blob)
             decoded.append(decode_update(blob))
 
         bytes_up = sum(len(b) for b in wire_blobs)
         closed_form = sum(u.encoded_length() for u in decoded)
-        assert bytes_up == closed_form, "traffic metering drifted from the codec"
+        if bytes_up != closed_form:
+            raise InvariantError(
+                f"round {t}: traffic metering drifted from the codec "
+                f"({bytes_up} bytes sent, {closed_form} by encoded_length)"
+            )
 
-        updates = [_server_ingest(config, u, global_snapshot, j_count) for u in decoded]
-        result = aggregate(server, updates, pack)
+        updates = [_server_ingest(config, u, global_snapshot, layout) for u in decoded]
+        result = aggregate(server, updates, layout)
         server = result.state
 
         # dense broadcast of the new global model, metered through the codec
@@ -311,7 +329,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         if round_hook is not None:
             round_hook(t, server)
 
-        global_acc, personalized_acc = evaluate(server, locals_, partition, dataset, pack)
+        global_acc, personalized_acc = evaluate(server, locals_, partition, dataset, layout)
         metrics.append(
             RoundMetrics(
                 round=t,

@@ -137,17 +137,18 @@ def per_client_accuracy(result) -> list[float]:
     """Final post-pull accuracy of every client on its own test rows."""
     from .aggregation import selective_pull
     from .model import Batch, forward_loss
+    from .packing import package_views
     from .protocol import effective_pack
 
     accs = []
-    pack = effective_pack(result.config)
+    layout = package_views(result.config.model.total_params, effective_pack(result.config))
     for i in range(result.partition.num_clients):
         rows = result.partition.test[i]
         if len(rows) == 0:
             accs.append(0.0)
             continue
         model = selective_pull(
-            result.locals_[i], result.server.global_params, result.server.global_mask, pack
+            result.locals_[i], result.server.global_params, result.server.global_mask, layout
         )
         batch = Batch(result.dataset.features[rows], result.dataset.labels[rows])
         _, correct = forward_loss(model, batch)

@@ -64,6 +64,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="num_clients"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", 0),
+            ("batch_size", -4),
+            ("local_epochs", 0),
+            ("cap_ratio", 0.0),
+            ("cap_ratio", 1.5),
+            ("weight_override", 0.0),
+            ("weight_override", -1.0),
+        ],
+    )
+    def test_out_of_range_rejected_at_load(self, key, value):
+        doc = base_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
     def test_overrides(self):
         doc = apply_overrides(base_doc(), ["method=fedavg", "partition.alpha=1.5", "rounds=2"])
         config = config_from_dict(doc)

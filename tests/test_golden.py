@@ -1,5 +1,6 @@
 """Golden trajectories: each method on the desk config must reproduce its
-pinned per-round trajectory bit for bit.
+pinned per-round trajectory bit for bit, and each partition spec its
+pinned client splits.
 
 A round is pinned as the SHA-256 of the post-round global parameters plus
 every deterministic `metrics.csv` column (all but `wall_ms`).  A change
@@ -19,7 +20,7 @@ import pytest
 
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import ShapeSpec
-from fedcspack.partition import PartitionSpec
+from fedcspack.partition import PartitionSpec, make_partition, synth_blobs
 from fedcspack.protocol import run
 from fedcspack.report import METRICS_HEADER, metrics_rows
 
@@ -66,14 +67,48 @@ def trajectory(case: str) -> list[dict]:
     return [{"params_sha256": d, "metrics": row} for d, row in zip(digests, rows)]
 
 
+# small data and extreme test fractions reach the capped-holdout and
+# single-row branches of the train/test split
+PARTITION_CASES = {
+    "dirichlet-0.2": dict(law="dirichlet", num_clients=7, seed=5, alpha=0.3),
+    "dirichlet-0.9": dict(law="dirichlet", num_clients=25, seed=6, alpha=2.0, test_fraction=0.9),
+    "pathological-0.5": dict(
+        law="pathological", num_clients=9, seed=7, shards_per_client=3, test_fraction=0.5
+    ),
+    "pathological-0.95": dict(
+        law="pathological", num_clients=30, seed=8, shards_per_client=1, test_fraction=0.95
+    ),
+}
+
+
+def partition_digest(case: str) -> str:
+    data = synth_blobs(num_classes=6, dim=4, samples_per_class=15, spread=0.3, seed=9)
+    part = make_partition(data, PartitionSpec(**PARTITION_CASES[case]))
+    h = hashlib.sha256()
+    for rows in part.assignment + part.train + part.test:
+        h.update(rows.astype("<i8").tobytes() + b"|")
+    return h.hexdigest()
+
+
+def pin_all() -> dict:
+    doc = {c: trajectory(c) for c in sorted(CASES)}
+    doc["partitions"] = {c: partition_digest(c) for c in sorted(PARTITION_CASES)}
+    return doc
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_trajectory(case):
     pinned = json.loads(PINS.read_text())[case]
     assert trajectory(case) == pinned
 
 
+@pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+def test_golden_partition(case):
+    assert partition_digest(case) == json.loads(PINS.read_text())["partitions"][case]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--pin"]:
         raise SystemExit(__doc__)
-    PINS.write_text(json.dumps({c: trajectory(c) for c in sorted(CASES)}, indent=1) + "\n")
-    print(f"pinned {len(CASES)} trajectories to {PINS}")
+    PINS.write_text(json.dumps(pin_all(), indent=1) + "\n")
+    print(f"pinned {len(CASES)} trajectories and {len(PARTITION_CASES)} partitions to {PINS}")

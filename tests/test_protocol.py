@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from conftest import small_config
 from fedcspack.aggregation import GlobalMask, ServerState
 from fedcspack.config import DatasetSpec
-from fedcspack.errors import ConfigError
+from fedcspack import protocol
+from fedcspack.errors import ConfigError, InvariantError
 from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.partition import Dataset, Partition, PartitionSpec
 from fedcspack.protocol import baseline_magnitude_topk, evaluate, run
@@ -139,6 +143,43 @@ class TestRunLoop:
         for mode in ("dual", "cos_only", "kl_only"):
             result = run(small_config(weight_mode=mode, rounds=2))
             assert len(result.metrics) == 2
+
+
+def drop_last_entry(decode):
+    """A decode_update that loses one entry, so the closed-form length of
+    the decoded updates no longer matches the bytes sent."""
+
+    def lossy(blob):
+        update = decode(blob)
+        return dataclasses.replace(update, entries=update.entries[:-1])
+
+    return lossy
+
+
+class TestMeteringCheck:
+    def test_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "decode_update", drop_last_entry(protocol.decode_update))
+        with pytest.raises(InvariantError, match="metering"):
+            run(small_config(rounds=1))
+
+    def test_survives_optimized_mode(self):
+        # `python -O` strips asserts; the check must still fire
+        code = (
+            "import pytest; from conftest import small_config; "
+            "from fedcspack import protocol; from fedcspack.errors import InvariantError; "
+            "from test_protocol import drop_last_entry; "
+            "protocol.decode_update = drop_last_entry(protocol.decode_update); "
+            "pytest.raises(InvariantError, protocol.run, small_config(rounds=1))"
+        )
+        tests = Path(__file__).resolve().parent
+        env_path = f"{tests}:{tests.parent / 'src'}"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={"PYTHONPATH": env_path, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestEvaluate:
