@@ -77,9 +77,9 @@ def combine_updates(
         if not deltas.packages:
             continue
         chosen = _package_indices(deltas)
-        scale = local_mask.weights[chosen] / mask.totals[chosen]
-        payload = np.concatenate(list(deltas.packages.values())).astype(np.float64)
-        acc[layout.elements(chosen)] += np.repeat(scale, layout.lengths[chosen]) * payload
+        term = np.repeat(local_mask.weights[chosen] / mask.totals[chosen], layout.lengths[chosen])
+        term *= np.concatenate(list(deltas.packages.values()))
+        np.add.at(acc, layout.elements(chosen), term)
     return acc
 
 
@@ -125,9 +125,10 @@ def aggregate(
     new_mask = fold_masks([m for _, m, _ in accepted], j_count)
     acc = combine_updates(accepted, new_mask, layout, total_params)
 
+    # packages with weight: float32(float64(global) + step), in place
     new_values = server.global_params.values.copy()
-    touched = layout.element_mask(new_mask.valid)
-    new_values[touched] = (new_values[touched].astype(np.float64) + acc[touched]).astype(np.float32)
+    acc += new_values
+    np.copyto(new_values, acc, casting="same_kind", where=layout.element_mask(new_mask.valid))
 
     state = ServerState(
         global_params=FlatParams(new_values, server.global_params.shape),

@@ -292,8 +292,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 anchor=pulled if config.method == "fedprox" else None,
             )
             locals_[i] = trained
-            update = _client_update(config, i, t, trained, global_snapshot, layout)
-            blob = encode_update(update)
+            # encoded at once: the update's payloads are views of a full-size
+            # delta that should not outlive this client
+            blob = encode_update(_client_update(config, i, t, trained, global_snapshot, layout))
             wire_blobs.append(blob)
             decoded.append(decode_update(blob))
 

@@ -9,6 +9,7 @@ from fedcspack.errors import ShapeError
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
     EPS_W,
+    PackageView,
     SimilarityProfile,
     build_mask,
     cosine,
@@ -48,6 +49,20 @@ class TestPackageViews:
             assert 1 <= v.len <= pack
             covered.extend(range(v.offset, v.stop))
         assert covered == list(range(total))
+
+
+    def test_layout_indexing(self):
+        layout = package_views(10, 4)
+        assert layout[-1] == layout[2] == PackageView(2, 8, 2)
+        assert list(layout.elements(np.array([2, 0]))) == [8, 9, 0, 1, 2, 3]
+        assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
+        with pytest.raises(IndexError):
+            layout[3]
+
+    def test_layout_of_another_size_rejected(self):
+        a = params_of(np.ones(10))
+        with pytest.raises(ShapeError):
+            score_packages(a, a, package_views(12, 4))
 
 
 class TestCosine:
