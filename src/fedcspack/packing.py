@@ -125,25 +125,63 @@ class DeltaPackages:
     packages: dict[int, np.ndarray]
 
 
+# Scoring works on row blocks of this many elements, so its float64
+# temporaries stay small whatever the model size.
+SCORE_BLOCK = 1 << 14
+
+
+def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of every row pair of two float64 (rows, n) blocks; 0 where a
+    row has zero norm.
+
+    Each row product is one BLAS dot, the same one a 1-D `@` or
+    `np.linalg.norm` makes, so a row's value does not depend on the block
+    it sits in.
+    """
+    dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
+    na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
+    nb = np.sqrt(np.matmul(b[:, None, :], b[:, :, None]).ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(dot / (na * nb), -1.0, 1.0)
+    cos[(na == 0.0) | (nb == 0.0)] = 0.0
+    return cos
+
+
+def _simplex_rows(v: np.ndarray) -> np.ndarray:
+    """Map each row of a float64 block to the simplex, in place: stabilized
+    softmax, floored at EPS_Q and renormalized."""
+    v -= v.max(axis=1, keepdims=True)
+    np.exp(v, out=v)
+    v /= v.sum(axis=1, keepdims=True)
+    np.maximum(v, EPS_Q, out=v)
+    v /= v.sum(axis=1, keepdims=True)
+    return v
+
+
+def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """KL distance of every row pair of two float64 blocks, which it
+    overwrites.  A sum over a contiguous row is the same pairwise sum as a
+    1-D `.sum()`, so a row's value does not depend on the block either."""
+    p = _simplex_rows(a)
+    q = _simplex_rows(b)
+    np.divide(p, q, out=q)
+    np.log(q, out=q)
+    q *= p
+    kl = q.sum(axis=1)
+    return np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), keeping -0.0
+
+
+def _row_pair(v: np.ndarray, other: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    v = np.asarray(v)
+    other = np.asarray(other)
+    if v.shape != other.shape or v.ndim != 1 or len(v) < 1:
+        raise ShapeError(f"{what} shapes {v.shape} vs {other.shape}")
+    return v.astype(np.float64)[None], other.astype(np.float64)[None]
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity with float64 accumulation; 0 on zero norm."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
-        raise ShapeError(f"cosine shapes {a.shape} vs {b.shape}")
-    a64 = a.astype(np.float64)
-    b64 = b.astype(np.float64)
-    na = np.linalg.norm(a64)
-    nb = np.linalg.norm(b64)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(a64 @ b64 / (na * nb), -1.0, 1.0))
-
-
-def _softmax64(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.float64)
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    return float(_cosine_rows(*_row_pair(a, b, "cosine"))[0])
 
 
 def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
@@ -153,56 +191,7 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
     stabilized softmax first; both distributions are floored at EPS_Q and
     renormalized (symmetric flooring keeps KL(v, v) exactly 0).
     """
-    local = np.asarray(local)
-    global_ = np.asarray(global_)
-    if local.shape != global_.shape or local.ndim != 1 or len(local) < 1:
-        raise ShapeError(f"kl shapes {local.shape} vs {global_.shape}")
-    p = np.maximum(_softmax64(local), EPS_Q)
-    p = p / p.sum()
-    q = np.maximum(_softmax64(global_), EPS_Q)
-    q = q / q.sum()
-    kl = float(np.sum(p * np.log(p / q)))
-    return max(kl, 0.0)
-
-
-# Scoring works on row blocks of this many elements, so its float64
-# temporaries stay small whatever the model size.
-SCORE_BLOCK = 1 << 14
-
-
-def _simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise kl_package simplex map of a float64 block, in place: the
-    stabilized softmax, floored at EPS_Q and renormalized."""
-    v -= v.max(axis=1, keepdims=True)
-    np.exp(v, out=v)
-    v /= v.sum(axis=1, keepdims=True)
-    np.maximum(v, EPS_Q, out=v)
-    v /= v.sum(axis=1, keepdims=True)
-    return v
-
-
-def _score_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cosine and kl_package of every row pair of two float64 blocks.
-
-    Bit-identical to the per-row calls: each row product goes to the same
-    BLAS dot as the 1-D `@` and `np.linalg.norm`, and each row sum of a
-    contiguous row is the same pairwise sum as the 1-D `.sum()`.  Both
-    blocks are overwritten.
-    """
-    dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
-    na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
-    nb = np.sqrt(np.matmul(b[:, None, :], b[:, :, None]).ravel())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.clip(dot / (na * nb), -1.0, 1.0)
-    cos[(na == 0.0) | (nb == 0.0)] = 0.0
-
-    p = _simplex_rows(a)
-    q = _simplex_rows(b)
-    np.divide(p, q, out=q)
-    np.log(q, out=q)
-    q *= p
-    kl = q.sum(axis=1)
-    return cos, np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), -0.0 kept
+    return float(_kl_rows(*_row_pair(local, global_, "kl"))[0])
 
 
 def score_packages(
@@ -226,7 +215,8 @@ def score_packages(
         span = slice(r0 * width, r1 * width)
         a = local.values[span].astype(np.float64).reshape(r1 - r0, width)
         b = global_.values[span].astype(np.float64).reshape(r1 - r0, width)
-        cos[r0:r1], kl[r0:r1] = _score_rows(a, b)
+        cos[r0:r1] = _cosine_rows(a, b)
+        kl[r0:r1] = _kl_rows(a, b)
     if layout.num_full < layout.num_packages:
         tail = slice(layout.num_full * width, layout.total_params)
         cos[-1] = cosine(local.values[tail], global_.values[tail])

@@ -197,19 +197,23 @@ def _split_train_test(
             train.append(rows)
             test.append(np.array([], dtype=np.int64))
             continue
+        # shuffle positions within `rows`: a permutation's draws depend only
+        # on its length, so this picks the same rows as shuffling the rows
         row_labels = labels[rows]
+        positions = np.arange(len(rows))
         te_parts = []
         for c in np.unique(row_labels):
-            c_rows = rng.permutation(rows[row_labels == c])
-            te_parts.append(c_rows[: int(np.floor(len(c_rows) * test_fraction))])
+            c_pos = rng.permutation(positions[row_labels == c])
+            te_parts.append(c_pos[: int(np.floor(len(c_pos) * test_fraction))])
         te = np.concatenate(te_parts)
         if len(te) == 0:
             n_te_target = max(1, int(np.floor(len(rows) * test_fraction)))
-            te = rng.permutation(rows)[:n_te_target]
+            te = rng.permutation(len(rows))[:n_te_target]
         te = te[: len(rows) - 1]
-        tr = rows[~np.isin(rows, te)]
-        train.append(np.sort(tr).astype(np.int64))
-        test.append(np.sort(te).astype(np.int64))
+        is_train = np.ones(len(rows), dtype=bool)
+        is_train[te] = False
+        train.append(np.sort(rows[is_train]).astype(np.int64, copy=False))
+        test.append(np.sort(rows[te]).astype(np.int64, copy=False))
     return train, test
 
 

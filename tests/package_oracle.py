@@ -14,16 +14,34 @@ import numpy as np
 from fedcspack.aggregation import AggregateResult, GlobalMask, ServerState, fold_masks
 from fedcspack.errors import ShapeError
 from fedcspack.model import FlatParams
-from fedcspack.packing import (
-    EPS_W,
-    DeltaPackages,
-    LocalMask,
-    SimilarityProfile,
-    cosine,
-    kl_package,
-)
+from fedcspack.packing import EPS_Q, EPS_W, DeltaPackages, LocalMask, SimilarityProfile
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack
 from fedcspack.wire import PackedUpdate, UpdateEntry
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    a64 = np.asarray(a).astype(np.float64)
+    b64 = np.asarray(b).astype(np.float64)
+    na = np.linalg.norm(a64)
+    nb = np.linalg.norm(b64)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(a64 @ b64 / (na * nb), -1.0, 1.0))
+
+
+def _softmax64(v: np.ndarray) -> np.ndarray:
+    v = v.astype(np.float64)
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
+def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
+    p = np.maximum(_softmax64(np.asarray(local)), EPS_Q)
+    p = p / p.sum()
+    q = np.maximum(_softmax64(np.asarray(global_)), EPS_Q)
+    q = q / q.sum()
+    kl = float(np.sum(p * np.log(p / q)))
+    return max(kl, 0.0)
 
 
 def views(total_params: int, pack: int) -> list[tuple[int, int, int]]:

@@ -19,6 +19,8 @@ from fedcspack.packing import (
     DeltaPackages,
     LocalMask,
     SimilarityProfile,
+    cosine,
+    kl_package,
     package_views,
     score_packages,
     select_topk,
@@ -72,6 +74,24 @@ def assert_same_profile(got, want):
     assert same(got.overall, want.overall)
     assert same(got.per_package_cos, want.per_package_cos)
     assert same(got.per_package_kl, want.per_package_kl)
+
+
+class TestCosineKL:
+    @settings(max_examples=150, deadline=None)
+    @given(model_pairs(max_total=300))
+    def test_match_oracle(self, pair):
+        local, global_, _ = pair
+        a, b = local.values, global_.values
+        assert same(cosine(a, b), oracle.cosine(a, b))
+        assert same(kl_package(a, b), oracle.kl_package(a, b))
+        assert same(cosine(a, np.zeros_like(b)), 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 9000, 68_362])
+    def test_float64_inputs(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        assert same(cosine(a, b), oracle.cosine(a, b))
+        assert same(kl_package(a, b), oracle.kl_package(a, b))
 
 
 class TestScorePackages:
