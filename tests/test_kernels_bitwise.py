@@ -64,8 +64,8 @@ def model_pairs(draw, max_total=600):
             g[s] = 0.0
         elif k == 3:
             loc[s] = g[s]
-        elif k == 4 and s.stop - s.start == min(pack, d):
-            loc[s], g[s] = loc[:pack][: s.stop - s.start], g[:pack][: s.stop - s.start]
+        elif k == 4 and s.stop - s.start == min(pack, d):  # a full package
+            loc[s], g[s] = loc[:pack], g[:pack]
     spec = spec_with_total(d)
     return FlatParams(loc.astype(np.float32), spec), FlatParams(g.astype(np.float32), spec), pack
 
