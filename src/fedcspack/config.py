@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -39,6 +40,8 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "idx" and (not self.images or not self.labels):
             raise ConfigError("idx dataset needs images and labels paths")
+        if self.kind == "blobs" and not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigError("spread must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class RunConfig:
             raise ConfigError("cpr must be in (0, 1]")
         if self.pack < 1:
             raise ConfigError("pack must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be finite and > 0")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be >= 1")
         if self.batch_size < 1:
@@ -87,6 +90,8 @@ class RunConfig:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
+        if not math.isfinite(self.prox_mu):
+            raise ConfigError("prox_mu must be finite")
         if self.method == "fedprox" and self.prox_mu <= 0:
             raise ConfigError("fedprox requires prox_mu > 0")
         if self.method == "magnitude_topk" and not 0 < self.topk_fraction <= 1:

@@ -99,20 +99,25 @@ class Batch:
         return len(self.features)
 
 
+def _layers(values: np.ndarray, shape: ShapeSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of a flat vector per layer, in flatten order."""
+    layers = []
+    off = 0
+    for fan_in, fan_out in shape.layer_dims:
+        w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        b = values[off : off + fan_out]
+        off += fan_out
+        layers.append((w, b))
+    return layers
+
+
 def unflatten(params: FlatParams) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the flat vector into (weight, bias) pairs per layer.
 
     Views into the underlying buffer; do not mutate.
     """
-    layers = []
-    off = 0
-    for fan_in, fan_out in params.shape.layer_dims:
-        w = params.values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
-        off += fan_in * fan_out
-        b = params.values[off : off + fan_out]
-        off += fan_out
-        layers.append((w, b))
-    return layers
+    return _layers(params.values, params.shape)
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]], shape: ShapeSpec) -> FlatParams:
@@ -139,20 +144,19 @@ def zeros_like(shape: ShapeSpec) -> FlatParams:
     return FlatParams(np.zeros(shape.total_params, dtype=np.float32), shape)
 
 
-def _forward(params: FlatParams, features: np.ndarray):
-    """Run the network, returning logits and per-layer pre-activation inputs."""
-    if features.shape[1] != params.shape.input_dim:
-        raise ShapeError(
-            f"feature dim {features.shape[1]} != model input {params.shape.input_dim}"
-        )
-    layers = unflatten(params)
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], shape: ShapeSpec, features: np.ndarray):
+    """Run the network over float64 layer views, returning logits and
+    per-layer inputs."""
+    if features.shape[1] != shape.input_dim:
+        raise ShapeError(f"feature dim {features.shape[1]} != model input {shape.input_dim}")
     x = features.astype(np.float64)
     inputs = []
     for k, (w, b) in enumerate(layers):
         inputs.append(x)
-        x = x @ w.astype(np.float64) + b.astype(np.float64)
-        if k < len(layers) - 1 and params.shape.activation == "relu":
-            x = np.maximum(x, 0.0)
+        x = x @ w
+        x += b
+        if k < len(layers) - 1 and shape.activation == "relu":
+            np.maximum(x, 0.0, out=x)
     return x, inputs
 
 
@@ -165,7 +169,8 @@ def forward_loss(params: FlatParams, batch: Batch) -> tuple[float, int]:
     """Mean cross-entropy and count of argmax-correct predictions."""
     if len(batch) == 0:
         raise ShapeError("empty batch")
-    logits, _ = _forward(params, batch.features)
+    layers = _layers(params.values.astype(np.float64), params.shape)
+    logits, _ = _forward(layers, params.shape, batch.features)
     logp = _log_softmax(logits)
     n = len(batch)
     loss = -float(logp[np.arange(n), batch.labels].sum()) / n
@@ -173,41 +178,85 @@ def forward_loss(params: FlatParams, batch: Batch) -> tuple[float, int]:
     return loss, correct
 
 
-def gradient(params: FlatParams, batch: Batch) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy, as a flat float64 vector."""
-    logits, inputs = _forward(params, batch.features)
-    layers = unflatten(params)
+def gradient(
+    params: FlatParams | np.ndarray,
+    batch: Batch,
+    shape: ShapeSpec | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Analytic gradient of the mean cross-entropy, as a flat float64 vector.
+
+    `params` is a FlatParams, or a float64 vector of float32 values together
+    with its `shape` (read as is, not cast).  Each layer's weight and bias
+    gradients are written straight into their slices of `out` (a new
+    vector when None).
+    """
+    if isinstance(params, FlatParams):
+        shape = params.shape
+        params = params.values.astype(np.float64)
+    layers = _layers(params, shape)
+    logits, inputs = _forward(layers, shape, batch.features)
     n = len(batch)
 
-    probs = np.exp(_log_softmax(logits))
-    delta = probs
+    delta = np.exp(_log_softmax(logits))
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
-    grads: list[np.ndarray] = [None] * len(layers)
+    if out is None:
+        out = np.empty(shape.total_params)
+    grads = _layers(out, shape)
     for k in range(len(layers) - 1, -1, -1):
-        w, _ = layers[k]
-        x = inputs[k]
-        gw = x.T @ delta
-        gb = delta.sum(axis=0)
-        grads[k] = np.concatenate([gw.ravel(), gb])
+        gw, gb = grads[k]
+        np.matmul(inputs[k].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if k > 0:
-            delta = delta @ w.astype(np.float64).T
-            if params.shape.activation == "relu":
+            delta = delta @ layers[k][0].T
+            if shape.activation == "relu":
                 # inputs[k] is post-activation output of layer k-1
-                delta = delta * (inputs[k] > 0.0)
-    return np.concatenate(grads)
+                delta *= inputs[k] > 0.0
+    return out
+
+
+def _sgd_step(
+    w: np.ndarray,
+    w32: np.ndarray,
+    g: np.ndarray,
+    batch: Batch,
+    shape: ShapeSpec,
+    lr: float,
+    prox: tuple[float, np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """One SGD step in place on the float64 weights `w`, which hold float32
+    values; `w32` receives the same weights as float32 and `g` is scratch.
+
+    `prox` is (mu, anchor values, float64 scratch vector) for the proximal
+    term; float32 anchor values widen exactly, so they need no float64 copy.
+    """
+    gradient(w, batch, shape, out=g)
+    if prox is not None:
+        mu, anchor, scratch = prox
+        np.subtract(w, anchor, out=scratch)
+        scratch *= mu
+        g += scratch
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient in layer {_offending_layer(shape, g)}")
+    g *= lr
+    w -= g
+    # float32 round-trip per step keeps training bit-reproducible
+    w32[...] = w
+    w[...] = w32
+    if not np.isfinite(w32).all():
+        raise NumericError("non-finite parameter values")
 
 
 def sgd_step(params: FlatParams, batch: Batch, lr: float) -> FlatParams:
     """One full-batch gradient step; pure (input untouched)."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    g = gradient(params, batch)
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient in layer {_offending_layer(params.shape, g)}")
-    new = params.values.astype(np.float64) - lr * g
-    return FlatParams(new.astype(np.float32), params.shape)
+    w = params.values.astype(np.float64)
+    w32 = np.empty_like(params.values)
+    _sgd_step(w, w32, np.empty_like(w), batch, params.shape, lr)
+    return FlatParams(w32, params.shape)
 
 
 def _offending_layer(shape: ShapeSpec, flat: np.ndarray) -> int:
@@ -233,7 +282,9 @@ def local_train(
     """Minibatch SGD over `epochs` full passes in a seeded shuffle order.
 
     With prox_mu > 0 a proximal pull toward `anchor` (mu/2 * ||w - anchor||^2)
-    is added to each minibatch objective.
+    is added to each minibatch objective.  The full-size buffers (float64
+    weights, gradient, float32 weights, proximal scratch) are allocated once
+    per call and updated in place by every step.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -245,22 +296,14 @@ def local_train(
         raise ValueError("prox_mu > 0 requires an anchor")
 
     w = params.values.astype(np.float64)
-    anchor64 = anchor.values.astype(np.float64) if anchor is not None else None
+    w32 = np.empty_like(params.values)
+    g = np.empty_like(w)
+    prox = (prox_mu, anchor.values, np.empty_like(w)) if prox_mu > 0 else None
     n = len(data)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             mb = Batch(data.features[idx], data.labels[idx])
-            current = FlatParams(w.astype(np.float32), params.shape)
-            g = gradient(current, mb)
-            if prox_mu > 0:
-                g = g + prox_mu * (w - anchor64)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(
-                    f"non-finite gradient in layer {_offending_layer(params.shape, g)}"
-                )
-            w = current.values.astype(np.float64) - lr * g
-            # float32 round-trip per step keeps training bit-reproducible
-            w = w.astype(np.float32).astype(np.float64)
-    return FlatParams(w.astype(np.float32), params.shape)
+            _sgd_step(w, w32, g, mb, params.shape, lr, prox)
+    return FlatParams(w32, params.shape)

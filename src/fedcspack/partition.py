@@ -8,6 +8,7 @@ exact, disjoint cover of the dataset rows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,8 +52,8 @@ class PartitionSpec:
             raise ConfigError(f"unknown partition law {self.law!r}")
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
-        if self.law == "dirichlet" and self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        if self.law == "dirichlet" and not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError("alpha must be finite and > 0")
         if self.law == "pathological" and self.shards_per_client < 1:
             raise ConfigError("shards_per_client must be >= 1")
         if not 0 < self.test_fraction < 1:
@@ -82,8 +83,8 @@ def synth_blobs(
     """Gaussian blobs: one unit-norm random center per class, isotropic noise."""
     if min(num_classes, dim, samples_per_class) < 1:
         raise ConfigError("counts must be >= 1")
-    if spread <= 0:
-        raise ConfigError("spread must be > 0")
+    if not (math.isfinite(spread) and spread > 0):
+        raise ConfigError("spread must be finite and > 0")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -17,6 +17,8 @@ Little-endian layout:
 
 Total length is 22 + sum(16 + 4*len) over entries; the traffic metric is
 defined as the sum of these encoded lengths, never an estimate.
+
+Decoded payloads are read-only views of the received buffer, not copies.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ def decode_update(buf: bytes) -> PackedUpdate:
     version, client_id, round_, pack, entry_count = struct.unpack_from("<HIIII", buf, 4)
     if version != VERSION:
         raise DecodeError(f"unsupported version {version}", 4)
+    # payloads are slices of one read-only byte view of the blob: no copy,
+    # and no buffer export per entry
+    blob = np.frombuffer(buf, dtype=np.uint8)
+    blob.flags.writeable = False
     off = HEADER_LEN
     entries = []
     prev_index = -1
@@ -102,7 +108,7 @@ def decode_update(buf: bytes) -> PackedUpdate:
         if package_index <= prev_index:
             raise DecodeError("unsorted entries", off - ENTRY_OVERHEAD)
         prev_index = package_index
-        payload = np.frombuffer(buf, dtype="<f4", count=length, offset=off).copy()
+        payload = blob[off : off + 4 * length].view("<f4")
         off += 4 * length
         entries.append(UpdateEntry(package_index, theta, beta, payload))
     if off != len(buf):

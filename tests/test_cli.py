@@ -82,6 +82,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (["lr=NaN"], "lr"),
+            (["lr=Infinity"], "lr"),
+            (["method=fedprox", "prox_mu=NaN"], "prox_mu"),
+            (["partition.alpha=NaN"], "alpha"),
+            (["dataset.spread=NaN"], "spread"),
+        ],
+    )
+    def test_non_finite_rejected_at_load(self, overrides, field):
+        doc = apply_overrides(base_doc(), overrides)
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(doc)
+
     def test_overrides(self):
         doc = apply_overrides(base_doc(), ["method=fedavg", "partition.alpha=1.5", "rounds=2"])
         config = config_from_dict(doc)
