@@ -4,15 +4,22 @@
 
 Shapes follow the perfbench workloads: one client's local training on the
 wide model (fedcspack-wide) and on the IDX model with the proximal term
-(fedprox-idx), and the decode of one magnitude Top-k update at desk scale
-(topk-desk).
+(fedprox-idx), the decode of one magnitude Top-k update at desk scale
+(topk-desk), one round's aggregation of 10 client updates in the
+topk-desk and fedcspack-wide shapes, and package scoring and selective
+pull on the wide model.
 """
 
 import numpy as np
 import pytest
 
-from fedcspack.model import Batch, ShapeSpec, init_params, local_train
+from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
+from fedcspack.packing import package_views, score_packages
 from fedcspack.wire import PackedUpdate, UpdateEntry, decode_update, encode_update
+
+WIDE = ShapeSpec.from_widths([256, 256, 10])  # d = 68,362
+DESK = ShapeSpec.from_widths([32, 64, 10])  # d = 2,762
 
 
 def client_data(rows: int, dim: int, classes: int) -> Batch:
@@ -55,3 +62,46 @@ def test_decode_topk_update(benchmark):
     blob = encode_update(PackedUpdate(client_id=3, round=0, pack=1, entries=entries))
     update = benchmark(decode_update, blob)
     assert len(update.entries) == 276
+
+
+def wide_pair():
+    global_ = init_params(WIDE, 0)
+    rng = np.random.default_rng(1)
+    local = FlatParams(global_.values + rng.normal(scale=0.01, size=WIDE.total_params), WIDE)
+    return local, global_
+
+
+@pytest.mark.parametrize(
+    "shape, pack, per_client",
+    [
+        pytest.param(DESK, 1, 277, id="topk-desk-10x277x1"),
+        pytest.param(WIDE, 128, 134, id="wide-10x134x128"),
+    ],
+)
+def test_aggregate(benchmark, shape, pack, per_client):
+    layout = package_views(shape.total_params, pack)
+    rng = np.random.default_rng(0)
+    server = ServerState(init_params(shape, 0), GlobalMask.all_valid(layout.num_packages))
+    updates = []
+    for cid in range(10):
+        packages = np.sort(rng.choice(layout.num_packages, size=per_client, replace=False))
+        payloads = tuple(
+            rng.normal(scale=0.01, size=int(n)).astype(np.float32) for n in layout.lengths[packages]
+        )
+        updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payloads))
+    result = benchmark(aggregate, server, updates, layout)
+    assert result.violations == 0
+
+
+def test_score_packages_wide(benchmark):
+    local, global_ = wide_pair()
+    layout = package_views(WIDE.total_params, 128)
+    profile = benchmark(score_packages, local, global_, layout)
+    assert profile.num_packages == 535
+
+
+def test_selective_pull_wide(benchmark):
+    local, global_ = wide_pair()
+    layout = package_views(WIDE.total_params, 128)
+    totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
+    benchmark(selective_pull, local, global_, GlobalMask(totals), layout)

@@ -4,35 +4,4 @@ baselines, bit-exact traffic accounting and reproducible Non-IID
 partitioning.
 """
 
-from .aggregation import GlobalMask, ServerState, aggregate, fold_masks, selective_pull
-from .config import DatasetSpec, RunConfig, config_from_dict, load_config
-from .model import Batch, FlatParams, ShapeSpec, forward_loss, init_params, local_train, sgd_step
-from .packing import (
-    DeltaPackages,
-    LocalMask,
-    PackageView,
-    SimilarityProfile,
-    build_mask,
-    cosine,
-    extract_deltas,
-    kl_package,
-    package_views,
-    score_packages,
-    select_topk,
-)
-from .partition import (
-    Dataset,
-    Partition,
-    PartitionSpec,
-    load_idx,
-    make_partition,
-    partition_dirichlet,
-    partition_pathological,
-    save_idx,
-    synth_blobs,
-)
-from .protocol import RoundMetrics, RunResult, baseline_magnitude_topk, evaluate, run
-from .report import RunSummary, emit_series, summarize
-from .wire import PackedUpdate, UpdateEntry, decode_update, encode_update
-
 __version__ = "0.1.0"

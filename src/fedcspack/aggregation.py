@@ -1,5 +1,5 @@
-"""Server-side fusion: fold the round's local masks into the global mask,
-apply weight-normalized package deltas to the global model, and the
+"""Server-side fusion: fold the round's client updates into the global
+mask, apply weight-normalized package deltas to the global model, and the
 client-side selective pull that adopts only the valid global packages.
 """
 
@@ -11,11 +11,23 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import FlatParams
-from .packing import DeltaPackages, LocalMask, PackageLayout, as_layout
+from .packing import PackageLayout, as_layout
 
 # Kept importable from this module too: tools that time package_views patch
 # it in every namespace that used to look it up (see perfbench/spans.py).
 from .packing import package_views  # noqa: F401
+
+
+@dataclass(frozen=True)
+class ClientUpdate:
+    """One client's update as the aggregator folds it: ascending package
+    indices, one mask weight per package and the per-package payloads
+    (local-minus-global deltas) in the same order."""
+
+    client_id: int
+    packages: np.ndarray
+    weights: np.ndarray
+    payloads: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -47,85 +59,54 @@ class AggregateResult:
     violations: int
 
 
-def fold_masks(masks: list[LocalMask], num_packages: int) -> GlobalMask:
-    """Sum local mask weights elementwise into the global mask."""
-    totals = np.zeros(num_packages)
-    for m in masks:
-        if len(m.weights) != num_packages:
-            raise ShapeError(
-                f"mask length {len(m.weights)} != package count {num_packages}"
-            )
-        totals += m.weights
-    return GlobalMask(totals=totals)
-
-
-def combine_updates(
-    accepted: list[tuple[int, LocalMask, DeltaPackages]],
-    mask: GlobalMask,
-    layout: PackageLayout,
-    total_params: int,
-) -> np.ndarray:
-    """Weight-normalized float64 combination of accepted payloads, folded in
-    the order given (callers sort by client id first).
-
-    Each client adds (w_j / total_j) * payload to its packages' elements in
-    one scatter; packages of one client never overlap, so every element
-    sums its clients' terms in the given order.
-    """
-    acc = np.zeros(total_params)
-    for _, local_mask, deltas in accepted:
-        if not deltas.packages:
-            continue
-        chosen = _package_indices(deltas)
-        term = np.repeat(local_mask.weights[chosen] / mask.totals[chosen], layout.lengths[chosen])
-        term *= np.concatenate(list(deltas.packages.values()))
-        np.add.at(acc, layout.elements(chosen), term)
-    return acc
-
-
-def _package_indices(deltas: DeltaPackages) -> np.ndarray:
-    return np.fromiter(deltas.packages, dtype=np.intp, count=len(deltas.packages))
-
-
 def aggregate(
     server: ServerState,
-    updates: list[tuple[int, LocalMask, DeltaPackages]],
+    updates: list[ClientUpdate],
     pack: int | PackageLayout,
 ) -> AggregateResult:
     """One round of dual-weight aggregation.
 
-    Each update is (client_id, mask, payloads); payloads are local-minus-
-    global deltas.  Per package the applied step is the mask-weight
-    normalized combination of client payloads.  Updates carrying a payload
-    at a zero-weight position are rejected whole and counted as protocol
-    violations.  Folding is fixed to ascending client id so float sums are
-    order-independent of the caller.
+    Per package the applied step is the mask-weight normalized combination
+    of client payloads.  An update whose weights are not all finite and
+    > 0, or whose payloads are not all finite, is rejected whole and
+    counted as a protocol violation.  Folding is
+    fixed to ascending client id so float sums are order-independent of
+    the caller.
     """
     total_params = server.global_params.shape.total_params
     layout = as_layout(total_params, pack)
-    j_count = layout.num_packages
 
     accepted = []
     violations = 0
-    for client_id, mask, deltas in sorted(updates, key=lambda u: u[0]):
-        if len(mask.weights) != j_count:
-            raise ShapeError(
-                f"mask length {len(mask.weights)} != package count {j_count}"
-            )
-        chosen = _package_indices(deltas)
-        if (mask.weights[chosen] <= 0).any():
+    totals = np.zeros(layout.num_packages)
+    for u in sorted(updates, key=lambda u: u.client_id):
+        if not ((u.weights > 0) & np.isfinite(u.weights)).all():
             violations += 1
             continue
-        sizes = np.fromiter(map(len, deltas.packages.values()), dtype=np.intp, count=len(chosen))
-        wrong = np.flatnonzero(sizes != layout.lengths[chosen])
+        sizes = np.fromiter(map(len, u.payloads), dtype=np.intp, count=len(u.packages))
+        wrong = np.flatnonzero(sizes != layout.lengths[u.packages])
         if len(wrong):
-            raise ShapeError(f"payload length mismatch on package {chosen[wrong[0]]}")
-        accepted.append((client_id, mask, deltas))
+            raise ShapeError(f"payload length mismatch on package {u.packages[wrong[0]]}")
+        # checked on a temporary, so payloads stay views of the blob until folded
+        if len(u.packages) and not np.isfinite(np.concatenate(u.payloads)).all():
+            violations += 1
+            continue
+        totals[u.packages] += u.weights
+        accepted.append(u)
 
-    new_mask = fold_masks([m for _, m, _ in accepted], j_count)
-    acc = combine_updates(accepted, new_mask, layout, total_params)
+    # each client adds (w_j / total_j) * payload to its packages' elements in
+    # one scatter; packages of one client never overlap, so every element
+    # sums its clients' terms in ascending client id
+    acc = np.zeros(total_params)
+    for u in accepted:
+        if not len(u.packages):
+            continue
+        term = np.repeat(u.weights / totals[u.packages], layout.lengths[u.packages])
+        term *= np.concatenate(u.payloads)
+        np.add.at(acc, layout.elements(u.packages), term)
 
     # packages with weight: float32(float64(global) + step), in place
+    new_mask = GlobalMask(totals=totals)
     new_values = server.global_params.values.copy()
     acc += new_values
     np.copyto(new_values, acc, casting="same_kind", where=layout.element_mask(new_mask.valid))

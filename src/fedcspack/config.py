@@ -63,9 +63,6 @@ class RunConfig:
     weight_mode: str = "dual"
     prox_mu: float = 0.0
     topk_fraction: float = 0.1
-    # test hooks for the dense-equivalence harness
-    force_full_selection: bool = False
-    weight_override: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -84,8 +81,6 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if not 0 < self.cap_ratio <= 1:
             raise ConfigError("cap_ratio must be in (0, 1]")
-        if self.weight_override is not None and not self.weight_override > 0:
-            raise ConfigError("weight_override must be > 0")
         if self.payload not in PAYLOADS:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:

@@ -30,7 +30,7 @@ class IngestError(ValueError):
 
 
 class ProtocolViolation(ValueError):
-    """Update payload inconsistent with its mask."""
+    """A client update the server must not fold (malformed or inconsistent)."""
 
 
 class InvariantError(RuntimeError):

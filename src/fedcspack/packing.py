@@ -1,7 +1,7 @@
 """Client-side parameter packaging: split the flat model into PACK-sized
 packages, score each against its global counterpart by cosine similarity
-and KL distance, pick the packages worth sharing, and build the weighted
-local mask that tells the server how to fuse them.
+and KL distance, pick the packages worth sharing, and weigh each shared
+package for the server's fusion.
 """
 
 from __future__ import annotations
@@ -19,25 +19,11 @@ EPS_Q = 1e-8
 EPS_W = 1e-6
 
 
-@dataclass(frozen=True)
-class PackageView:
-    """One contiguous slice of the flattened model."""
-
-    index: int
-    offset: int
-    len: int
-
-    @property
-    def stop(self) -> int:
-        return self.offset + self.len
-
-
 class PackageLayout:
     """The package geometry of one flat model, built once per run.
 
     Package j covers [offsets[j], offsets[j] + lengths[j]); every package
-    holds `pack` elements except a possibly shorter last one.  Indexing and
-    iteration yield PackageViews, but the kernels below work on the arrays.
+    holds `pack` elements except a possibly shorter last one.
     """
 
     def __init__(self, total_params: int, pack: int):
@@ -54,16 +40,6 @@ class PackageLayout:
         self.num_full = total_params // pack
         self.offsets.setflags(write=False)
         self.lengths.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.num_packages
-
-    def __getitem__(self, j: int) -> PackageView:
-        j = range(self.num_packages)[j]
-        return PackageView(j, int(self.offsets[j]), int(self.lengths[j]))
-
-    def __iter__(self):
-        return (self[j] for j in range(self.num_packages))
 
     def element_mask(self, package_mask: np.ndarray) -> np.ndarray:
         """Per-element copy of a per-package boolean mask."""
@@ -103,26 +79,6 @@ class SimilarityProfile:
     @property
     def num_packages(self) -> int:
         return len(self.per_package_cos)
-
-
-@dataclass(frozen=True)
-class LocalMask:
-    """Per-package weights; nonzero exactly on the selected packages."""
-
-    weights: np.ndarray
-    selected: frozenset[int]
-
-    def __post_init__(self):
-        nz = set(np.flatnonzero(self.weights > 0).tolist())
-        if nz != set(self.selected):
-            raise ValueError("mask weights inconsistent with selected set")
-
-
-@dataclass(frozen=True)
-class DeltaPackages:
-    """Payloads of the shared packages, keyed by package index."""
-
-    packages: dict[int, np.ndarray]
 
 
 # Scoring works on row blocks of this many elements, so its float64
@@ -241,21 +197,13 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> frozenset
     return frozenset(candidates[order[:k]].tolist())
 
 
-def mask_weights(
-    cos: np.ndarray,
-    kl: np.ndarray,
-    weight_mode: str = "dual",
-    weight_override: float | None = None,
-) -> np.ndarray:
+def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str = "dual") -> np.ndarray:
     """Mask weight of each shared package from its cosine and KL terms,
-    floored at EPS_W.
+    floored at EPS_W (a NaN term stays NaN).
 
-    weight_mode drops one of the two terms for ablations; weight_override
-    forces a constant weight (used by the dense-equivalence harness).
+    weight_mode drops one of the two terms for ablations.
     """
-    if weight_override is not None:
-        w = np.full(len(cos), float(weight_override))
-    elif weight_mode == "dual":
+    if weight_mode == "dual":
         w = np.add(cos, kl)
     elif weight_mode == "cos_only":
         w = np.asarray(cos, dtype=np.float64)
@@ -264,41 +212,3 @@ def mask_weights(
     else:
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     return np.maximum(w, EPS_W)
-
-
-def build_mask(
-    profile: SimilarityProfile,
-    selected: frozenset[int],
-    weight_mode: str = "dual",
-    weight_override: float | None = None,
-) -> LocalMask:
-    """Dual-weight mask: cosine + KL on the selected packages, 0 elsewhere."""
-    if not set(selected) <= set(range(profile.num_packages)):
-        raise ValueError("selected indices out of range")
-    chosen = np.array(sorted(selected), dtype=np.intp)
-    weights = np.zeros(profile.num_packages)
-    weights[chosen] = mask_weights(
-        profile.per_package_cos[chosen],
-        profile.per_package_kl[chosen],
-        weight_mode,
-        weight_override,
-    )
-    return LocalMask(weights=weights, selected=frozenset(selected))
-
-
-def extract_deltas(
-    local: FlatParams,
-    global_: FlatParams,
-    selected: frozenset[int],
-    pack: int | PackageLayout,
-) -> DeltaPackages:
-    """Payloads for the shared packages, local-minus-global float32 slices."""
-    if local.shape != global_.shape:
-        raise ShapeError("local/global shape mismatch")
-    layout = as_layout(local.shape.total_params, pack)
-    delta = local.values - global_.values
-    out = {}
-    for j in sorted(selected):
-        start = int(layout.offsets[j])
-        out[j] = delta[start : start + int(layout.lengths[j])]
-    return DeltaPackages(packages=out)

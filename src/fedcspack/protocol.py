@@ -2,8 +2,8 @@
 bit-exact traffic metering, server aggregation and evaluation.
 
 All four methods (fedcspack, fedavg, fedprox, magnitude_topk) run under
-the identical loop; they differ only in how the update payload is built
-and weighted.  Everything is deterministic per config seed.
+the identical loop; they differ only in which packages a client sends and
+how the server weighs them.  Everything is deterministic per config seed.
 """
 
 from __future__ import annotations
@@ -15,19 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
+from .aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
-from .packing import (
-    DeltaPackages,
-    LocalMask,
-    PackageLayout,
-    mask_weights,
-    package_views,
-    score_packages,
-    select_topk,
-)
+from .packing import PackageLayout, mask_weights, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
 from .wire import PackedUpdate, UpdateEntry, decode_update, encode_update
 
@@ -56,6 +48,7 @@ class RunResult:
     partition: Partition
     dataset: Dataset
     dense_bytes_per_round: int
+    per_client_acc: list[float]
 
 
 def build_dataset(spec: DatasetSpec) -> Dataset:
@@ -96,24 +89,8 @@ def baseline_magnitude_topk(
     return kept, delta[kept].astype(np.float32)
 
 
-def _entries(
-    layout: PackageLayout,
-    chosen: np.ndarray,
-    theta: np.ndarray,
-    beta: np.ndarray,
-    source: np.ndarray,
-) -> list[UpdateEntry]:
-    """One wire entry per chosen package, its payload sliced from `source`."""
-    return [
-        UpdateEntry(package_index=j, theta=t, beta=b, payload=source[start : start + n])
-        for j, t, b, start, n in zip(
-            chosen.tolist(),
-            theta.tolist(),
-            beta.tolist(),
-            layout.offsets[chosen].tolist(),
-            layout.lengths[chosen].tolist(),
-        )
-    ]
+def _raw_payload(config: RunConfig) -> bool:
+    return config.method == "fedcspack" and config.payload == "raw"
 
 
 def _client_update(
@@ -124,78 +101,84 @@ def _client_update(
     global_snapshot: FlatParams,
     layout: PackageLayout,
 ) -> PackedUpdate:
-    """Build the wire update for one client according to the method."""
+    """Build the wire update for one client: the methods differ only in the
+    packages chosen and the (theta, beta) sent with each."""
     if config.method == "fedcspack":
         profile = score_packages(trained, global_snapshot, layout)
-        if config.force_full_selection:
+        chosen = np.array(sorted(select_topk(profile, config.cap_ratio)), dtype=np.intp)
+        theta, beta = profile.per_package_cos[chosen], profile.per_package_kl[chosen]
+    else:
+        if config.method == "magnitude_topk":
+            # float32(a64 - b64) == a32 - b32, so the delta slices below carry
+            # exactly the values the baseline keeps
+            chosen, _ = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+        else:  # fedavg / fedprox: dense delta, every package
             chosen = np.arange(layout.num_packages)
-        else:
-            chosen = np.array(sorted(select_topk(profile, config.cap_ratio)), dtype=np.intp)
-        if config.payload == "raw":
-            source = trained.values.copy()
-        else:
-            source = trained.values - global_snapshot.values
-        entries = _entries(
-            layout,
-            chosen,
-            profile.per_package_cos[chosen],
-            profile.per_package_kl[chosen],
-            source,
+        theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))
+    if _raw_payload(config):
+        source = trained.values.copy()
+    else:
+        source = trained.values - global_snapshot.values
+    entries = tuple(
+        UpdateEntry(package_index=j, theta=t, beta=b, payload=source[start : start + n])
+        for j, t, b, start, n in zip(
+            chosen.tolist(),
+            theta.tolist(),
+            beta.tolist(),
+            layout.offsets[chosen].tolist(),
+            layout.lengths[chosen].tolist(),
         )
-    elif config.method == "magnitude_topk":
-        kept, values = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
-        entries = [
-            UpdateEntry(package_index=int(j), theta=1.0, beta=0.0, payload=np.array([v], dtype=np.float32))
-            for j, v in zip(kept, values)
-        ]
-    else:  # fedavg / fedprox: dense delta, every package
-        chosen = np.arange(layout.num_packages)
-        entries = _entries(
-            layout,
-            chosen,
-            np.ones(len(chosen)),
-            np.zeros(len(chosen)),
-            trained.values - global_snapshot.values,
-        )
-    return PackedUpdate(client_id=client_id, round=round_, pack=layout.pack, entries=tuple(entries))
+    )
+    return PackedUpdate(client_id=client_id, round=round_, pack=layout.pack, entries=entries)
 
 
 def _server_ingest(
     config: RunConfig,
     update: PackedUpdate,
+    sender: int,
+    round_: int,
     global_snapshot: FlatParams,
     layout: PackageLayout,
-) -> tuple[int, LocalMask, DeltaPackages]:
-    """Rebuild (mask, deltas) from a decoded wire update.
+) -> ClientUpdate:
+    """Check a decoded wire update against the round and the server's
+    layout, and reduce it to the aggregator's arrays.
 
     fedcspack weights derive from the transmitted theta/beta per the
     configured weight mode; baselines weigh every package equally so the
-    normalized combination is the plain mean over senders.
+    normalized combination is the plain mean over senders.  Raises
+    ProtocolViolation for an update whose header or package geometry does
+    not match the round; `aggregate` judges the values.
     """
+    if (update.client_id, update.round, update.pack) != (sender, round_, layout.pack):
+        raise ProtocolViolation(
+            f"header (client {update.client_id}, round {update.round}, pack {update.pack}) "
+            f"!= (client {sender}, round {round_}, pack {layout.pack})"
+        )
     entries = update.entries
-    chosen = np.fromiter((e.package_index for e in entries), dtype=np.intp, count=len(entries))
-    weights = np.zeros(layout.num_packages)
+    n = len(entries)
+    packages = np.fromiter((e.package_index for e in entries), dtype=np.intp, count=n)
+    # decode_update guarantees ascending, distinct indices
+    if n and packages[-1] >= layout.num_packages:
+        raise ProtocolViolation(f"package index {packages[-1]} >= {layout.num_packages}")
+    payloads = tuple(e.payload for e in entries)
+    sizes = np.fromiter(map(len, payloads), dtype=np.intp, count=n)
+    if (sizes != layout.lengths[packages]).any():
+        raise ProtocolViolation("payload length differs from its package length")
     if config.method == "fedcspack":
-        weights[chosen] = mask_weights(
-            np.fromiter((e.theta for e in entries), dtype=np.float64, count=len(entries)),
-            np.fromiter((e.beta for e in entries), dtype=np.float64, count=len(entries)),
+        weights = mask_weights(
+            np.fromiter((e.theta for e in entries), dtype=np.float64, count=n),
+            np.fromiter((e.beta for e in entries), dtype=np.float64, count=n),
             config.weight_mode,
-            config.weight_override,
         )
     else:
-        weights[chosen] = 1.0
-    payloads = [e.payload for e in entries]
-    if config.method == "fedcspack" and config.payload == "raw":
+        weights = np.ones(n)
+    if _raw_payload(config):
         g = global_snapshot.values
-        payloads = [
-            p - g[start : start + n]
-            for p, start, n in zip(
-                payloads, layout.offsets[chosen].tolist(), layout.lengths[chosen].tolist()
-            )
-        ]
-    packages = dict(zip(chosen.tolist(), payloads))
-    mask = LocalMask(weights=weights, selected=frozenset(packages))
-    return update.client_id, mask, DeltaPackages(packages=packages)
+        payloads = tuple(
+            p - g[start : start + size]
+            for p, start, size in zip(payloads, layout.offsets[packages].tolist(), sizes.tolist())
+        )
+    return ClientUpdate(update.client_id, packages, weights, payloads)
 
 
 def evaluate(
@@ -204,9 +187,10 @@ def evaluate(
     partition: Partition,
     dataset: Dataset,
     pack: int | PackageLayout,
-) -> tuple[float, float]:
-    """Global accuracy on the pooled test rows and the dataset-size weighted
-    mean of per-client post-pull accuracies on their own test rows."""
+) -> tuple[float, float, list[float]]:
+    """Global accuracy on the pooled test rows, the dataset-size weighted
+    mean of per-client post-pull accuracies on their own test rows, and
+    those per-client accuracies (0.0 for a client without test rows)."""
     pooled = np.concatenate([t for t in partition.test if len(t)]) if partition.test else np.array([], dtype=np.int64)
     if len(pooled):
         batch = Batch(dataset.features[pooled], dataset.labels[pooled])
@@ -215,19 +199,22 @@ def evaluate(
     else:
         global_acc = 0.0
 
+    per_client = []
     num = 0.0
     den = 0.0
     for i in range(partition.num_clients):
         rows = partition.test[i]
         if len(rows) == 0:
+            per_client.append(0.0)
             continue
         model = selective_pull(locals_[i], server.global_params, server.global_mask, pack)
         batch = Batch(dataset.features[rows], dataset.labels[rows])
         _, correct = forward_loss(model, batch)
+        per_client.append(correct / len(rows))
         size = len(partition.assignment[i])
-        num += size * (correct / len(rows))
+        num += size * per_client[-1]
         den += size
-    return global_acc, (num / den if den else 0.0)
+    return global_acc, (num / den if den else 0.0), per_client
 
 
 def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> RunResult:
@@ -269,7 +256,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         mask_snapshot = server.global_mask
 
         wire_blobs: list[bytes] = []
-        decoded: list[PackedUpdate] = []
+        decoded: list[tuple[int, PackedUpdate]] = []
         for i in sampled:
             if len(partition.train[i]) == 0:
                 log.info("round %d: client %d has no train data, skipped", t, i)
@@ -296,17 +283,24 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             # delta that should not outlive this client
             blob = encode_update(_client_update(config, i, t, trained, global_snapshot, layout))
             wire_blobs.append(blob)
-            decoded.append(decode_update(blob))
+            decoded.append((i, decode_update(blob)))
 
         bytes_up = sum(len(b) for b in wire_blobs)
-        closed_form = sum(u.encoded_length() for u in decoded)
+        closed_form = sum(u.encoded_length() for _, u in decoded)
         if bytes_up != closed_form:
             raise InvariantError(
                 f"round {t}: traffic metering drifted from the codec "
                 f"({bytes_up} bytes sent, {closed_form} by encoded_length)"
             )
 
-        updates = [_server_ingest(config, u, global_snapshot, layout) for u in decoded]
+        updates = []
+        rejected = 0
+        for i, u in decoded:
+            try:
+                updates.append(_server_ingest(config, u, i, t, global_snapshot, layout))
+            except ProtocolViolation as exc:
+                log.info("round %d: update from client %d rejected: %s", t, i, exc)
+                rejected += 1
         result = aggregate(server, updates, layout)
         server = result.state
 
@@ -330,7 +324,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         if round_hook is not None:
             round_hook(t, server)
 
-        global_acc, personalized_acc = evaluate(server, locals_, partition, dataset, layout)
+        global_acc, personalized_acc, per_client_acc = evaluate(
+            server, locals_, partition, dataset, layout
+        )
         metrics.append(
             RoundMetrics(
                 round=t,
@@ -341,7 +337,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 bytes_down=bytes_down,
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
                 participants=tuple(sampled),
-                violations=result.violations,
+                violations=rejected + result.violations,
             )
         )
     return RunResult(
@@ -352,4 +348,5 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         partition=partition,
         dataset=dataset,
         dense_bytes_per_round=d * 4 * sample_size,
+        per_client_acc=per_client_acc,
     )

@@ -33,6 +33,17 @@ def small_config(**overrides):
     return RunConfig(**defaults)
 
 
+def full_selection_constant_weights(monkeypatch):
+    """Make fedcspack send every package at weight 1.0, which turns it into
+    FedAvg (with a single package the selection returns it anyway)."""
+    from fedcspack import protocol
+
+    monkeypatch.setattr(
+        protocol, "select_topk", lambda profile, cap_ratio: frozenset(range(profile.num_packages))
+    )
+    monkeypatch.setattr(protocol, "mask_weights", lambda cos, kl, weight_mode: np.ones(len(cos)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

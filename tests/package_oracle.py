@@ -3,6 +3,8 @@ in fedcspack.packing and fedcspack.aggregation replace.
 
 Each function walks the packages one at a time, exactly as the simulator
 used to, so `np.array_equal` against it proves a kernel bit for bit.
+`per_client_accuracy` is the separate pull-and-score loop that the
+report used before `evaluate` returned the per-client accuracies.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import math
 
 import numpy as np
 
-from fedcspack.aggregation import AggregateResult, GlobalMask, ServerState, fold_masks
+from fedcspack.aggregation import AggregateResult, ClientUpdate, GlobalMask, ServerState
 from fedcspack.errors import ShapeError
-from fedcspack.model import FlatParams
-from fedcspack.packing import EPS_Q, EPS_W, DeltaPackages, LocalMask, SimilarityProfile
+from fedcspack.model import Batch, FlatParams, forward_loss
+from fedcspack.packing import EPS_Q, EPS_W, SimilarityProfile
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack
 from fedcspack.wire import PackedUpdate, UpdateEntry
 
@@ -84,34 +86,41 @@ def selective_pull(local: FlatParams, global_: FlatParams, global_mask: GlobalMa
     return FlatParams(out, local.shape)
 
 
-def aggregate(server: ServerState, updates, pack: int) -> AggregateResult:
+def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> AggregateResult:
     vs = views(server.global_params.shape.total_params, pack)
     accepted = []
     violations = 0
-    for client_id, mask, deltas in sorted(updates, key=lambda u: u[0]):
-        if any(mask.weights[j] <= 0 for j in deltas.packages):
+    for u in sorted(updates, key=lambda u: u.client_id):
+        if any(not (w > 0 and math.isfinite(w)) for w in u.weights):
             violations += 1
             continue
-        for j, payload in deltas.packages.items():
+        for j, payload in zip(u.packages, u.payloads):
             if len(payload) != vs[j][2] - vs[j][1]:
                 raise ShapeError(f"payload length mismatch on package {j}")
-        accepted.append((client_id, mask, deltas))
+        if any(not np.isfinite(payload).all() for payload in u.payloads):
+            violations += 1
+            continue
+        accepted.append(u)
 
-    new_mask = fold_masks([m for _, m, _ in accepted], len(vs))
+    totals = np.zeros(len(vs))
+    for u in accepted:
+        weights = np.zeros(len(vs))
+        weights[u.packages] = u.weights
+        totals += weights
     acc = np.zeros(server.global_params.shape.total_params)
-    for _, local_mask, deltas in accepted:
-        for j, payload in deltas.packages.items():
+    for u in accepted:
+        for j, w, payload in zip(u.packages, u.weights, u.payloads):
             _, start, stop = vs[j]
-            acc[start:stop] += (local_mask.weights[j] / new_mask.totals[j]) * payload.astype(np.float64)
+            acc[start:stop] += (w / totals[j]) * payload.astype(np.float64)
 
     new_values = server.global_params.values.copy()
     for j, start, stop in vs:
-        if new_mask.totals[j] > 0:
+        if totals[j] > 0:
             seg = new_values[start:stop].astype(np.float64) + acc[start:stop]
             new_values[start:stop] = seg.astype(np.float32)
     state = ServerState(
         global_params=FlatParams(new_values, server.global_params.shape),
-        global_mask=new_mask,
+        global_mask=GlobalMask(totals),
         round=server.round + 1,
     )
     return AggregateResult(state=state, violations=violations)
@@ -122,10 +131,7 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
     vs = views(trained.shape.total_params, pack)
     if config.method == "fedcspack":
         profile = score_packages(trained, global_snapshot, pack)
-        if config.force_full_selection:
-            selected = frozenset(range(len(vs)))
-        else:
-            selected = select_topk(profile, config.cap_ratio)
+        selected = select_topk(profile, config.cap_ratio)
         entries = []
         for j in sorted(selected):
             _, start, stop = vs[j]
@@ -155,27 +161,44 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
     return PackedUpdate(client_id=client_id, round=round_, pack=pack, entries=tuple(entries))
 
 
-def server_ingest(config, update, global_snapshot, num_packages):
+def server_ingest(config, update, global_snapshot) -> ClientUpdate:
     vs = views(global_snapshot.shape.total_params, update.pack)
-    weights = np.zeros(num_packages)
-    payloads = {}
+    packages, weights, payloads = [], [], []
     for e in update.entries:
         if config.method == "fedcspack":
-            if config.weight_override is not None:
-                w = config.weight_override
-            elif config.weight_mode == "dual":
+            if config.weight_mode == "dual":
                 w = e.theta + e.beta
             elif config.weight_mode == "cos_only":
                 w = e.theta
             else:
                 w = e.beta
-            weights[e.package_index] = max(w, EPS_W)
+            weights.append(max(w, EPS_W))
         else:
-            weights[e.package_index] = 1.0
+            weights.append(1.0)
         payload = e.payload
         if config.method == "fedcspack" and config.payload == "raw":
             _, start, stop = vs[e.package_index]
             payload = payload - global_snapshot.values[start:stop]
-        payloads[e.package_index] = payload.astype(np.float32)
-    mask = LocalMask(weights=weights, selected=frozenset(payloads))
-    return update.client_id, mask, DeltaPackages(packages=payloads)
+        packages.append(e.package_index)
+        payloads.append(payload.astype(np.float32))
+    return ClientUpdate(
+        update.client_id, np.array(packages, dtype=np.intp), np.array(weights), tuple(payloads)
+    )
+
+
+def per_client_accuracy(result) -> list[float]:
+    """Final post-pull accuracy of every client on its own test rows."""
+    pack = effective_pack(result.config)
+    accs = []
+    for i in range(result.partition.num_clients):
+        rows = result.partition.test[i]
+        if len(rows) == 0:
+            accs.append(0.0)
+            continue
+        model = selective_pull(
+            result.locals_[i], result.server.global_params, result.server.global_mask, pack
+        )
+        batch = Batch(result.dataset.features[rows], result.dataset.labels[rows])
+        _, correct = forward_loss(model, batch)
+        accs.append(correct / len(rows))
+    return accs

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import small_config
-from fedcspack.aggregation import GlobalMask, combine_updates, fold_masks
+from conftest import full_selection_constant_weights, small_config
+from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate
 from fedcspack.cli import main as cli_main
 from fedcspack.config import DatasetSpec, RunConfig
-from fedcspack.model import Batch, ShapeSpec, forward_loss, gradient, init_params
-from fedcspack.packing import DeltaPackages, LocalMask, cosine, kl_package, package_views
+from fedcspack.model import Batch, FlatParams, ShapeSpec, forward_loss, gradient, init_params
+from fedcspack.packing import cosine, kl_package
 from fedcspack.partition import PartitionSpec, label_histogram, make_partition, synth_blobs
 from fedcspack.protocol import run
 from fedcspack.report import summarize
@@ -50,7 +50,7 @@ def desk_config(method, rounds=40, **kw):
     )
 
 
-def test_fedavg_oracle_equivalence():
+def test_fedavg_oracle_equivalence(monkeypatch):
     """fedcspack with single package, full selection and constant weight
     tracks a fedavg run round-by-round to 1e-6 per coordinate."""
     started = time.perf_counter()
@@ -61,14 +61,9 @@ def test_fedavg_oracle_equivalence():
         round_hook=lambda t, s: oracle.__setitem__(t, s.global_params.values.copy()),
     )
     candidate = {}
+    full_selection_constant_weights(monkeypatch)
     run(
-        small_config(
-            method="fedcspack",
-            cap_ratio=1.0,
-            force_full_selection=True,
-            weight_override=1.0,
-            **base,
-        ),
+        small_config(method="fedcspack", cap_ratio=1.0, **base),
         round_hook=lambda t, s: candidate.__setitem__(t, s.global_params.values.copy()),
     )
     ok = len(oracle) == 20 and all(
@@ -99,42 +94,41 @@ def test_gradient_correctness():
 
 
 def test_aggregation_brute_force_oracle():
-    """Weighted package combination equals a scalar reference to 1e-12."""
+    """Weighted package combination equals a scalar reference exactly."""
     rng = np.random.default_rng(314)
     ok = True
     for _ in range(50):
         j_count = int(rng.integers(1, 5))
         pack = int(rng.integers(1, 4))
-        d = j_count * pack
-        views = package_views(d, pack)
+        # plus one package that no client sends, so the model has >= 2 params
+        d = (j_count + 1) * pack
+        spec = ShapeSpec(layer_dims=((d - 1, 1),), activation="identity")
+        server = ServerState(
+            FlatParams(rng.normal(size=d).astype(np.float32), spec),
+            GlobalMask.all_valid(j_count + 1),
+        )
         updates = []
         for cid in range(int(rng.integers(1, 6))):
-            sel = rng.choice(j_count, size=int(rng.integers(1, j_count + 1)), replace=False)
-            weights = np.zeros(j_count)
-            deltas = {}
-            for j in sel:
-                weights[int(j)] = float(rng.uniform(0.01, 2.0))
-                deltas[int(j)] = rng.normal(size=pack).astype(np.float32)
-            updates.append(
-                (cid, LocalMask(weights=weights, selected=frozenset(deltas)), DeltaPackages(deltas))
-            )
-        gm = fold_masks([m for _, m, _ in updates], j_count)
-        got = combine_updates(updates, gm, views, d)
+            sel = np.sort(rng.choice(j_count, size=int(rng.integers(1, j_count + 1)), replace=False))
+            weights = rng.uniform(0.01, 2.0, size=len(sel))
+            payloads = tuple(rng.normal(size=pack).astype(np.float32) for _ in sel)
+            updates.append(ClientUpdate(cid, sel, weights, payloads))
+        got = aggregate(server, updates, pack).state.global_params.values
 
-        expected = [0.0] * d
-        totals = [0.0] * j_count
-        for _, m, _ in updates:
-            for j in range(j_count):
-                totals[j] += float(m.weights[j])
-        for _, m, deltas in updates:
-            for j, payload in deltas.packages.items():
+        step = [0.0] * d
+        totals = [0.0] * (j_count + 1)
+        for u in updates:
+            for j, w in zip(u.packages, u.weights):
+                totals[j] += float(w)
+        for u in updates:
+            for j, w, payload in zip(u.packages, u.weights, u.payloads):
                 for k in range(len(payload)):
-                    expected[j * pack + k] += (
-                        float(m.weights[j]) / totals[j]
-                    ) * float(payload[k])
-        if np.max(np.abs(got - np.array(expected))) > 1e-12:
+                    step[j * pack + k] += (float(w) / totals[j]) * float(payload[k])
+        before = server.global_params.values.astype(np.float64)
+        expected = (before + np.array(step)).astype(np.float32)
+        if not np.array_equal(got, expected):
             ok = False
-    report("aggregation brute-force oracle (<=5 clients, 1e-12)", ok)
+    report("aggregation brute-force oracle (<=5 clients, exact)", ok)
 
 
 def test_partition_invariants():
@@ -224,7 +218,7 @@ def test_wire_exactness():
     config = small_config(method="fedavg", rounds=3, pack=64)
     result = run(config)
     d = config.model.total_params
-    j_count = len(package_views(d, 64))
+    j_count = -(-d // 64)
     for m in result.metrics:
         if m.bytes_up != len(m.participants) * (22 + 16 * j_count + 4 * d):
             ok = False

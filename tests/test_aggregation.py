@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from fedcspack.aggregation import (
+    ClientUpdate,
     GlobalMask,
     ServerState,
     aggregate,
-    fold_masks,
     selective_pull,
 )
 from fedcspack.errors import ShapeError
 from fedcspack.model import FlatParams, ShapeSpec
-from fedcspack.packing import DeltaPackages, LocalMask, package_views
+from fedcspack.packing import package_views
 
 
 def spec_with_total(n):
@@ -22,69 +22,82 @@ def params_of(values):
     return FlatParams(values, spec_with_total(len(values)))
 
 
-def mask_of(j_count, entries):
-    weights = np.zeros(j_count)
-    for j, w in entries.items():
-        weights[j] = w
-    return LocalMask(weights=weights, selected=frozenset(entries))
+def update_of(client_id, weights, payloads=None, pack=3):
+    """A ClientUpdate from {package: weight} and {package: payload}; payloads
+    default to ones of length `pack`."""
+    packages = sorted(weights)
+    if payloads is None:
+        payloads = {j: np.ones(pack, dtype=np.float32) for j in packages}
+    return ClientUpdate(
+        client_id,
+        np.array(packages, dtype=np.intp),
+        np.array([weights[j] for j in packages], dtype=np.float64),
+        tuple(payloads[j] for j in packages),
+    )
 
 
 def scalar_reference(global_values, pack, updates):
     """Straight-line per-coordinate aggregation oracle."""
     d = len(global_values)
-    views = package_views(d, pack)
-    totals = [0.0] * len(views)
-    for _, mask, _ in updates:
-        for j in range(len(views)):
-            totals[j] += float(mask.weights[j])
+    layout = package_views(d, pack)
+    totals = [0.0] * layout.num_packages
+    for u in updates:
+        for j, w in zip(u.packages, u.weights):
+            totals[j] += float(w)
     out = [float(v) for v in global_values]
-    for _, mask, deltas in sorted(updates, key=lambda u: u[0]):
-        for j, payload in deltas.packages.items():
-            v = views[j]
-            coef = float(mask.weights[j]) / totals[j]
-            for k in range(v.len):
-                out[v.offset + k] += coef * float(payload[k])
+    for u in sorted(updates, key=lambda u: u.client_id):
+        for j, w, payload in zip(u.packages, u.weights, u.payloads):
+            coef = float(w) / totals[j]
+            for k in range(int(layout.lengths[j])):
+                out[int(layout.offsets[j]) + k] += coef * float(payload[k])
     return np.array(out)
 
 
 class TestFoldMasks:
+    """The global mask is the sum of the accepted clients' weights."""
+
     def test_empty(self):
-        gm = fold_masks([], 4)
+        server = make_server(np.zeros(12), pack=3)
+        gm = aggregate(server, [], pack=3).state.global_mask
         assert np.array_equal(gm.totals, np.zeros(4))
         assert not gm.valid.any()
 
     def test_direct_sum(self):
-        a = mask_of(3, {1: 0.5})
-        b = mask_of(3, {1: 0.25, 2: 0.1})
-        gm = fold_masks([a, b], 3)
+        server = make_server(np.zeros(9), pack=3)
+        a = update_of(0, {1: 0.5})
+        b = update_of(1, {1: 0.25, 2: 0.1})
+        gm = aggregate(server, [a, b], pack=3).state.global_mask
         assert gm.totals[1] == pytest.approx(0.75)
         assert gm.totals[2] == pytest.approx(0.1)
         assert list(gm.valid) == [False, True, True]
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
-        masks = []
-        for _ in range(10):
+        server = make_server(np.zeros(12), pack=2)
+        updates = []
+        for cid in range(10):
             entries = {
                 int(j): float(rng.uniform(0.01, 2.0))
                 for j in rng.choice(6, size=rng.integers(1, 6), replace=False)
             }
-            masks.append(mask_of(6, entries))
-        gm = fold_masks(masks, 6)
+            updates.append(update_of(cid, entries, pack=2))
+        gm = aggregate(server, updates, pack=2).state.global_mask
         expected = np.zeros(6)
-        for m in masks:
-            for j in range(6):
-                expected[j] += m.weights[j]
+        for u in updates:
+            for j, w in zip(u.packages, u.weights):
+                expected[j] += w
         assert np.allclose(gm.totals, expected, atol=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            fold_masks([mask_of(3, {0: 1.0})], 4)
+        server = make_server(np.zeros(12), pack=3)
+        short = update_of(0, {0: 1.0}, {0: np.ones(2, dtype=np.float32)})
+        with pytest.raises(ShapeError, match="package 0"):
+            aggregate(server, [short], pack=3)
 
 
 def make_server(values, pack):
     params = params_of(values)
-    j_count = len(package_views(len(values), pack))
+    j_count = package_views(len(values), pack).num_packages
     return ServerState(params, GlobalMask.all_valid(j_count), round=0)
 
 
@@ -99,7 +112,7 @@ class TestAggregate:
     def test_single_client_weights_cancel(self):
         server = make_server(np.zeros(3), pack=3)
         payload = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        update = (0, mask_of(1, {0: 0.37}), DeltaPackages({0: payload}))
+        update = update_of(0, {0: 0.37}, {0: payload})
         result = aggregate(server, [update], pack=3)
         assert np.allclose(result.state.global_params.values, payload, atol=1e-7)
 
@@ -107,10 +120,7 @@ class TestAggregate:
         server = make_server(np.zeros(3), pack=3)
         p = np.array([1.0, 0.0, 2.0], dtype=np.float32)
         q = np.array([0.0, 4.0, -2.0], dtype=np.float32)
-        updates = [
-            (0, mask_of(1, {0: 1.0}), DeltaPackages({0: p})),
-            (1, mask_of(1, {0: 3.0}), DeltaPackages({0: q})),
-        ]
+        updates = [update_of(0, {0: 1.0}, {0: p}), update_of(1, {0: 3.0}, {0: q})]
         result = aggregate(server, updates, pack=3)
         assert np.allclose(result.state.global_params.values, 0.25 * p + 0.75 * q, atol=1e-7)
 
@@ -128,7 +138,7 @@ class TestAggregate:
                 deltas = {
                     j: rng.normal(size=pack).astype(np.float32) for j in entries
                 }
-                updates.append((cid, mask_of(j_count, entries), DeltaPackages(deltas)))
+                updates.append(update_of(cid, entries, deltas))
             result = aggregate(server, updates, pack=pack)
             expected = scalar_reference(server.global_params.values, pack, updates)
             assert np.allclose(
@@ -138,7 +148,7 @@ class TestAggregate:
     def test_untouched_packages_bitwise_unchanged(self):
         rng = np.random.default_rng(3)
         server = make_server(rng.normal(size=9), pack=3)
-        update = (0, mask_of(3, {1: 1.0}), DeltaPackages({1: np.ones(3, dtype=np.float32)}))
+        update = update_of(0, {1: 1.0})
         result = aggregate(server, [update], pack=3)
         out = result.state.global_params.values
         assert np.array_equal(out[0:3], server.global_params.values[0:3])
@@ -151,7 +161,7 @@ class TestAggregate:
         for cid in range(5):
             entries = {int(j): float(rng.uniform(0.1, 1.0)) for j in rng.choice(3, 2, replace=False)}
             deltas = {j: rng.normal(size=4).astype(np.float32) for j in entries}
-            updates.append((cid, mask_of(3, entries), DeltaPackages(deltas)))
+            updates.append(update_of(cid, entries, deltas))
         a = aggregate(server, updates, pack=4)
         shuffled = [updates[i] for i in rng.permutation(5)]
         b = aggregate(server, shuffled, pack=4)
@@ -162,8 +172,7 @@ class TestAggregate:
         server = make_server(np.zeros(4), pack=4)
         payloads = [rng.normal(size=4).astype(np.float32) for _ in range(3)]
         updates = [
-            (i, mask_of(1, {0: float(rng.uniform(0.1, 2.0))}), DeltaPackages({0: p}))
-            for i, p in enumerate(payloads)
+            update_of(i, {0: float(rng.uniform(0.1, 2.0))}, {0: p}) for i, p in enumerate(payloads)
         ]
         result = aggregate(server, updates, pack=4)
         applied = result.state.global_params.values
@@ -173,25 +182,36 @@ class TestAggregate:
         assert np.all(applied <= hi + 1e-6)
 
     def test_protocol_violation_rejected(self):
+        # payload on package 1 but weight 0 there
+        self.check_one_rejected(update_of(1, {0: 1.0, 1: 0.0}))
+
+    @pytest.mark.parametrize("bad_weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad_weight):
+        self.check_one_rejected(update_of(1, {0: 1.0, 1: bad_weight}))
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, bad_value):
+        payload = np.ones(3, dtype=np.float32)
+        payload[1] = bad_value
+        ones = np.ones(3, dtype=np.float32)
+        self.check_one_rejected(update_of(1, {0: 1.0, 1: 1.0}, {0: ones, 1: payload}))
+
+    def check_one_rejected(self, bad):
         server = make_server(np.zeros(6), pack=3)
-        good = (0, mask_of(2, {0: 1.0}), DeltaPackages({0: np.ones(3, dtype=np.float32)}))
-        # payload on package 1 but mask weight 0 there
-        bad_mask = mask_of(2, {0: 1.0})
-        bad = (1, bad_mask, DeltaPackages({0: np.ones(3, dtype=np.float32), 1: np.ones(3, dtype=np.float32)}))
+        good = update_of(0, {0: 1.0})
         result = aggregate(server, [good, bad], pack=3)
         assert result.violations == 1
         # only the good client contributed
         assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
         assert np.array_equal(result.state.global_params.values[3:], np.zeros(3, dtype=np.float32))
+        assert list(result.state.global_mask.totals) == [1.0, 0.0]
 
     def test_fedavg_equivalence_single_package(self):
         rng = np.random.default_rng(11)
         d = 8
         server = make_server(rng.normal(size=d), pack=d)
         deltas = [rng.normal(size=d).astype(np.float32) for _ in range(4)]
-        updates = [
-            (i, mask_of(1, {0: 1.0}), DeltaPackages({0: p})) for i, p in enumerate(deltas)
-        ]
+        updates = [update_of(i, {0: 1.0}, {0: p}) for i, p in enumerate(deltas)]
         result = aggregate(server, updates, pack=d)
         fedavg = server.global_params.values.astype(np.float64) + np.mean(
             [p.astype(np.float64) for p in deltas], axis=0

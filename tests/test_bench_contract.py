@@ -1,0 +1,73 @@
+"""The names the benchmark harness (perfbench/) reaches into still exist.
+
+perfbench/spans.py patches functions by name in the module namespaces
+that look them up, and perfbench/run.py reads decoded wire updates.  A
+change that renames or drops one of these would crash the benchmark, not
+the suite; these tests make it fail here instead.  perfbench/ is only
+read, never imported as a package or written to.
+"""
+
+import json
+import types
+from pathlib import Path
+
+import numpy as np
+
+from conftest import small_config
+from fedcspack import aggregation, cli, model, packing, partition, protocol, report, wire
+from fedcspack.config import config_to_dict
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = {
+    "aggregation": aggregation, "cli": cli, "model": model, "packing": packing,
+    "partition": partition, "protocol": protocol, "report": report, "wire": wire,
+}
+BROADCAST_ID = 0xFFFFFFFF
+
+
+def load_spans():
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    return spans
+
+
+def test_traced_names_resolve():
+    spans = load_spans()
+    for _, home, func, namespaces in spans.TRACED:
+        assert callable(getattr(MODULES[home], func)), f"{home}.{func}"
+        for ns in namespaces:
+            assert callable(getattr(MODULES[ns], func)), f"{ns}.{func}"
+
+
+def test_traced_run_and_decoded_updates(tmp_path):
+    """One small `fedcspack run` under the tracer, with the client and
+    broadcast blobs captured at protocol.encode_update as the harness does."""
+    spans = load_spans()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(small_config(rounds=2))))
+    tracer = spans.Tracer()
+    blobs = []
+
+    def capture(encode_update):
+        def observed(update):
+            blob = encode_update(update)
+            blobs.append(blob)
+            return blob
+        return observed
+
+    replacements = tracer.replacements(MODULES) + [(protocol, "encode_update", capture)]
+    with spans.patched(replacements):
+        assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+
+    assert tracer.round == spans.REPORT
+    assert tracer.packages_scored > 0 and len(tracer.valid_share) == 2
+    names = {span[0] for span in tracer.spans}
+    assert {"protocol.evaluate", "aggregation.aggregate", "report.per_client_accuracy"} <= names
+
+    decoded = [wire.decode_update(blob) for blob in blobs]
+    assert all(len(blob) == u.encoded_length() for blob, u in zip(blobs, decoded))
+    broadcasts = [u for u in decoded if u.client_id == BROADCAST_ID]
+    assert len(broadcasts) == 2 and len(decoded) > 2
+    for u in decoded:
+        assert len(u.entries) >= 1
+        assert np.asarray(u.entries[0].payload, dtype="<f4").ndim == 1

@@ -72,8 +72,6 @@ class TestConfig:
             ("local_epochs", 0),
             ("cap_ratio", 0.0),
             ("cap_ratio", 1.5),
-            ("weight_override", 0.0),
-            ("weight_override", -1.0),
         ],
     )
     def test_out_of_range_rejected_at_load(self, key, value):

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 import package_oracle as oracle
 from conftest import small_config
 from fedcspack import packing
-from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
-    DeltaPackages,
-    LocalMask,
     SimilarityProfile,
     cosine,
     kl_package,
@@ -165,8 +163,9 @@ class TestSelectivePull:
 
 @st.composite
 def rounds(draw):
-    """A server state plus shuffled updates; some carry a payload at a
-    zero-weight package (violations), some float64 payloads."""
+    """A server state plus shuffled updates; some carry a zero, NaN or
+    infinite weight or a non-finite payload value (violations), some
+    float64 payloads."""
     d = draw(st.integers(2, 400))
     pack = draw(st.one_of(st.just(1), st.integers(1, 64), st.integers(d, d + 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -177,20 +176,19 @@ def rounds(draw):
     updates = []
     num_clients = draw(st.integers(0, 8))
     for cid in rng.permutation(3 * num_clients)[:num_clients]:
-        chosen = rng.permutation(j_count)[: int(rng.integers(0, j_count + 1))]
-        weights = np.zeros(j_count)
-        weights[chosen] = rng.uniform(1e-6, 3.0, size=len(chosen))
-        deltas = {}
+        chosen = np.sort(rng.permutation(j_count)[: int(rng.integers(0, j_count + 1))])
+        weights = rng.uniform(1e-6, 3.0, size=len(chosen))
+        payloads = []
         for j in chosen.tolist():
             n = min(pack, d - j * pack)
             dtype = np.float64 if rng.random() < 0.1 else np.float32
-            deltas[j] = rng.normal(scale=rng.choice([1e-4, 1.0]), size=n).astype(dtype)
+            payloads.append(rng.normal(scale=rng.choice([1e-4, 1.0]), size=n).astype(dtype))
         if len(chosen) and rng.random() < 0.2:
-            weights[chosen[0]] = 0.0
-            mask = LocalMask(weights, frozenset(np.flatnonzero(weights).tolist()))
-        else:
-            mask = LocalMask(weights, frozenset(deltas))
-        updates.append((int(cid), mask, DeltaPackages(deltas)))
+            weights[rng.integers(len(chosen))] = rng.choice([0.0, np.nan, np.inf])
+        if len(chosen) and rng.random() < 0.1:
+            payload = payloads[rng.integers(len(chosen))]
+            payload[rng.integers(len(payload))] = rng.choice([np.nan, np.inf, -np.inf])
+        updates.append(ClientUpdate(int(cid), chosen, weights, tuple(payloads)))
     return server, updates, pack
 
 
@@ -211,7 +209,7 @@ CLIENT_CASES = [
     dict(method="fedcspack", payload="raw"),
     dict(method="fedcspack", payload="raw", weight_mode="kl_only", cap_ratio=0.1),
     dict(method="fedcspack", weight_mode="cos_only", cap_ratio=1.0),
-    dict(method="fedcspack", force_full_selection=True, weight_override=1.0),
+    dict(method="fedcspack", cap_ratio=1.0),
     dict(method="fedavg"),
     dict(method="fedprox", prox_mu=0.1),
     dict(method="magnitude_topk", topk_fraction=0.05),
@@ -238,13 +236,11 @@ class TestClientUpdateAndIngest:
         assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
 
         update = decode_update(blob)
-        cid, mask, deltas = _server_ingest(config, update, global_, layout)
-        want_cid, want_mask, want_deltas = oracle.server_ingest(
-            config, update, global_, len(layout)
-        )
-        assert cid == want_cid
-        assert same(mask.weights, want_mask.weights)
-        assert mask.selected == want_mask.selected
-        assert list(deltas.packages) == list(want_deltas.packages)
-        for j, payload in deltas.packages.items():
-            assert same(payload, want_deltas.packages[j])
+        got = _server_ingest(config, update, 3, 2, global_, layout)
+        want = oracle.server_ingest(config, update, global_)
+        assert got.client_id == want.client_id
+        assert same(got.packages, want.packages)
+        assert same(got.weights, want.weights)
+        assert len(got.payloads) == len(want.payloads)
+        for payload, want_payload in zip(got.payloads, want.payloads):
+            assert same(payload, want_payload)

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_config
 from fedcspack.errors import ShapeError
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
     EPS_W,
-    PackageView,
     SimilarityProfile,
-    build_mask,
     cosine,
-    extract_deltas,
     kl_package,
+    mask_weights,
     package_views,
     score_packages,
     select_topk,
 )
+from fedcspack.protocol import _client_update
 
 
 def spec_with_total(n):
@@ -33,31 +33,29 @@ def params_of(values):
 
 class TestPackageViews:
     def test_exact_tiling(self):
-        views = package_views(10, 4)
-        assert [(v.index, v.offset, v.len) for v in views] == [(0, 0, 4), (1, 4, 4), (2, 8, 2)]
+        layout = package_views(10, 4)
+        assert layout.num_packages == 3
+        assert list(layout.offsets) == [0, 4, 8]
+        assert list(layout.lengths) == [4, 4, 2]
 
     def test_single_package(self):
-        views = package_views(7, 100)
-        assert len(views) == 1 and views[0].len == 7
+        layout = package_views(7, 100)
+        assert layout.num_packages == 1 and list(layout.lengths) == [7]
 
     @given(st.integers(1, 500), st.integers(1, 64))
     def test_partition_property(self, total, pack):
-        views = package_views(total, pack)
+        layout = package_views(total, pack)
         covered = []
-        for v in views:
-            assert v.offset == v.index * pack
-            assert 1 <= v.len <= pack
-            covered.extend(range(v.offset, v.stop))
+        for j, (offset, length) in enumerate(zip(layout.offsets, layout.lengths)):
+            assert offset == j * pack
+            assert 1 <= length <= pack
+            covered.extend(range(offset, offset + length))
         assert covered == list(range(total))
-
 
     def test_layout_indexing(self):
         layout = package_views(10, 4)
-        assert layout[-1] == layout[2] == PackageView(2, 8, 2)
         assert list(layout.elements(np.array([2, 0]))) == [8, 9, 0, 1, 2, 3]
         assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
-        with pytest.raises(IndexError):
-            layout[3]
 
     def test_layout_of_another_size_rejected(self):
         a = params_of(np.ones(10))
@@ -184,69 +182,60 @@ class TestSelectTopk:
 
 
 class TestBuildMask:
+    """mask_weights: the weight of each shared package."""
+
     def test_empty_selection(self):
-        prof = SimilarityProfile(0.5, np.array([0.2, 0.3]), np.array([0.1, 0.1]))
-        mask = build_mask(prof, frozenset())
-        assert np.array_equal(mask.weights, np.zeros(2))
-        assert mask.selected == frozenset()
+        assert mask_weights(np.array([]), np.array([])).shape == (0,)
 
     def test_dual_sum(self):
-        cos = np.zeros(4)
-        kl = np.zeros(4)
-        cos[3], kl[3] = 0.5, 0.2
-        mask = build_mask(SimilarityProfile(0.9, cos, kl), frozenset({3}))
-        assert mask.weights[3] == pytest.approx(0.7)
+        assert mask_weights(np.array([0.5]), np.array([0.2]))[0] == pytest.approx(0.7)
 
     def test_clamp(self):
-        mask = build_mask(
-            SimilarityProfile(0.0, np.array([-0.9]), np.array([0.1])), frozenset({0})
-        )
-        assert mask.weights[0] == EPS_W
+        assert mask_weights(np.array([-0.9]), np.array([0.1]))[0] == EPS_W
+        assert np.isnan(mask_weights(np.array([np.nan]), np.array([0.1]))[0])
 
     def test_modes(self):
-        prof = SimilarityProfile(0.9, np.array([0.4]), np.array([0.3]))
-        assert build_mask(prof, frozenset({0}), "cos_only").weights[0] == pytest.approx(0.4)
-        assert build_mask(prof, frozenset({0}), "kl_only").weights[0] == pytest.approx(0.3)
-        assert build_mask(prof, frozenset({0}), weight_override=1.0).weights[0] == 1.0
+        cos, kl = np.array([0.4]), np.array([0.3])
+        assert mask_weights(cos, kl, "cos_only")[0] == pytest.approx(0.4)
+        assert mask_weights(cos, kl, "kl_only")[0] == pytest.approx(0.3)
+        with pytest.raises(ValueError, match="weight_mode"):
+            mask_weights(cos, kl, "both")
 
-    @given(st.lists(st.floats(-1, 1), min_size=1, max_size=10), st.data())
-    def test_selected_weights_positive(self, cos, data):
+    @given(st.lists(st.floats(-1, 1), min_size=1, max_size=10), st.sampled_from(["dual", "cos_only", "kl_only"]))
+    def test_selected_weights_positive(self, cos, mode):
         cos = np.array(cos)
-        kl = np.zeros_like(cos)
-        sel = frozenset(
-            data.draw(st.sets(st.integers(0, len(cos) - 1), max_size=len(cos)))
-        )
-        mask = build_mask(SimilarityProfile(0.0, cos, kl), sel)
-        for j in range(len(cos)):
-            if j in sel:
-                assert mask.weights[j] > 0
-            else:
-                assert mask.weights[j] == 0
+        assert (mask_weights(cos, np.zeros_like(cos), mode) > 0).all()
+
+
+def dense_update(loc, g, pack):
+    """The payloads a dense (fedavg) client sends, one per package."""
+    layout = package_views(len(loc.values), pack)
+    update = _client_update(small_config(method="fedavg"), 0, 0, loc, g, layout)
+    return [e.payload for e in update.entries]
 
 
 class TestExtractDeltas:
     def test_identical_models_zero_payload(self):
         p = init_params(ShapeSpec.from_widths([4, 3]), seed=5)
-        deltas = extract_deltas(p, p, frozenset({0}), pack=100)
-        assert np.array_equal(deltas.packages[0], np.zeros(p.shape.total_params, dtype=np.float32))
+        (payload,) = dense_update(p, p, pack=100)
+        assert np.array_equal(payload, np.zeros(p.shape.total_params, dtype=np.float32))
 
     def test_plus_one(self):
         g = params_of(np.zeros(6))
         loc = params_of(np.ones(6))
-        deltas = extract_deltas(loc, g, frozenset({0}), pack=6)
-        assert np.array_equal(deltas.packages[0], np.ones(6, dtype=np.float32))
+        (payload,) = dense_update(loc, g, pack=6)
+        assert np.array_equal(payload, np.ones(6, dtype=np.float32))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(12)
         g = params_of(rng.normal(size=20))
         loc = params_of(rng.normal(size=20))
-        sel = frozenset({0, 2, 3})
-        deltas = extract_deltas(loc, g, sel, pack=6)
-        for j, payload in deltas.packages.items():
-            views = package_views(20, 6)
-            v = views[j]
-            recon = g.values[v.offset : v.stop] + payload
-            assert np.allclose(recon, loc.values[v.offset : v.stop], atol=1e-6)
+        payloads = dense_update(loc, g, pack=6)
+        assert [len(p) for p in payloads] == [6, 6, 6, 2]
+        for j, payload in enumerate(payloads):
+            span = slice(6 * j, 6 * j + len(payload))
+            recon = g.values[span] + payload
+            assert np.allclose(recon, loc.values[span], atol=1e-6)
 
 
 @settings(max_examples=30)

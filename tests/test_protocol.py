@@ -7,15 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import small_config
-from fedcspack.aggregation import GlobalMask, ServerState
+from conftest import full_selection_constant_weights, small_config
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
 from fedcspack import protocol
 from fedcspack.errors import ConfigError, InvariantError
-from fedcspack.model import FlatParams, ShapeSpec
+from fedcspack.model import FlatParams, ShapeSpec, init_params
+from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
-from fedcspack.protocol import baseline_magnitude_topk, evaluate, run
+from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
+from fedcspack.wire import decode_update
 
 
 def spec_with_total(n):
@@ -86,20 +88,15 @@ class TestRunLoop:
         rows_b = [r[:6] + r[7:] for r in metrics_rows(b.metrics)]
         assert rows_a == rows_b
 
-    def test_fedcspack_matches_fedavg_with_overrides(self):
+    def test_fedcspack_matches_fedavg_with_overrides(self, monkeypatch):
         base = dict(rounds=6, pack=10_000, cpr=0.5)
         fedavg = run(small_config(method="fedavg", **base))
         trace = {}
         fedavg_trace = {}
         run(small_config(method="fedavg", **base), round_hook=lambda t, s: fedavg_trace.__setitem__(t, s.global_params.values.copy()))
+        full_selection_constant_weights(monkeypatch)
         run(
-            small_config(
-                method="fedcspack",
-                cap_ratio=1.0,
-                force_full_selection=True,
-                weight_override=1.0,
-                **base,
-            ),
+            small_config(method="fedcspack", cap_ratio=1.0, **base),
             round_hook=lambda t, s: trace.__setitem__(t, s.global_params.values.copy()),
         )
         for t in fedavg_trace:
@@ -182,6 +179,75 @@ class TestMeteringCheck:
         assert done.returncode == 0, done.stderr
 
 
+def with_entry(update, k, **changes):
+    entries = list(update.entries)
+    entries[k] = dataclasses.replace(entries[k], **changes)
+    return dataclasses.replace(update, entries=tuple(entries))
+
+
+# each takes a client update and the package count J
+CORRUPTIONS = {
+    "index_out_of_range": lambda u, j_count: with_entry(u, -1, package_index=j_count),
+    "nan_payload": lambda u, _: with_entry(
+        u, 0, payload=np.full_like(u.entries[0].payload, np.nan)
+    ),
+    "short_payload": lambda u, _: with_entry(u, 0, payload=u.entries[0].payload[:-1]),
+    "header_pack": lambda u, _: dataclasses.replace(u, pack=u.pack + 1),
+    "header_round": lambda u, _: dataclasses.replace(u, round=u.round + 1),
+    "unsampled_client": lambda u, _: dataclasses.replace(u, client_id=1000),
+    "nan_theta": lambda u, _: with_entry(u, 0, theta=float("nan")),
+}
+
+
+def corrupt_first_update(encode, corrupt, honest):
+    """An encode_update that sends the run's first client update through
+    `corrupt`, and collects the other client blobs of round 0 in `honest`."""
+    calls = []
+
+    def wrapped(update):
+        calls.append(update.client_id)
+        if len(calls) == 1:
+            return encode(corrupt(update))
+        blob = encode(update)
+        if update.round == 0 and update.client_id != 0xFFFFFFFF:  # not the broadcast
+            honest.append((update.client_id, blob))
+        return blob
+
+    return wrapped
+
+
+class TestMalformedUpdates:
+    @pytest.mark.parametrize(
+        "method, kind",
+        [("fedcspack", kind) for kind in CORRUPTIONS]
+        # fedavg weighs every package 1.0 and never reads theta
+        + [("fedavg", kind) for kind in CORRUPTIONS if kind != "nan_theta"],
+    )
+    def test_counted_not_fatal(self, monkeypatch, method, kind):
+        config = small_config(method=method, rounds=2)
+        layout = package_views(config.model.total_params, effective_pack(config))
+        honest = []
+        corrupt = lambda u: CORRUPTIONS[kind](u, layout.num_packages)  # noqa: E731
+        monkeypatch.setattr(
+            protocol, "encode_update", corrupt_first_update(protocol.encode_update, corrupt, honest)
+        )
+        globals_ = []
+        result = run(config, round_hook=lambda t, s: globals_.append(s.global_params.values.copy()))
+
+        assert [m.violations for m in result.metrics] == [1, 0]
+        assert all(np.isfinite(g).all() for g in globals_)
+        # round 0's global is the aggregate of the other clients' updates
+        start = init_params(config.model, config.seed)
+        others = [
+            protocol._server_ingest(config, decode_update(blob), cid, 0, start, layout)
+            for cid, blob in honest
+        ]
+        assert len(others) == len(result.metrics[0].participants) - 1
+        server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
+        want = aggregate(server, others, layout).state.global_params.values
+        assert np.array_equal(globals_[0], want)
+
+
 class TestEvaluate:
     def constant_predictor(self, num_classes, winner):
         # zero weights, bias picks the winner class
@@ -207,8 +273,11 @@ class TestEvaluate:
             global_mask=GlobalMask(np.zeros(1)),  # nothing valid: pull keeps locals
             round=0,
         )
-        _, personalized = evaluate(server, locals_, partition, dataset, pack=spec.total_params)
+        _, personalized, per_client = evaluate(
+            server, locals_, partition, dataset, pack=spec.total_params
+        )
         assert personalized == pytest.approx(0.75 * 1.0 + 0.25 * 0.0)
+        assert per_client == [1.0, 0.0]
 
     def test_chance_level_for_zero_model(self):
         config = small_config(rounds=1)
@@ -218,7 +287,7 @@ class TestEvaluate:
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
         server = ServerState(zero, GlobalMask.all_valid(1), 0)
         locals_ = [zero.copy() for _ in range(config.clients)]
-        global_acc, _ = evaluate(
+        global_acc, _, _ = evaluate(
             server, locals_, result.partition, result.dataset, pack=spec.total_params
         )
         assert 0.0 <= global_acc <= 0.45  # 6 classes, argmax ties resolve to class 0

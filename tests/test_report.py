@@ -2,7 +2,9 @@ import csv
 
 import pytest
 
+import package_oracle as oracle
 from conftest import small_config
+from fedcspack import protocol
 from fedcspack.protocol import RoundMetrics, run
 from fedcspack.report import (
     emit_series,
@@ -95,3 +97,19 @@ def test_emit_series_empty_metrics(tmp_path):
     for f in files:
         with open(f) as fh:
             assert len(list(csv.reader(fh))) == 1  # headers only
+
+
+@pytest.mark.parametrize("method", ["fedcspack", "magnitude_topk"])
+def test_per_client_accuracy_matches_reference(monkeypatch, method):
+    make_partition = protocol.make_partition
+
+    def client_1_without_test_rows(dataset, spec):
+        partition = make_partition(dataset, spec)
+        partition.test[1] = partition.test[1][:0]
+        return partition
+
+    monkeypatch.setattr(protocol, "make_partition", client_1_without_test_rows)
+    result = run(small_config(method=method, rounds=2))
+    accs = per_client_accuracy(result)
+    assert accs[1] == 0.0 and any(a > 0 for a in accs)
+    assert accs == oracle.per_client_accuracy(result)
