@@ -4,8 +4,9 @@
 
 Shapes follow the perfbench workloads: one client's local training on the
 wide model (fedcspack-wide) and on the IDX model with the proximal term
-(fedprox-idx), the decode of one magnitude Top-k update at desk scale
-(topk-desk), one round's aggregation of 10 client updates in the
+(fedprox-idx), the encode and decode of one magnitude Top-k update at
+desk scale (topk-desk), the encode of one fedcspack update of the wide
+model (fedcspack-wide), one round's aggregation of 10 client updates in the
 topk-desk and fedcspack-wide shapes, and package scoring and selective
 pull on the wide model.
 """
@@ -52,14 +53,41 @@ def test_local_train(benchmark, widths, rows, epochs, batch_size, prox_mu):
     )
 
 
+def sparse_update(shape: ShapeSpec, pack: int, count: int) -> PackedUpdate:
+    """`count` random packages of one client, their payloads views of one
+    full-size delta as a client builds them."""
+    layout = package_views(shape.total_params, pack)
+    rng = np.random.default_rng(0)
+    delta = rng.normal(scale=0.01, size=shape.total_params).astype(np.float32)
+    chosen = np.sort(rng.choice(layout.num_packages, size=count, replace=False))
+    entries = tuple(
+        UpdateEntry(j, 0.5, 0.1, delta[start : start + n])
+        for j, start, n in zip(
+            chosen.tolist(), layout.offsets[chosen].tolist(), layout.lengths[chosen].tolist()
+        )
+    )
+    return PackedUpdate(client_id=3, round=0, pack=pack, entries=entries)
+
+
+@pytest.mark.parametrize(
+    "shape, pack, count",
+    [
+        # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
+        pytest.param(DESK, 1, 276, id="topk-desk-276x1"),
+        # 99 of the 535 packages of 128: about what one fedcspack-wide
+        # client sends in a round
+        pytest.param(WIDE, 128, 99, id="wide-99x128"),
+    ],
+)
+def test_encode_update(benchmark, shape, pack, count):
+    update = sparse_update(shape, pack, count)
+    blob = benchmark(encode_update, update)
+    assert len(blob) == update.encoded_length()
+
+
 def test_decode_topk_update(benchmark):
     # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
-    rng = np.random.default_rng(0)
-    chosen = np.sort(rng.choice(2762, size=276, replace=False))
-    entries = tuple(
-        UpdateEntry(int(j), 1.0, 0.0, rng.normal(size=1).astype(np.float32)) for j in chosen
-    )
-    blob = encode_update(PackedUpdate(client_id=3, round=0, pack=1, entries=entries))
+    blob = encode_update(sparse_update(DESK, 1, 276))
     update = benchmark(decode_update, blob)
     assert len(update.entries) == 276
 

@@ -18,7 +18,7 @@ from .model import ShapeSpec
 from .partition import PartitionSpec
 
 METHODS = ("fedcspack", "fedavg", "fedprox", "magnitude_topk")
-PAYLOADS = ("delta", "raw")
+PAYLOADS = ("delta",)
 WEIGHT_MODES = ("dual", "cos_only", "kl_only")
 
 
@@ -59,7 +59,7 @@ class RunConfig:
     model: ShapeSpec
     dataset: DatasetSpec
     cap_ratio: float = 1.0
-    payload: str = "delta"
+    payload: str = "delta"  # the only mode; configs may still name it
     weight_mode: str = "dual"
     prox_mu: float = 0.0
     topk_fraction: float = 0.1

@@ -180,21 +180,21 @@ def score_packages(
     return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 
-def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> frozenset[int]:
+def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
     """Pick the shared packages: those less similar than the overall cosine,
     keeping at most ceil(cap_ratio * J), least-similar first (lower index on
     ties).  Never empty: if no package is below the threshold, share the
-    single least similar one.
+    single least similar one.  Returns the indices ascending, as sent.
     """
     if not 0 < cap_ratio <= 1:
         raise ValueError("cap_ratio must be in (0, 1]")
     cos = profile.per_package_cos
     candidates = np.flatnonzero(cos < profile.overall)
     if len(candidates) == 0:
-        return frozenset({int(np.argmin(cos))})
+        return np.array([np.argmin(cos)], dtype=np.intp)
     k = min(len(candidates), math.ceil(cap_ratio * profile.num_packages))
     order = np.lexsort((candidates, cos[candidates]))
-    return frozenset(candidates[order[:k]].tolist())
+    return np.sort(candidates[order[:k]])
 
 
 def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str = "dual") -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig
-from .errors import ConfigError, InvariantError, ProtocolViolation
+from .errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
 from .packing import PackageLayout, mask_weights, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
@@ -70,14 +70,11 @@ def effective_pack(config: RunConfig) -> int:
     return config.pack
 
 
-def baseline_magnitude_topk(
-    local: FlatParams, global_: FlatParams, fraction: float
-) -> tuple[np.ndarray, np.ndarray]:
+def baseline_magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:
     """Classic magnitude Top-k over the dense delta.
 
-    Returns the kept coordinate indices (ascending) and their delta values;
-    keeps the ceil(fraction * d) largest |delta| coordinates, ties broken by
-    lower index.
+    Returns the kept coordinate indices (ascending): the ceil(fraction * d)
+    largest |delta| coordinates, ties broken by lower index.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
@@ -85,12 +82,7 @@ def baseline_magnitude_topk(
     d = len(delta)
     k = math.ceil(fraction * d)
     order = np.lexsort((np.arange(d), -np.abs(delta)))
-    kept = np.sort(order[:k])
-    return kept, delta[kept].astype(np.float32)
-
-
-def _raw_payload(config: RunConfig) -> bool:
-    return config.method == "fedcspack" and config.payload == "raw"
+    return np.sort(order[:k])
 
 
 def _client_update(
@@ -105,20 +97,17 @@ def _client_update(
     packages chosen and the (theta, beta) sent with each."""
     if config.method == "fedcspack":
         profile = score_packages(trained, global_snapshot, layout)
-        chosen = np.array(sorted(select_topk(profile, config.cap_ratio)), dtype=np.intp)
+        chosen = select_topk(profile, config.cap_ratio)
         theta, beta = profile.per_package_cos[chosen], profile.per_package_kl[chosen]
     else:
         if config.method == "magnitude_topk":
             # float32(a64 - b64) == a32 - b32, so the delta slices below carry
             # exactly the values the baseline keeps
-            chosen, _ = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+            chosen = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
         else:  # fedavg / fedprox: dense delta, every package
             chosen = np.arange(layout.num_packages)
         theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))
-    if _raw_payload(config):
-        source = trained.values.copy()
-    else:
-        source = trained.values - global_snapshot.values
+    source = trained.values - global_snapshot.values
     entries = tuple(
         UpdateEntry(package_index=j, theta=t, beta=b, payload=source[start : start + n])
         for j, t, b, start, n in zip(
@@ -137,7 +126,6 @@ def _server_ingest(
     update: PackedUpdate,
     sender: int,
     round_: int,
-    global_snapshot: FlatParams,
     layout: PackageLayout,
 ) -> ClientUpdate:
     """Check a decoded wire update against the round and the server's
@@ -172,12 +160,6 @@ def _server_ingest(
         )
     else:
         weights = np.ones(n)
-    if _raw_payload(config):
-        g = global_snapshot.values
-        payloads = tuple(
-            p - g[start : start + size]
-            for p, start, size in zip(payloads, layout.offsets[packages].tolist(), sizes.tolist())
-        )
     return ClientUpdate(update.client_id, packages, weights, payloads)
 
 
@@ -239,7 +221,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         global_mask=GlobalMask.all_valid(layout.num_packages),
         round=0,
     )
-    locals_ = [server.global_params.copy() for _ in range(config.clients)]
+    # nothing writes a FlatParams' values in place, so every client may
+    # start from the one initial model
+    locals_ = [server.global_params] * config.clients
 
     sample_size = math.ceil(config.cpr * config.clients)
     metrics: list[RoundMetrics] = []
@@ -252,11 +236,12 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         if len(set(sampled)) != sample_size:
             raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
 
-        global_snapshot = server.global_params.copy()
+        global_snapshot = server.global_params
         mask_snapshot = server.global_mask
 
-        wire_blobs: list[bytes] = []
-        decoded: list[tuple[int, PackedUpdate]] = []
+        bytes_up = 0
+        updates = []
+        rejected = 0
         for i in sampled:
             if len(partition.train[i]) == 0:
                 log.info("round %d: client %d has no train data, skipped", t, i)
@@ -264,7 +249,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             if config.method == "fedcspack":
                 pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)
             else:
-                pulled = global_snapshot.copy()
+                pulled = global_snapshot
             rows = partition.train[i]
             data = Batch(dataset.features[rows], dataset.labels[rows])
             train_rng = np.random.default_rng([config.seed, 29, t, i])
@@ -282,23 +267,17 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             # encoded at once: the update's payloads are views of a full-size
             # delta that should not outlive this client
             blob = encode_update(_client_update(config, i, t, trained, global_snapshot, layout))
-            wire_blobs.append(blob)
-            decoded.append((i, decode_update(blob)))
-
-        bytes_up = sum(len(b) for b in wire_blobs)
-        closed_form = sum(u.encoded_length() for _, u in decoded)
-        if bytes_up != closed_form:
-            raise InvariantError(
-                f"round {t}: traffic metering drifted from the codec "
-                f"({bytes_up} bytes sent, {closed_form} by encoded_length)"
-            )
-
-        updates = []
-        rejected = 0
-        for i, u in decoded:
+            # a blob the server rejects was still sent
+            bytes_up += len(blob)
             try:
-                updates.append(_server_ingest(config, u, i, t, global_snapshot, layout))
-            except ProtocolViolation as exc:
+                u = decode_update(blob)
+                if len(blob) != u.encoded_length():
+                    raise InvariantError(
+                        f"round {t}: traffic metering drifted from the codec on client {i} "
+                        f"({len(blob)} bytes sent, {u.encoded_length()} by encoded_length)"
+                    )
+                updates.append(_server_ingest(config, u, i, t, layout))
+            except (DecodeError, ProtocolViolation) as exc:
                 log.info("round %d: update from client %d rejected: %s", t, i, exc)
                 rejected += 1
         result = aggregate(server, updates, layout)

@@ -39,7 +39,7 @@ def full_selection_constant_weights(monkeypatch):
     from fedcspack import protocol
 
     monkeypatch.setattr(
-        protocol, "select_topk", lambda profile, cap_ratio: frozenset(range(profile.num_packages))
+        protocol, "select_topk", lambda profile, cap_ratio: np.arange(profile.num_packages)
     )
     monkeypatch.setattr(protocol, "mask_weights", lambda cos, kl, weight_mode: np.ones(len(cos)))
 

@@ -67,15 +67,15 @@ def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> Similar
     return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 
-def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> frozenset[int]:
+def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
     cos = profile.per_package_cos
     j_count = profile.num_packages
     candidates = [j for j in range(j_count) if cos[j] < profile.overall]
     if not candidates:
-        return frozenset({min(range(j_count), key=lambda j: (cos[j], j))})
+        return np.array([min(range(j_count), key=lambda j: (cos[j], j))], dtype=np.intp)
     k = min(len(candidates), math.ceil(cap_ratio * j_count))
     candidates.sort(key=lambda j: (cos[j], j))
-    return frozenset(candidates[:k])
+    return np.array(sorted(candidates[:k]), dtype=np.intp)
 
 
 def selective_pull(local: FlatParams, global_: FlatParams, global_mask: GlobalMask, pack: int) -> FlatParams:
@@ -133,12 +133,9 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
         profile = score_packages(trained, global_snapshot, pack)
         selected = select_topk(profile, config.cap_ratio)
         entries = []
-        for j in sorted(selected):
+        for j in selected.tolist():
             _, start, stop = vs[j]
-            if config.payload == "raw":
-                payload = trained.values[start:stop].copy()
-            else:
-                payload = trained.values[start:stop] - global_snapshot.values[start:stop]
+            payload = trained.values[start:stop] - global_snapshot.values[start:stop]
             entries.append(
                 UpdateEntry(
                     package_index=j,
@@ -148,10 +145,10 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
                 )
             )
     elif config.method == "magnitude_topk":
-        kept, values = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+        kept = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+        delta = trained.values.astype(np.float64) - global_snapshot.values.astype(np.float64)
         entries = [
-            UpdateEntry(int(j), 1.0, 0.0, np.array([v], dtype=np.float32))
-            for j, v in zip(kept, values)
+            UpdateEntry(int(j), 1.0, 0.0, np.array([delta[j]], dtype=np.float32)) for j in kept
         ]
     else:
         entries = []
@@ -161,8 +158,7 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
     return PackedUpdate(client_id=client_id, round=round_, pack=pack, entries=tuple(entries))
 
 
-def server_ingest(config, update, global_snapshot) -> ClientUpdate:
-    vs = views(global_snapshot.shape.total_params, update.pack)
+def server_ingest(config, update) -> ClientUpdate:
     packages, weights, payloads = [], [], []
     for e in update.entries:
         if config.method == "fedcspack":
@@ -175,12 +171,8 @@ def server_ingest(config, update, global_snapshot) -> ClientUpdate:
             weights.append(max(w, EPS_W))
         else:
             weights.append(1.0)
-        payload = e.payload
-        if config.method == "fedcspack" and config.payload == "raw":
-            _, start, stop = vs[e.package_index]
-            payload = payload - global_snapshot.values[start:stop]
         packages.append(e.package_index)
-        payloads.append(payload.astype(np.float32))
+        payloads.append(e.payload.astype(np.float32))
     return ClientUpdate(
         update.client_id, np.array(packages, dtype=np.intp), np.array(weights), tuple(payloads)
     )

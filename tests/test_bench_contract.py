@@ -1,13 +1,18 @@
-"""The names the benchmark harness (perfbench/) reaches into still exist.
+"""The names the benchmark harness (perfbench/) reaches into still exist,
+and the kernel micro-benchmarks (bench/) still run.
 
 perfbench/spans.py patches functions by name in the module namespaces
 that look them up, and perfbench/run.py reads decoded wire updates.  A
 change that renames or drops one of these would crash the benchmark, not
 the suite; these tests make it fail here instead.  perfbench/ is only
-read, never imported as a package or written to.
+read, never imported as a package or written to.  bench/ lies outside
+the suite's testpaths, so it is run here once, timing disabled.
 """
 
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -17,7 +22,8 @@ from conftest import small_config
 from fedcspack import aggregation, cli, model, packing, partition, protocol, report, wire
 from fedcspack.config import config_to_dict
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = {
     "aggregation": aggregation, "cli": cli, "model": model, "packing": packing,
     "partition": partition, "protocol": protocol, "report": report, "wire": wire,
@@ -71,3 +77,14 @@ def test_traced_run_and_decoded_updates(tmp_path):
     for u in decoded:
         assert len(u.entries) >= 1
         assert np.asarray(u.entries[0].payload, dtype="<f4").ndim == 1
+
+
+def test_micro_benchmarks_run():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "-q", "--benchmark-disable", "-p", "no:cacheprovider"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -72,6 +72,7 @@ class TestConfig:
             ("local_epochs", 0),
             ("cap_ratio", 0.0),
             ("cap_ratio", 1.5),
+            ("payload", "raw"),
         ],
     )
     def test_out_of_range_rejected_at_load(self, key, value):

@@ -30,7 +30,7 @@ WALL_MS = METRICS_HEADER.index("wall_ms")
 # desk config: MLP 32-64-10 (d = 2,762), pack 128 leaves a 74-wide tail
 CASES = {
     "fedcspack": dict(method="fedcspack", cap_ratio=0.25),
-    "fedcspack-raw": dict(method="fedcspack", payload="raw", weight_mode="cos_only"),
+    "fedcspack-cos_only": dict(method="fedcspack", weight_mode="cos_only"),
     "fedavg": dict(method="fedavg"),
     "fedprox": dict(method="fedprox", prox_mu=0.01),
     "magnitude_topk": dict(method="magnitude_topk", topk_fraction=0.1),

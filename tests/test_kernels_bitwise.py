@@ -133,16 +133,14 @@ class TestSelectTopk:
     def test_ties_match_oracle(self, cos, overall, cap_ratio):
         cos = np.array(cos)
         prof = SimilarityProfile(overall, cos, np.zeros_like(cos))
-        got = select_topk(prof, cap_ratio)
-        assert got == oracle.select_topk(prof, cap_ratio)
-        assert all(type(j) is int for j in got)
+        assert same(select_topk(prof, cap_ratio), oracle.select_topk(prof, cap_ratio))
 
     @settings(max_examples=60, deadline=None)
     @given(model_pairs(), st.floats(0.01, 1.0))
     def test_scored_models_match_oracle(self, pair, cap_ratio):
         local, global_, pack = pair
         prof = oracle.score_packages(local, global_, pack)
-        assert select_topk(prof, cap_ratio) == oracle.select_topk(prof, cap_ratio)
+        assert same(select_topk(prof, cap_ratio), oracle.select_topk(prof, cap_ratio))
 
 
 def package_mask(rng, j_count):
@@ -206,8 +204,7 @@ class TestAggregate:
 
 CLIENT_CASES = [
     dict(method="fedcspack"),
-    dict(method="fedcspack", payload="raw"),
-    dict(method="fedcspack", payload="raw", weight_mode="kl_only", cap_ratio=0.1),
+    dict(method="fedcspack", weight_mode="kl_only", cap_ratio=0.1),
     dict(method="fedcspack", weight_mode="cos_only", cap_ratio=1.0),
     dict(method="fedcspack", cap_ratio=1.0),
     dict(method="fedavg"),
@@ -236,8 +233,8 @@ class TestClientUpdateAndIngest:
         assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
 
         update = decode_update(blob)
-        got = _server_ingest(config, update, 3, 2, global_, layout)
-        want = oracle.server_ingest(config, update, global_)
+        got = _server_ingest(config, update, 3, 2, layout)
+        want = oracle.server_ingest(config, update)
         assert got.client_id == want.client_id
         assert same(got.packages, want.packages)
         assert same(got.weights, want.weights)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,9 @@ from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
-from fedcspack.wire import decode_update
+from fedcspack.wire import MAGIC, VERSION, decode_update
+
+BROADCAST_ID = 0xFFFFFFFF
 
 
 def spec_with_total(n):
@@ -29,14 +33,13 @@ class TestMagnitudeTopk:
         rng = np.random.default_rng(1)
         g = FlatParams(rng.normal(size=10).astype(np.float32), spec_with_total(10))
         loc = FlatParams(rng.normal(size=10).astype(np.float32), spec_with_total(10))
-        kept, values = baseline_magnitude_topk(loc, g, 1.0)
+        kept = baseline_magnitude_topk(loc, g, 1.0)
         assert np.array_equal(kept, np.arange(10))
-        assert np.allclose(values, loc.values - g.values, atol=1e-7)
 
     def test_argmax_magnitude(self):
         g = FlatParams(np.zeros(3, dtype=np.float32), spec_with_total(3))
         loc = FlatParams(np.array([0.1, -5.0, 0.2], dtype=np.float32), spec_with_total(3))
-        kept, _ = baseline_magnitude_topk(loc, g, 1 / 3)
+        kept = baseline_magnitude_topk(loc, g, 1 / 3)
         assert list(kept) == [1]
 
     def test_full_sort_oracle(self):
@@ -46,7 +49,7 @@ class TestMagnitudeTopk:
             g = FlatParams(rng.normal(size=d).astype(np.float32), spec_with_total(d))
             loc = FlatParams(rng.normal(size=d).astype(np.float32), spec_with_total(d))
             frac = float(rng.uniform(0.05, 0.9))
-            kept, _ = baseline_magnitude_topk(loc, g, frac)
+            kept = baseline_magnitude_topk(loc, g, frac)
             delta = np.abs(loc.values.astype(np.float64) - g.values.astype(np.float64))
             k = math.ceil(frac * d)
             expected = sorted(sorted(range(d), key=lambda i: (-delta[i], i))[:k])
@@ -55,7 +58,7 @@ class TestMagnitudeTopk:
     def test_tie_prefers_lower_index(self):
         g = FlatParams(np.zeros(4, dtype=np.float32), spec_with_total(4))
         loc = FlatParams(np.array([1.0, 1.0, 1.0, 1.0], dtype=np.float32), spec_with_total(4))
-        kept, _ = baseline_magnitude_topk(loc, g, 0.5)
+        kept = baseline_magnitude_topk(loc, g, 0.5)
         assert list(kept) == [0, 1]
 
 
@@ -115,13 +118,6 @@ class TestRunLoop:
         for x, y in zip(a.partition.assignment, b.partition.assignment):
             assert np.array_equal(x, y)
 
-    def test_payload_raw_equivalent_to_delta(self):
-        delta = run(small_config(payload="delta", rounds=4))
-        raw = run(small_config(payload="raw", rounds=4))
-        assert np.allclose(
-            delta.server.global_params.values, raw.server.global_params.values, atol=1e-5
-        )
-
     def test_prox_runs(self):
         result = run(small_config(method="fedprox", prox_mu=0.1, rounds=3))
         assert len(result.metrics) == 3
@@ -141,6 +137,29 @@ class TestRunLoop:
             result = run(small_config(weight_mode=mode, rounds=2))
             assert len(result.metrics) == 2
 
+    @pytest.mark.parametrize("overrides", [dict(method="fedcspack"), dict(method="fedprox", prox_mu=0.1)])
+    def test_shared_global_never_written(self, overrides):
+        # the round's global model is shared, not copied: fedprox trains from
+        # it and anchors on it, and never-sampled clients keep the initial one
+        kept = []
+        run(
+            small_config(rounds=4, **overrides),
+            round_hook=lambda t, s: kept.append(
+                (s.global_params.values, hashlib.sha256(s.global_params.values).digest())
+            ),
+        )
+        assert len(kept) == 4
+        for values, digest in kept:
+            assert hashlib.sha256(values).digest() == digest
+
+        config = small_config(rounds=1, **overrides)
+        result = run(config)
+        start = init_params(config.model, config.seed)
+        never_sampled = sorted(set(range(config.clients)) - set(result.metrics[0].participants))
+        assert never_sampled
+        for i in never_sampled:
+            assert np.array_equal(result.locals_[i].values, start.values)
+
 
 def drop_last_entry(decode):
     """A decode_update that loses one entry, so the closed-form length of
@@ -156,7 +175,7 @@ def drop_last_entry(decode):
 class TestMeteringCheck:
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(protocol, "decode_update", drop_last_entry(protocol.decode_update))
-        with pytest.raises(InvariantError, match="metering"):
+        with pytest.raises(InvariantError, match="metering drifted from the codec on client"):
             run(small_config(rounds=1))
 
     def test_survives_optimized_mode(self):
@@ -198,51 +217,77 @@ CORRUPTIONS = {
     "nan_theta": lambda u, _: with_entry(u, 0, theta=float("nan")),
 }
 
+# each takes an encoded client update; none of the results decodes
+BLOB_CORRUPTIONS = {
+    "bad_magic": lambda blob: b"XXXX" + blob[len(MAGIC) :],
+    "truncated": lambda blob: blob[:-3],
+    "trailing_byte": lambda blob: blob + b"\0",
+    "bad_version": lambda blob: blob[:4] + struct.pack("<H", VERSION + 1) + blob[6:],
+}
 
-def corrupt_first_update(encode, corrupt, honest):
-    """An encode_update that sends the run's first client update through
-    `corrupt`, and collects the other client blobs of round 0 in `honest`."""
+
+def first_client_sends(encode, send, honest, sent):
+    """An encode_update whose first call (the run's first client update)
+    returns `send(update)`; it collects the other client blobs of round 0
+    in `honest` and every client blob of round 0, as sent, in `sent`."""
     calls = []
 
     def wrapped(update):
         calls.append(update.client_id)
-        if len(calls) == 1:
-            return encode(corrupt(update))
-        blob = encode(update)
-        if update.round == 0 and update.client_id != 0xFFFFFFFF:  # not the broadcast
-            honest.append((update.client_id, blob))
+        blob = send(update) if len(calls) == 1 else encode(update)
+        if update.round == 0 and update.client_id != BROADCAST_ID:
+            sent.append(blob)
+            if len(calls) > 1:
+                honest.append((update.client_id, blob))
         return blob
 
     return wrapped
 
 
+def corrupt_first_update(encode, corrupt, honest, sent):
+    """first_client_sends, with the first update passed through `corrupt`
+    before it is encoded."""
+    return first_client_sends(encode, lambda u: encode(corrupt(u)), honest, sent)
+
+
+def corrupt_first_blob(encode, corrupt, honest, sent):
+    """first_client_sends, with the first update's blob passed through
+    `corrupt` after it is encoded."""
+    return first_client_sends(encode, lambda u: corrupt(encode(u)), honest, sent)
+
+
 class TestMalformedUpdates:
     @pytest.mark.parametrize(
         "method, kind",
-        [("fedcspack", kind) for kind in CORRUPTIONS]
+        [("fedcspack", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS]]
         # fedavg weighs every package 1.0 and never reads theta
-        + [("fedavg", kind) for kind in CORRUPTIONS if kind != "nan_theta"],
+        + [("fedavg", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS] if kind != "nan_theta"],
     )
     def test_counted_not_fatal(self, monkeypatch, method, kind):
         config = small_config(method=method, rounds=2)
         layout = package_views(config.model.total_params, effective_pack(config))
-        honest = []
-        corrupt = lambda u: CORRUPTIONS[kind](u, layout.num_packages)  # noqa: E731
-        monkeypatch.setattr(
-            protocol, "encode_update", corrupt_first_update(protocol.encode_update, corrupt, honest)
-        )
+        honest, sent = [], []
+        encode = protocol.encode_update
+        if kind in BLOB_CORRUPTIONS:
+            wrapped = corrupt_first_blob(encode, BLOB_CORRUPTIONS[kind], honest, sent)
+        else:
+            corrupt = lambda u: CORRUPTIONS[kind](u, layout.num_packages)  # noqa: E731
+            wrapped = corrupt_first_update(encode, corrupt, honest, sent)
+        monkeypatch.setattr(protocol, "encode_update", wrapped)
         globals_ = []
         result = run(config, round_hook=lambda t, s: globals_.append(s.global_params.values.copy()))
 
         assert [m.violations for m in result.metrics] == [1, 0]
         assert all(np.isfinite(g).all() for g in globals_)
+        # a rejected blob was still sent, so it is still metered
+        assert result.metrics[0].bytes_up == sum(map(len, sent))
         # round 0's global is the aggregate of the other clients' updates
         start = init_params(config.model, config.seed)
         others = [
-            protocol._server_ingest(config, decode_update(blob), cid, 0, start, layout)
+            protocol._server_ingest(config, decode_update(blob), cid, 0, layout)
             for cid, blob in honest
         ]
-        assert len(others) == len(result.metrics[0].participants) - 1
+        assert len(others) == len(sent) - 1 == len(result.metrics[0].participants) - 1
         server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
         want = aggregate(server, others, layout).state.global_params.values
         assert np.array_equal(globals_[0], want)
