@@ -4,11 +4,11 @@
 
 Shapes follow the perfbench workloads: one client's local training on the
 wide model (fedcspack-wide) and on the IDX model with the proximal term
-(fedprox-idx), the encode and decode of one magnitude Top-k update at
-desk scale (topk-desk), the encode of one fedcspack update of the wide
-model (fedcspack-wide), one round's aggregation of 10 client updates in the
-topk-desk and fedcspack-wide shapes, and package scoring and selective
-pull on the wide model.
+(fedprox-idx), the encode and decode of one client update in the
+magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
+of the wide model (fedcspack-wide), one round's aggregation of 10 client
+updates in those two shapes, and package scoring and selective pull on the
+wide model.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
-from fedcspack.wire import PackedUpdate, UpdateEntry, decode_update, encode_update
+from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 WIDE = ShapeSpec.from_widths([256, 256, 10])  # d = 68,362
 DESK = ShapeSpec.from_widths([32, 64, 10])  # d = 2,762
@@ -54,42 +54,48 @@ def test_local_train(benchmark, widths, rows, epochs, batch_size, prox_mu):
 
 
 def sparse_update(shape: ShapeSpec, pack: int, count: int) -> PackedUpdate:
-    """`count` random packages of one client, their payloads views of one
-    full-size delta as a client builds them."""
+    """`count` random packages of one client, their payload gathered from
+    one full-size delta as a client builds it."""
     layout = package_views(shape.total_params, pack)
     rng = np.random.default_rng(0)
     delta = rng.normal(scale=0.01, size=shape.total_params).astype(np.float32)
     chosen = np.sort(rng.choice(layout.num_packages, size=count, replace=False))
-    entries = tuple(
-        UpdateEntry(j, 0.5, 0.1, delta[start : start + n])
-        for j, start, n in zip(
-            chosen.tolist(), layout.offsets[chosen].tolist(), layout.lengths[chosen].tolist()
-        )
+    return PackedUpdate(
+        client_id=3,
+        round=0,
+        pack=pack,
+        packages=chosen,
+        theta=np.full(count, 0.5),
+        beta=np.full(count, 0.1),
+        lengths=layout.lengths[chosen],
+        payload=layout.gather(delta, chosen),
     )
-    return PackedUpdate(client_id=3, round=0, pack=pack, entries=entries)
 
 
-@pytest.mark.parametrize(
-    "shape, pack, count",
-    [
-        # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
-        pytest.param(DESK, 1, 276, id="topk-desk-276x1"),
-        # 99 of the 535 packages of 128: about what one fedcspack-wide
-        # client sends in a round
-        pytest.param(WIDE, 128, 99, id="wide-99x128"),
-    ],
-)
+# (shape, pack, entries) of one client update in the topk-desk and
+# fedcspack-wide workloads
+UPDATE_SHAPES = [
+    # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
+    pytest.param(DESK, 1, 276, id="topk-desk-276x1"),
+    # 99 of the 535 packages of 128: about what one fedcspack-wide
+    # client sends in a round
+    pytest.param(WIDE, 128, 99, id="wide-99x128"),
+]
+
+
+@pytest.mark.parametrize("shape, pack, count", UPDATE_SHAPES)
 def test_encode_update(benchmark, shape, pack, count):
     update = sparse_update(shape, pack, count)
     blob = benchmark(encode_update, update)
     assert len(blob) == update.encoded_length()
 
 
-def test_decode_topk_update(benchmark):
-    # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
-    blob = encode_update(sparse_update(DESK, 1, 276))
-    update = benchmark(decode_update, blob)
-    assert len(update.entries) == 276
+@pytest.mark.parametrize("shape, pack, count", UPDATE_SHAPES)
+def test_decode_update(benchmark, shape, pack, count):
+    update = sparse_update(shape, pack, count)
+    blob = encode_update(update)
+    decoded = benchmark(decode_update, blob)
+    assert len(decoded.packages) == count and len(decoded.payload) == len(update.payload)
 
 
 def wide_pair():
@@ -113,10 +119,8 @@ def test_aggregate(benchmark, shape, pack, per_client):
     updates = []
     for cid in range(10):
         packages = np.sort(rng.choice(layout.num_packages, size=per_client, replace=False))
-        payloads = tuple(
-            rng.normal(scale=0.01, size=int(n)).astype(np.float32) for n in layout.lengths[packages]
-        )
-        updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payloads))
+        payload = rng.normal(scale=0.01, size=layout.lengths[packages].sum()).astype(np.float32)
+        updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payload))
     result = benchmark(aggregate, server, updates, layout)
     assert result.violations == 0
 

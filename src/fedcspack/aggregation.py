@@ -21,13 +21,13 @@ from .packing import package_views  # noqa: F401
 @dataclass(frozen=True)
 class ClientUpdate:
     """One client's update as the aggregator folds it: ascending package
-    indices, one mask weight per package and the per-package payloads
-    (local-minus-global deltas) in the same order."""
+    indices, one mask weight per package and one flat payload holding the
+    packages' local-minus-global deltas, package after package."""
 
     client_id: int
     packages: np.ndarray
     weights: np.ndarray
-    payloads: tuple[np.ndarray, ...]
+    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def aggregate(
 
     Per package the applied step is the mask-weight normalized combination
     of client payloads.  An update whose weights are not all finite and
-    > 0, or whose payloads are not all finite, is rejected whole and
+    > 0, or whose payload is not all finite, is rejected whole and
     counted as a protocol violation.  Folding is
     fixed to ascending client id so float sums are order-independent of
     the caller.
@@ -83,12 +83,10 @@ def aggregate(
         if not ((u.weights > 0) & np.isfinite(u.weights)).all():
             violations += 1
             continue
-        sizes = np.fromiter(map(len, u.payloads), dtype=np.intp, count=len(u.packages))
-        wrong = np.flatnonzero(sizes != layout.lengths[u.packages])
-        if len(wrong):
-            raise ShapeError(f"payload length mismatch on package {u.packages[wrong[0]]}")
-        # checked on a temporary, so payloads stay views of the blob until folded
-        if len(u.packages) and not np.isfinite(np.concatenate(u.payloads)).all():
+        expected = layout.lengths[u.packages].sum()
+        if len(u.payload) != expected:
+            raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
+        if not np.isfinite(u.payload).all():
             violations += 1
             continue
         totals[u.packages] += u.weights
@@ -102,7 +100,7 @@ def aggregate(
         if not len(u.packages):
             continue
         term = np.repeat(u.weights / totals[u.packages], layout.lengths[u.packages])
-        term *= np.concatenate(u.payloads)
+        term *= u.payload
         np.add.at(acc, layout.elements(u.packages), term)
 
     # packages with weight: float32(float64(global) + step), in place

@@ -6,8 +6,14 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless already set: at these matrix sizes a larger pool
+# costs more in hand-off than it saves.  Must precede numpy's first import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import apply_overrides, config_from_dict
 from .partition import label_histogram, make_partition

@@ -52,6 +52,18 @@ class PackageLayout:
         starts = np.cumsum(lengths) - lengths
         return np.repeat(self.offsets[packages] - starts, lengths) + np.arange(lengths.sum())
 
+    def gather(self, v: np.ndarray, packages: np.ndarray) -> np.ndarray:
+        """The elements of the ascending, distinct `packages` of the flat
+        vector v, package after package: rows of its (num_full, pack) view,
+        then the short tail package, which can only come last.  v itself
+        when every package is chosen."""
+        if len(packages) == self.num_packages:
+            return v
+        full = packages[packages < self.num_full]
+        width = self.num_full * self.pack
+        rows = v[:width].reshape(self.num_full, self.pack)[full].ravel()
+        return rows if len(full) == len(packages) else np.concatenate((rows, v[width:]))
+
 
 def package_views(total_params: int, pack: int) -> PackageLayout:
     """Tile [0, total_params) into ceil(total/pack) slices; tail may be short."""

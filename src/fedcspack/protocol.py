@@ -21,7 +21,7 @@ from .errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
 from .packing import PackageLayout, mask_weights, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
-from .wire import PackedUpdate, UpdateEntry, decode_update, encode_update
+from .wire import PackedUpdate, decode_update, encode_update
 
 log = logging.getLogger(__name__)
 
@@ -101,24 +101,16 @@ def _client_update(
         theta, beta = profile.per_package_cos[chosen], profile.per_package_kl[chosen]
     else:
         if config.method == "magnitude_topk":
-            # float32(a64 - b64) == a32 - b32, so the delta slices below carry
-            # exactly the values the baseline keeps
+            # float32(a64 - b64) == a32 - b32, so the delta gathered below
+            # carries exactly the values the baseline keeps
             chosen = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
         else:  # fedavg / fedprox: dense delta, every package
             chosen = np.arange(layout.num_packages)
         theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))
-    source = trained.values - global_snapshot.values
-    entries = tuple(
-        UpdateEntry(package_index=j, theta=t, beta=b, payload=source[start : start + n])
-        for j, t, b, start, n in zip(
-            chosen.tolist(),
-            theta.tolist(),
-            beta.tolist(),
-            layout.offsets[chosen].tolist(),
-            layout.lengths[chosen].tolist(),
-        )
+    payload = layout.gather(trained.values - global_snapshot.values, chosen)
+    return PackedUpdate(
+        client_id, round_, layout.pack, chosen, theta, beta, layout.lengths[chosen], payload
     )
-    return PackedUpdate(client_id=client_id, round=round_, pack=layout.pack, entries=entries)
 
 
 def _server_ingest(
@@ -142,25 +134,18 @@ def _server_ingest(
             f"header (client {update.client_id}, round {update.round}, pack {update.pack}) "
             f"!= (client {sender}, round {round_}, pack {layout.pack})"
         )
-    entries = update.entries
-    n = len(entries)
-    packages = np.fromiter((e.package_index for e in entries), dtype=np.intp, count=n)
+    packages = update.packages.astype(np.intp)
     # decode_update guarantees ascending, distinct indices
-    if n and packages[-1] >= layout.num_packages:
+    if len(packages) and packages[-1] >= layout.num_packages:
         raise ProtocolViolation(f"package index {packages[-1]} >= {layout.num_packages}")
-    payloads = tuple(e.payload for e in entries)
-    sizes = np.fromiter(map(len, payloads), dtype=np.intp, count=n)
-    if (sizes != layout.lengths[packages]).any():
+    if (update.lengths != layout.lengths[packages]).any():
         raise ProtocolViolation("payload length differs from its package length")
     if config.method == "fedcspack":
-        weights = mask_weights(
-            np.fromiter((e.theta for e in entries), dtype=np.float64, count=n),
-            np.fromiter((e.beta for e in entries), dtype=np.float64, count=n),
-            config.weight_mode,
-        )
+        theta, beta = update.theta.astype(np.float64), update.beta.astype(np.float64)
+        weights = mask_weights(theta, beta, config.weight_mode)
     else:
-        weights = np.ones(n)
-    return ClientUpdate(update.client_id, packages, weights, payloads)
+        weights = np.ones(len(packages))
+    return ClientUpdate(update.client_id, packages, weights, update.payload)
 
 
 def evaluate(
@@ -173,13 +158,12 @@ def evaluate(
     """Global accuracy on the pooled test rows, the dataset-size weighted
     mean of per-client post-pull accuracies on their own test rows, and
     those per-client accuracies (0.0 for a client without test rows)."""
-    pooled = np.concatenate([t for t in partition.test if len(t)]) if partition.test else np.array([], dtype=np.int64)
+    pooled = np.concatenate(partition.test)
+    global_acc = 0.0
     if len(pooled):
         batch = Batch(dataset.features[pooled], dataset.labels[pooled])
         _, correct = forward_loss(server.global_params, batch)
         global_acc = correct / len(pooled)
-    else:
-        global_acc = 0.0
 
     per_client = []
     num = 0.0
@@ -264,8 +248,8 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 anchor=pulled if config.method == "fedprox" else None,
             )
             locals_[i] = trained
-            # encoded at once: the update's payloads are views of a full-size
-            # delta that should not outlive this client
+            # encoded at once: a dense update's payload is the full-size delta,
+            # which should not outlive this client
             blob = encode_update(_client_update(config, i, t, trained, global_snapshot, layout))
             # a blob the server rejects was still sent
             bytes_up += len(blob)
@@ -285,18 +269,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
 
         # dense broadcast of the new global model, metered through the codec
         # as one full-vector entry per recipient
+        values = server.global_params.values
         broadcast = PackedUpdate(
-            client_id=0xFFFFFFFF,
-            round=t,
-            pack=d,
-            entries=(
-                UpdateEntry(
-                    package_index=0,
-                    theta=1.0,
-                    beta=0.0,
-                    payload=server.global_params.values,
-                ),
-            ),
+            0xFFFFFFFF, t, d, np.zeros(1, np.intp), np.ones(1), np.zeros(1), np.array([d]), values
         )
         bytes_down = len(encode_update(broadcast)) * len(sampled)
 

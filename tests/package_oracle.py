@@ -18,7 +18,7 @@ from fedcspack.errors import ShapeError
 from fedcspack.model import Batch, FlatParams, forward_loss
 from fedcspack.packing import EPS_Q, EPS_W, SimilarityProfile
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack
-from fedcspack.wire import PackedUpdate, UpdateEntry
+from fedcspack.wire import PackedUpdate
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -86,6 +86,21 @@ def selective_pull(local: FlatParams, global_: FlatParams, global_mask: GlobalMa
     return FlatParams(out, local.shape)
 
 
+def split_payload(u: ClientUpdate, vs) -> list[np.ndarray]:
+    """The flat payload of `u` cut into one slice per package; ShapeError
+    unless the package lengths add up to exactly the payload."""
+    out, read = [], 0
+    for j in u.packages:
+        n = vs[j][2] - vs[j][1]
+        if read + n > len(u.payload):
+            raise ShapeError(f"payload too short at package {j}")
+        out.append(u.payload[read : read + n])
+        read += n
+    if read != len(u.payload):
+        raise ShapeError("payload longer than its packages")
+    return out
+
+
 def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> AggregateResult:
     vs = views(server.global_params.shape.total_params, pack)
     accepted = []
@@ -94,22 +109,20 @@ def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> Ag
         if any(not (w > 0 and math.isfinite(w)) for w in u.weights):
             violations += 1
             continue
-        for j, payload in zip(u.packages, u.payloads):
-            if len(payload) != vs[j][2] - vs[j][1]:
-                raise ShapeError(f"payload length mismatch on package {j}")
-        if any(not np.isfinite(payload).all() for payload in u.payloads):
+        payloads = split_payload(u, vs)
+        if any(not np.isfinite(payload).all() for payload in payloads):
             violations += 1
             continue
-        accepted.append(u)
+        accepted.append((u, payloads))
 
     totals = np.zeros(len(vs))
-    for u in accepted:
+    for u, _ in accepted:
         weights = np.zeros(len(vs))
         weights[u.packages] = u.weights
         totals += weights
     acc = np.zeros(server.global_params.shape.total_params)
-    for u in accepted:
-        for j, w, payload in zip(u.packages, u.weights, u.payloads):
+    for u, payloads in accepted:
+        for j, w, payload in zip(u.packages, u.weights, payloads):
             _, start, stop = vs[j]
             acc[start:stop] += (w / totals[j]) * payload.astype(np.float64)
 
@@ -129,52 +142,69 @@ def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> Ag
 def client_update(config, client_id, round_, trained, global_snapshot) -> PackedUpdate:
     pack = effective_pack(config)
     vs = views(trained.shape.total_params, pack)
+    # (package index, theta, beta, payload) per entry
+    entries = []
     if config.method == "fedcspack":
         profile = score_packages(trained, global_snapshot, pack)
         selected = select_topk(profile, config.cap_ratio)
-        entries = []
         for j in selected.tolist():
             _, start, stop = vs[j]
             payload = trained.values[start:stop] - global_snapshot.values[start:stop]
             entries.append(
-                UpdateEntry(
-                    package_index=j,
-                    theta=float(profile.per_package_cos[j]),
-                    beta=float(profile.per_package_kl[j]),
-                    payload=payload.astype(np.float32),
+                (
+                    j,
+                    float(profile.per_package_cos[j]),
+                    float(profile.per_package_kl[j]),
+                    payload.astype(np.float32),
                 )
             )
     elif config.method == "magnitude_topk":
         kept = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
         delta = trained.values.astype(np.float64) - global_snapshot.values.astype(np.float64)
-        entries = [
-            UpdateEntry(int(j), 1.0, 0.0, np.array([delta[j]], dtype=np.float32)) for j in kept
-        ]
+        entries = [(int(j), 1.0, 0.0, np.array([delta[j]], dtype=np.float32)) for j in kept]
     else:
-        entries = []
         for j, start, stop in vs:
             payload = trained.values[start:stop] - global_snapshot.values[start:stop]
-            entries.append(UpdateEntry(j, 1.0, 0.0, payload.astype(np.float32)))
-    return PackedUpdate(client_id=client_id, round=round_, pack=pack, entries=tuple(entries))
+            entries.append((j, 1.0, 0.0, payload.astype(np.float32)))
+    return PackedUpdate(
+        client_id=client_id,
+        round=round_,
+        pack=pack,
+        packages=np.array([e[0] for e in entries], dtype=np.intp),
+        theta=np.array([e[1] for e in entries]),
+        beta=np.array([e[2] for e in entries]),
+        lengths=np.array([len(e[3]) for e in entries], dtype=np.intp),
+        payload=np.concatenate([np.zeros(0, np.float32)] + [e[3] for e in entries]),
+    )
 
 
 def server_ingest(config, update) -> ClientUpdate:
     packages, weights, payloads = [], [], []
-    for e in update.entries:
+    read = 0
+    for j, theta, beta, n in zip(
+        update.packages.tolist(),
+        update.theta.tolist(),
+        update.beta.tolist(),
+        update.lengths.tolist(),
+    ):
         if config.method == "fedcspack":
             if config.weight_mode == "dual":
-                w = e.theta + e.beta
+                w = theta + beta
             elif config.weight_mode == "cos_only":
-                w = e.theta
+                w = theta
             else:
-                w = e.beta
+                w = beta
             weights.append(max(w, EPS_W))
         else:
             weights.append(1.0)
-        packages.append(e.package_index)
-        payloads.append(e.payload.astype(np.float32))
+        packages.append(j)
+        payloads.append(update.payload[read : read + n].astype(np.float32))
+        read += n
     return ClientUpdate(
-        update.client_id, np.array(packages, dtype=np.intp), np.array(weights), tuple(payloads)
+        update.client_id,
+        np.array(packages, dtype=np.intp),
+        np.array(weights),
+        np.concatenate([np.zeros(0, np.float32)] + payloads),
     )
 
 

@@ -19,7 +19,7 @@ from fedcspack.packing import cosine, kl_package
 from fedcspack.partition import PartitionSpec, label_histogram, make_partition, synth_blobs
 from fedcspack.protocol import run
 from fedcspack.report import summarize
-from fedcspack.wire import PackedUpdate, UpdateEntry, decode_update, encode_update
+from fedcspack.wire import PackedUpdate, decode_update, encode_update
 from test_model import central_difference
 
 
@@ -111,8 +111,8 @@ def test_aggregation_brute_force_oracle():
         for cid in range(int(rng.integers(1, 6))):
             sel = np.sort(rng.choice(j_count, size=int(rng.integers(1, j_count + 1)), replace=False))
             weights = rng.uniform(0.01, 2.0, size=len(sel))
-            payloads = tuple(rng.normal(size=pack).astype(np.float32) for _ in sel)
-            updates.append(ClientUpdate(cid, sel, weights, payloads))
+            payload = rng.normal(size=pack * len(sel)).astype(np.float32)
+            updates.append(ClientUpdate(cid, sel, weights, payload))
         got = aggregate(server, updates, pack).state.global_params.values
 
         step = [0.0] * d
@@ -121,9 +121,9 @@ def test_aggregation_brute_force_oracle():
             for j, w in zip(u.packages, u.weights):
                 totals[j] += float(w)
         for u in updates:
-            for j, w, payload in zip(u.packages, u.weights, u.payloads):
-                for k in range(len(payload)):
-                    step[j * pack + k] += (float(w) / totals[j]) * float(payload[k])
+            for i, (j, w) in enumerate(zip(u.packages, u.weights)):
+                for k in range(pack):
+                    step[j * pack + k] += (float(w) / totals[j]) * float(u.payload[i * pack + k])
         before = server.global_params.values.astype(np.float64)
         expected = (before + np.array(step)).astype(np.float32)
         if not np.array_equal(got, expected):
@@ -189,29 +189,28 @@ def test_wire_exactness():
     """1000 fuzzed round-trips, closed-form lengths, and bytes_up metric
     equal to the analytic per-round codec total."""
     rng = np.random.default_rng(55)
+    fields = ("packages", "theta", "beta", "lengths", "payload")
     ok = True
     for _ in range(1000):
         n_entries = int(rng.integers(0, 10))
         lens = rng.integers(0, 24, size=n_entries)
-        entries = tuple(
-            UpdateEntry(
-                package_index=j,
-                theta=float(np.float32(rng.uniform(-1, 1))),
-                beta=float(np.float32(rng.uniform(0, 3))),
-                payload=rng.normal(size=int(n)).astype(np.float32),
-            )
-            for j, n in enumerate(lens)
-        )
         u = PackedUpdate(
             client_id=int(rng.integers(0, 2**32)),
             round=int(rng.integers(0, 1000)),
             pack=int(rng.integers(1, 1024)),
-            entries=entries,
+            packages=np.arange(n_entries),
+            theta=rng.uniform(-1, 1, size=n_entries).astype(np.float32),
+            beta=rng.uniform(0, 3, size=n_entries).astype(np.float32),
+            lengths=lens,
+            payload=rng.normal(size=int(lens.sum())).astype(np.float32),
         )
         blob = encode_update(u)
         if len(blob) != 22 + sum(16 + 4 * int(n) for n in lens):
             ok = False
-        if decode_update(blob) != u:
+        back = decode_update(blob)
+        if (back.client_id, back.round, back.pack) != (u.client_id, u.round, u.pack) or not all(
+            np.array_equal(getattr(back, f), getattr(u, f)) for f in fields
+        ):
             ok = False
 
     # dense fedavg: every round's bytes_up is participants * (22 + 16J + 4d)

@@ -32,7 +32,7 @@ def update_of(client_id, weights, payloads=None, pack=3):
         client_id,
         np.array(packages, dtype=np.intp),
         np.array([weights[j] for j in packages], dtype=np.float64),
-        tuple(payloads[j] for j in packages),
+        np.concatenate([np.zeros(0, np.float32)] + [payloads[j] for j in packages]),
     )
 
 
@@ -46,10 +46,12 @@ def scalar_reference(global_values, pack, updates):
             totals[j] += float(w)
     out = [float(v) for v in global_values]
     for u in sorted(updates, key=lambda u: u.client_id):
-        for j, w, payload in zip(u.packages, u.weights, u.payloads):
+        read = 0
+        for j, w in zip(u.packages, u.weights):
             coef = float(w) / totals[j]
             for k in range(int(layout.lengths[j])):
-                out[int(layout.offsets[j]) + k] += coef * float(payload[k])
+                out[int(layout.offsets[j]) + k] += coef * float(u.payload[read])
+                read += 1
     return np.array(out)
 
 
@@ -91,7 +93,7 @@ class TestFoldMasks:
     def test_length_mismatch(self):
         server = make_server(np.zeros(12), pack=3)
         short = update_of(0, {0: 1.0}, {0: np.ones(2, dtype=np.float32)})
-        with pytest.raises(ShapeError, match="package 0"):
+        with pytest.raises(ShapeError, match="payload of 2 values for packages of 3"):
             aggregate(server, [short], pack=3)
 
 

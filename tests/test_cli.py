@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,31 @@ class TestSweep:
         assert len(rows) == 2
         assert (out / "cell_000" / "metrics.csv").exists()
         assert (out / "cell_001" / "metrics.csv").exists()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_blas_threads_pinned_unless_set(preset, expected):
+    """Importing the CLI in a fresh interpreter sets one BLAS thread before
+    it loads numpy; a value already in the environment wins."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env.update({var: preset for var in BLAS_VARS})
+    # the environment as numpy sees it: read when numpy is first imported
+    code = f"""
+import os, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(",".join(os.environ.get(v, "unset") for v in {BLAS_VARS!r}))
+sys.meta_path.insert(0, Watch())
+import fedcspack.cli
+print(seen[0])
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ",".join([expected] * 3)

@@ -162,8 +162,8 @@ class TestSelectivePull:
 @st.composite
 def rounds(draw):
     """A server state plus shuffled updates; some carry a zero, NaN or
-    infinite weight or a non-finite payload value (violations), some
-    float64 payloads."""
+    infinite weight or a non-finite payload value (violations), some a
+    float64 payload."""
     d = draw(st.integers(2, 400))
     pack = draw(st.one_of(st.just(1), st.integers(1, 64), st.integers(d, d + 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -176,17 +176,20 @@ def rounds(draw):
     for cid in rng.permutation(3 * num_clients)[:num_clients]:
         chosen = np.sort(rng.permutation(j_count)[: int(rng.integers(0, j_count + 1))])
         weights = rng.uniform(1e-6, 3.0, size=len(chosen))
-        payloads = []
-        for j in chosen.tolist():
-            n = min(pack, d - j * pack)
-            dtype = np.float64 if rng.random() < 0.1 else np.float32
-            payloads.append(rng.normal(scale=rng.choice([1e-4, 1.0]), size=n).astype(dtype))
+        dtype = np.float64 if rng.random() < 0.1 else np.float32
+        payload = np.concatenate(
+            [np.zeros(0)]
+            + [
+                rng.normal(scale=rng.choice([1e-4, 1.0]), size=min(pack, d - j * pack))
+                for j in chosen.tolist()
+            ]
+        ).astype(dtype)
+        n = len(payload)
         if len(chosen) and rng.random() < 0.2:
             weights[rng.integers(len(chosen))] = rng.choice([0.0, np.nan, np.inf])
-        if len(chosen) and rng.random() < 0.1:
-            payload = payloads[rng.integers(len(chosen))]
-            payload[rng.integers(len(payload))] = rng.choice([np.nan, np.inf, -np.inf])
-        updates.append(ClientUpdate(int(cid), chosen, weights, tuple(payloads)))
+        if n and rng.random() < 0.1:
+            payload[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        updates.append(ClientUpdate(int(cid), chosen, weights, payload))
     return server, updates, pack
 
 
@@ -238,6 +241,4 @@ class TestClientUpdateAndIngest:
         assert got.client_id == want.client_id
         assert same(got.packages, want.packages)
         assert same(got.weights, want.weights)
-        assert len(got.payloads) == len(want.payloads)
-        for payload, want_payload in zip(got.payloads, want.payloads):
-            assert same(payload, want_payload)
+        assert same(got.payload, want.payload)

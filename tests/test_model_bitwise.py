@@ -21,7 +21,7 @@ from fedcspack.model import (
     local_train,
     sgd_step,
 )
-from fedcspack.wire import PackedUpdate, UpdateEntry, decode_update, encode_update
+from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 
 def assert_same(a: np.ndarray, b: np.ndarray) -> None:
@@ -174,19 +174,23 @@ def test_local_train_heap_peak(prox_mu, vectors):
 
 
 def test_decoded_payloads_are_read_only_views_of_the_blob():
-    payloads = [np.arange(5, dtype=np.float32), np.ones(3, dtype=np.float32)]
     update = PackedUpdate(
         client_id=1,
         round=0,
         pack=5,
-        entries=tuple(UpdateEntry(j, 1.0, 0.0, p) for j, p in enumerate(payloads)),
+        packages=np.arange(2),
+        theta=np.ones(2),
+        beta=np.zeros(2),
+        lengths=np.array([5, 3]),
+        payload=np.concatenate([np.arange(5), np.ones(3)]).astype(np.float32),
     )
-    for blob in (encode_update(update), bytearray(encode_update(update))):
+    for blob in (encode_update(update), bytes(encode_update(update))):
         decoded = decode_update(blob)
-        assert decoded == update
+        assert encode_update(decoded) == blob
         view = np.frombuffer(blob, dtype=np.uint8)
-        for entry in decoded.entries:
-            assert np.shares_memory(entry.payload, view)
-            assert not entry.payload.flags.writeable
+        for name in ("packages", "theta", "beta", "lengths", "payload"):
+            array = getattr(decoded, name)
+            assert np.shares_memory(array, view), name
+            assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
-                entry.payload[0] = 7.0
+                array[0] = 7

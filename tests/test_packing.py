@@ -212,7 +212,7 @@ def dense_update(loc, g, pack):
     """The payloads a dense (fedavg) client sends, one per package."""
     layout = package_views(len(loc.values), pack)
     update = _client_update(small_config(method="fedavg"), 0, 0, loc, g, layout)
-    return [e.payload for e in update.entries]
+    return np.split(update.payload, np.cumsum(update.lengths)[:-1])
 
 
 class TestExtractDeltas:

@@ -13,13 +13,13 @@ from conftest import full_selection_constant_weights, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
 from fedcspack import protocol
-from fedcspack.errors import ConfigError, InvariantError
+from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
-from fedcspack.wire import MAGIC, VERSION, decode_update
+from fedcspack.wire import MAGIC, VERSION, decode_update, encode_update
 
 BROADCAST_ID = 0xFFFFFFFF
 
@@ -166,8 +166,16 @@ def drop_last_entry(decode):
     the decoded updates no longer matches the bytes sent."""
 
     def lossy(blob):
-        update = decode(blob)
-        return dataclasses.replace(update, entries=update.entries[:-1])
+        u = decode(blob)
+        kept = len(u.payload) - int(u.lengths[-1])
+        return dataclasses.replace(
+            u,
+            packages=u.packages[:-1],
+            theta=u.theta[:-1],
+            beta=u.beta[:-1],
+            lengths=u.lengths[:-1],
+            payload=u.payload[:kept],
+        )
 
     return lossy
 
@@ -198,23 +206,49 @@ class TestMeteringCheck:
         assert done.returncode == 0, done.stderr
 
 
-def with_entry(update, k, **changes):
-    entries = list(update.entries)
-    entries[k] = dataclasses.replace(entries[k], **changes)
-    return dataclasses.replace(update, entries=tuple(entries))
+def with_value(values, k, value):
+    """A copy of `values` with entry k set to `value`."""
+    out = np.array(values)
+    out[k] = value
+    return out
 
 
-# each takes a client update and the package count J
+def first_payload_nan(u):
+    payload = np.array(u.payload, dtype=np.float32)
+    payload[: u.lengths[0]] = np.nan
+    return payload
+
+
+# each takes a client update and the package count J; the value is the
+# corruption and where the server rejects it: the decoder (DecodeError),
+# the ingest (ProtocolViolation) or `aggregate` (None, counted there)
 CORRUPTIONS = {
-    "index_out_of_range": lambda u, j_count: with_entry(u, -1, package_index=j_count),
-    "nan_payload": lambda u, _: with_entry(
-        u, 0, payload=np.full_like(u.entries[0].payload, np.nan)
+    "index_out_of_range": (
+        lambda u, j_count: dataclasses.replace(u, packages=with_value(u.packages, -1, j_count)),
+        ProtocolViolation,
     ),
-    "short_payload": lambda u, _: with_entry(u, 0, payload=u.entries[0].payload[:-1]),
-    "header_pack": lambda u, _: dataclasses.replace(u, pack=u.pack + 1),
-    "header_round": lambda u, _: dataclasses.replace(u, round=u.round + 1),
-    "unsampled_client": lambda u, _: dataclasses.replace(u, client_id=1000),
-    "nan_theta": lambda u, _: with_entry(u, 0, theta=float("nan")),
+    "nan_payload": (lambda u, _: dataclasses.replace(u, payload=first_payload_nan(u)), None),
+    # one value short, with its length: the blob decodes, the length is wrong
+    "short_payload": (
+        lambda u, _: dataclasses.replace(
+            u,
+            lengths=with_value(u.lengths, 0, u.lengths[0] - 1),
+            payload=np.delete(u.payload, u.lengths[0] - 1),
+        ),
+        ProtocolViolation,
+    ),
+    # one value short, lengths as announced: the blob is truncated
+    "short_payload_only": (
+        lambda u, _: dataclasses.replace(u, payload=u.payload[:-1]), DecodeError
+    ),
+    "header_pack": (lambda u, _: dataclasses.replace(u, pack=u.pack + 1), ProtocolViolation),
+    "header_round": (lambda u, _: dataclasses.replace(u, round=u.round + 1), ProtocolViolation),
+    "unsampled_client": (
+        lambda u, _: dataclasses.replace(u, client_id=1000), ProtocolViolation
+    ),
+    "nan_theta": (
+        lambda u, _: dataclasses.replace(u, theta=with_value(u.theta, 0, np.nan)), None
+    ),
 }
 
 # each takes an encoded client update; none of the results decodes
@@ -271,7 +305,7 @@ class TestMalformedUpdates:
         if kind in BLOB_CORRUPTIONS:
             wrapped = corrupt_first_blob(encode, BLOB_CORRUPTIONS[kind], honest, sent)
         else:
-            corrupt = lambda u: CORRUPTIONS[kind](u, layout.num_packages)  # noqa: E731
+            corrupt = lambda u: CORRUPTIONS[kind][0](u, layout.num_packages)  # noqa: E731
             wrapped = corrupt_first_update(encode, corrupt, honest, sent)
         monkeypatch.setattr(protocol, "encode_update", wrapped)
         globals_ = []
@@ -291,6 +325,24 @@ class TestMalformedUpdates:
         server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
         want = aggregate(server, others, layout).state.global_params.values
         assert np.array_equal(globals_[0], want)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_rejected_where_expected(self, kind):
+        config = small_config()
+        layout = package_views(config.model.total_params, config.pack)
+        global_ = init_params(config.model, config.seed)
+        noise = np.random.default_rng(4).normal(scale=0.05, size=config.model.total_params)
+        trained = FlatParams((global_.values + noise).astype(np.float32), config.model)
+        corrupt, error = CORRUPTIONS[kind]
+        update = protocol._client_update(config, 2, 0, trained, global_, layout)
+        blob = encode_update(corrupt(update, layout.num_packages))
+        if error is not None:
+            with pytest.raises(error):
+                protocol._server_ingest(config, decode_update(blob), 2, 0, layout)
+        else:
+            ingested = protocol._server_ingest(config, decode_update(blob), 2, 0, layout)
+            server = ServerState(global_, GlobalMask.all_valid(layout.num_packages))
+            assert aggregate(server, [ingested], layout).violations == 1
 
 
 class TestEvaluate:
@@ -323,6 +375,23 @@ class TestEvaluate:
         )
         assert personalized == pytest.approx(0.75 * 1.0 + 0.25 * 0.0)
         assert per_client == [1.0, 0.0]
+
+    def test_no_client_holds_a_test_row(self):
+        # 8 one-row classes dealt as 8 one-shard clients: every row trains
+        config = small_config(
+            rounds=2,
+            model=ShapeSpec.from_widths([16, 24, 8]),
+            dataset=DatasetSpec(
+                kind="blobs", num_classes=8, dim=16, samples_per_class=1, spread=0.3, seed=3
+            ),
+            partition=PartitionSpec(
+                law="pathological", num_clients=8, seed=2, shards_per_client=1
+            ),
+        )
+        result = run(config)
+        assert not any(len(rows) for rows in result.partition.test)
+        assert [(m.global_acc, m.personalized_acc) for m in result.metrics] == [(0.0, 0.0)] * 2
+        assert result.per_client_acc == [0.0] * 8
 
     def test_chance_level_for_zero_model(self):
         config = small_config(rounds=1)

@@ -1,30 +1,48 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcspack.errors import DecodeError
-from fedcspack.wire import (
-    ENTRY_OVERHEAD,
-    HEADER_LEN,
-    PackedUpdate,
-    UpdateEntry,
-    decode_update,
-    encode_update,
-)
+from fedcspack.wire import ENTRY_OVERHEAD, HEADER_LEN, PackedUpdate, decode_update, encode_update
+
+FIELDS = ("packages", "theta", "beta", "lengths", "payload")
 
 
-def make_update(client_id=3, round_=5, pack=8, payload_lens=(4,)):
-    entries = tuple(
-        UpdateEntry(
-            package_index=j,
-            theta=0.25 * j,
-            beta=0.1,
-            payload=np.arange(n, dtype=np.float32),
-        )
-        for j, n in enumerate(payload_lens)
+def assert_same_update(got, want):
+    """Same header and, field by field, the same values as float32/u32 on
+    the wire."""
+    assert (got.client_id, got.round, got.pack) == (want.client_id, want.round, want.pack)
+    for name, dtype in zip(FIELDS, ("<u4", "<f4", "<f4", "<u4", "<f4")):
+        a = np.asarray(getattr(got, name)).astype(dtype)
+        b = np.asarray(getattr(want, name)).astype(dtype)
+        assert a.tobytes() == b.tobytes(), name
+
+
+def make_update(client_id=3, round_=5, pack=8, payload_lens=(4,), seed=None):
+    """Entries 0..n-1 with the given payload lengths; payloads count up
+    from 0 per entry, or are seeded normal draws."""
+    n = len(payload_lens)
+    rng = np.random.default_rng(seed)
+    if seed is None:
+        theta, beta = 0.25 * np.arange(n), np.full(n, 0.1)
+        parts = [np.arange(m, dtype=np.float32) for m in payload_lens]
+    else:
+        theta, beta = rng.uniform(-1, 1, size=n), rng.uniform(0, 5, size=n)
+        parts = [rng.normal(size=m).astype(np.float32) for m in payload_lens]
+    return PackedUpdate(
+        client_id=client_id,
+        round=round_,
+        pack=pack,
+        packages=np.arange(n),
+        theta=theta.astype(np.float32),
+        beta=beta.astype(np.float32),
+        lengths=np.array(payload_lens, dtype=np.uint32),
+        payload=np.concatenate([np.zeros(0, np.float32), *parts]),
     )
-    return PackedUpdate(client_id=client_id, round=round_, pack=pack, entries=entries)
 
 
 def test_header_only_is_22_bytes():
@@ -46,7 +64,40 @@ def test_closed_form_length():
 
 def test_roundtrip_simple():
     u = make_update(payload_lens=(3, 5))
-    assert decode_update(encode_update(u)) == u
+    assert_same_update(decode_update(encode_update(u)), u)
+
+
+def test_hand_assembled_blob():
+    """The layout spelled out field by field: the header, the four columns
+    of the entry table, then the payloads entry after entry."""
+    u = PackedUpdate(
+        client_id=7,
+        round=2,
+        pack=3,
+        packages=np.array([1, 4]),
+        theta=np.array([0.5, -0.25]),
+        beta=np.array([0.125, 2.0]),
+        lengths=np.array([3, 2]),
+        payload=np.array([1.0, 2.0, 3.0, -1.5, 0.0], dtype=np.float32),
+    )
+    blob = (
+        b"FCSP"
+        + struct.pack("<HIIII", 2, 7, 2, 3, 2)
+        + struct.pack("<II", 1, 4)
+        + struct.pack("<ff", 0.5, -0.25)
+        + struct.pack("<ff", 0.125, 2.0)
+        + struct.pack("<II", 3, 2)
+        + struct.pack("<5f", 1.0, 2.0, 3.0, -1.5, 0.0)
+    )
+    assert encode_update(u) == blob
+    assert_same_update(decode_update(blob), u)
+
+
+def test_version_1_rejected():
+    # a version-1 blob: one entry of one value, its header inline
+    blob = b"FCSP" + struct.pack("<HIIII", 1, 0, 0, 1, 1) + struct.pack("<IffIf", 0, 1.0, 0.0, 1, 2.0)
+    with pytest.raises(DecodeError, match="unsupported version 1 at offset 4"):
+        decode_update(blob)
 
 
 def test_bad_magic():
@@ -69,28 +120,40 @@ def test_truncated_payload():
         decode_update(blob[:-5])
 
 
+def test_short_payload_is_truncated():
+    # the payload one value short of what the lengths announce
+    u = make_update(payload_lens=(4, 2))
+    short = dataclasses.replace(u, payload=u.payload[:-1])
+    with pytest.raises(DecodeError, match="truncated payload at offset 54"):
+        decode_update(encode_update(short))
+
+
+def test_huge_entry_count():
+    blob = bytearray(encode_update(make_update(payload_lens=(4,))))
+    blob[18:22] = struct.pack("<I", 2**32 - 1)
+    with pytest.raises(DecodeError, match="truncated entry table at offset 22"):
+        decode_update(blob)
+
+
 def test_unsorted_entries():
     # hand-assemble two entries with descending indices
-    good = encode_update(make_update(payload_lens=(1, 1)))
-    import struct
-
-    header = good[:18] + struct.pack("<I", 2)
-    e1 = struct.pack("<IffI", 5, 0.0, 0.0, 0)
-    e0 = struct.pack("<IffI", 2, 0.0, 0.0, 0)
+    header = b"FCSP" + struct.pack("<HIIII", 2, 0, 0, 4, 2)
+    table = struct.pack("<IIffffII", 5, 2, 0.0, 0.0, 0.0, 0.0, 0, 0)
     with pytest.raises(DecodeError, match="unsorted"):
-        decode_update(header + e1 + e0)
+        decode_update(header + table)
 
 
 def test_duplicate_entries_rejected_on_build():
-    with pytest.raises(ValueError, match="sorted"):
+    with pytest.raises(ValueError, match="ascending"):
         PackedUpdate(
             client_id=0,
             round=0,
             pack=4,
-            entries=(
-                UpdateEntry(1, 0.0, 0.0, np.zeros(1, dtype=np.float32)),
-                UpdateEntry(1, 0.0, 0.0, np.zeros(1, dtype=np.float32)),
-            ),
+            packages=np.array([1, 1]),
+            theta=np.zeros(2),
+            beta=np.zeros(2),
+            lengths=np.array([1, 1]),
+            payload=np.zeros(2, dtype=np.float32),
         )
 
 
@@ -100,21 +163,18 @@ def test_trailing_bytes():
         decode_update(blob + b"\x00")
 
 
+def test_entries_view_the_payload():
+    u = decode_update(encode_update(make_update(payload_lens=(3, 0, 2))))
+    entries = u.entries
+    assert [e.package_index for e in entries] == [0, 1, 2]
+    assert [e.theta for e in entries] == [0.0, 0.25, 0.5]
+    assert [len(e.payload) for e in entries] == [3, 0, 2]
+    assert np.array_equal(entries[2].payload, [0.0, 1.0])
+    assert all(np.shares_memory(e.payload, u.payload) for e in entries if len(e.payload))
+
+
 update_strategy = st.builds(
-    lambda cid, rnd, pack, lens, seed: PackedUpdate(
-        client_id=cid,
-        round=rnd,
-        pack=pack,
-        entries=tuple(
-            UpdateEntry(
-                package_index=j,
-                theta=float(np.float32(np.random.default_rng([seed, j]).uniform(-1, 1))),
-                beta=float(np.float32(np.random.default_rng([seed, j, 1]).uniform(0, 5))),
-                payload=np.random.default_rng([seed, j, 2]).normal(size=n).astype(np.float32),
-            )
-            for j, n in enumerate(lens)
-        ),
-    ),
+    lambda cid, rnd, pack, lens, seed: make_update(cid, rnd, pack, tuple(lens), seed),
     cid=st.integers(0, 2**32 - 1),
     rnd=st.integers(0, 10_000),
     pack=st.integers(1, 4096),
@@ -128,4 +188,33 @@ update_strategy = st.builds(
 def test_roundtrip_fuzz(u):
     blob = encode_update(u)
     assert len(blob) == u.encoded_length()
-    assert decode_update(blob) == u
+    assert_same_update(decode_update(blob), u)
+
+
+@st.composite
+def corrupted_blobs(draw):
+    """A valid blob with one corruption: cut at any offset, 1-8 bytes
+    appended, any one byte overwritten, or the entry count set to 2**32 - 1."""
+    blob = bytearray(encode_update(draw(update_strategy)))
+    kind = draw(st.sampled_from(["truncate", "append", "overwrite", "huge_count"]))
+    if kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    elif kind == "append":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    elif kind == "overwrite":
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    else:
+        blob[18:22] = struct.pack("<I", 2**32 - 1)
+    return bytes(blob)
+
+
+@settings(max_examples=500)
+@given(corrupted_blobs())
+def test_corrupted_blob_fuzz(blob):
+    """Either a DecodeError, or an update that encodes back to exactly the
+    bytes received."""
+    try:
+        u = decode_update(blob)
+    except DecodeError:
+        return
+    assert encode_update(u) == blob
