@@ -7,8 +7,10 @@ wide model (fedcspack-wide) and on the IDX model with the proximal term
 (fedprox-idx), the encode and decode of one client update in the
 magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
 of the wide model (fedcspack-wide), one round's aggregation of 10 client
-updates in those two shapes, and package scoring and selective pull on the
-wide model.
+updates in those two shapes, package scoring and selective pull on the
+wide model, and the set-up kernels: the Dirichlet partition of topk-desk
+and fedcspack-wide, the pathological partition of fedprox-idx, the blobs
+of fedcspack-wide and the wide model's initial parameters.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
+from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 WIDE = ShapeSpec.from_widths([256, 256, 10])  # d = 68,362
@@ -137,3 +140,33 @@ def test_selective_pull_wide(benchmark):
     layout = package_views(WIDE.total_params, 128)
     totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
     benchmark(selective_pull, local, global_, GlobalMask(totals), layout)
+
+
+@pytest.mark.parametrize(
+    "rows_per_class, spec",
+    [
+        pytest.param(
+            100, PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0),
+            id="dirichlet-20x1000",
+        ),
+        pytest.param(
+            1000, PartitionSpec(law="pathological", num_clients=20, seed=5, shards_per_client=3),
+            id="pathological-20x3x10000",
+        ),
+    ],
+)
+def test_make_partition(benchmark, rows_per_class, spec):
+    labels = np.repeat(np.arange(10), rows_per_class)
+    data = Dataset(np.zeros((len(labels), 1), dtype=np.float32), labels, 10)
+    partition = benchmark(make_partition, data, spec)
+    assert sum(len(rows) for rows in partition.assignment) == len(labels)
+
+
+def test_synth_blobs_wide(benchmark):
+    data = benchmark(synth_blobs, 10, 256, 100, 0.1, 0)
+    assert data.features.shape == (1000, 256)
+
+
+def test_init_params_wide(benchmark):
+    params = benchmark(init_params, WIDE, 0)
+    assert len(params.values) == 68_362

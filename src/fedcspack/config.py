@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .model import ShapeSpec
 from .partition import PartitionSpec
 
@@ -42,6 +42,9 @@ class DatasetSpec:
             raise ConfigError("idx dataset needs images and labels paths")
         if self.kind == "blobs" and not (math.isfinite(self.spread) and self.spread > 0):
             raise ConfigError("spread must be finite and > 0")
+        for name in ("num_classes", "dim", "samples_per_class"):
+            require_int(name, getattr(self, name), 1)
+        require_int("dataset.seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -67,18 +70,13 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        for name in ("rounds", "clients", "pack", "local_epochs", "batch_size"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if not 0 < self.cpr <= 1:
             raise ConfigError("cpr must be in (0, 1]")
-        if self.pack < 1:
-            raise ConfigError("pack must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError("lr must be finite and > 0")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if not 0 < self.cap_ratio <= 1:
             raise ConfigError("cap_ratio must be in (0, 1]")
         if self.payload not in PAYLOADS:
@@ -95,6 +93,11 @@ class RunConfig:
             raise ConfigError(
                 f"clients ({self.clients}) != partition.num_clients "
                 f"({self.partition.num_clients})"
+            )
+        if self.dataset.kind == "blobs" and self.dataset.num_classes > self.model.num_classes:
+            raise ConfigError(
+                f"dataset.num_classes ({self.dataset.num_classes}) > model outputs "
+                f"({self.model.num_classes})"
             )
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+import numbers
+
 
 class ShapeError(ValueError):
     """Dimension or length mismatch between two values."""
@@ -35,3 +37,12 @@ class ProtocolViolation(ValueError):
 
 class InvariantError(RuntimeError):
     """An invariant of the round loop broke: a bug, not bad input."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless `value` is an integer (a bool is not one)
+    and at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")

@@ -132,12 +132,13 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]], shape: ShapeSpec) -> Fl
 def init_params(shape: ShapeSpec, seed: int) -> FlatParams:
     """Seeded Gaussian init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
-    parts = []
+    values = np.zeros(shape.total_params, dtype=np.float32)
+    start = 0
     for fan_in, fan_out in shape.layer_dims:
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=fan_in * fan_out)
-        parts.append(w.astype(np.float32))
-        parts.append(np.zeros(fan_out, dtype=np.float32))
-    return FlatParams(np.concatenate(parts), shape)
+        stop = start + fan_in * fan_out
+        values[start:stop] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=fan_in * fan_out)
+        start = stop + fan_out
+    return FlatParams(values, shape)
 
 
 def zeros_like(shape: ShapeSpec) -> FlatParams:

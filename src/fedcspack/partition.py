@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, require_int
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -50,12 +50,11 @@ class PartitionSpec:
     def __post_init__(self):
         if self.law not in ("dirichlet", "pathological"):
             raise ConfigError(f"unknown partition law {self.law!r}")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
+        require_int("num_clients", self.num_clients, 1)
+        require_int("partition.seed", self.seed, 0)
+        require_int("shards_per_client", self.shards_per_client, 1)
         if self.law == "dirichlet" and not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError("alpha must be finite and > 0")
-        if self.law == "pathological" and self.shards_per_client < 1:
-            raise ConfigError("shards_per_client must be >= 1")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
 
@@ -88,14 +87,15 @@ def synth_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    feats = []
-    labels = []
+    features = np.empty((num_classes * samples_per_class, dim), dtype=np.float32)
     for c in range(num_classes):
-        feats.append(centers[c] + spread * rng.normal(size=(samples_per_class, dim)))
-        labels.append(np.full(samples_per_class, c, dtype=np.int64))
+        z = rng.normal(size=(samples_per_class, dim))
+        z *= spread
+        z += centers[c]
+        features[c * samples_per_class : (c + 1) * samples_per_class] = z
     return Dataset(
-        features=np.concatenate(feats).astype(np.float32),
-        labels=np.concatenate(labels),
+        features=features,
+        labels=np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class),
         num_classes=num_classes,
         name="blobs",
     )
@@ -123,7 +123,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     if len(img_buf) < expected:
         raise IngestError(f"{images_path}: truncated at offset {len(img_buf)}")
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    features = (pixels.reshape(count, rows * cols).astype(np.float32)) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float32)
+    features /= 255.0
 
     lab_buf = labels_path.read_bytes()
     magic = _read_be_u32(lab_buf, 0, str(labels_path))
@@ -154,18 +155,33 @@ def save_idx(data: Dataset, images_path: str | Path, labels_path: str | Path) ->
         f.write(data.labels.astype(np.uint8).tobytes())
 
 
-def _largest_remainder_split(indices: np.ndarray, proportions: np.ndarray) -> list[np.ndarray]:
-    """Cut `indices` into len(proportions) chunks whose sizes follow the
-    proportions exactly (largest-remainder rounding, no leftovers)."""
-    n = len(indices)
-    raw = proportions * n
-    counts = np.floor(raw).astype(int)
-    shortfall = n - counts.sum()
-    if shortfall > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:shortfall]] += 1
-    cuts = np.cumsum(counts)[:-1]
-    return np.split(indices, cuts)
+def _largest_remainder_counts(sizes: np.ndarray, proportions: np.ndarray) -> np.ndarray:
+    """Row r cuts sizes[r] items into counts that follow proportions[r]
+    exactly: floors, plus one for each of the largest remainders (ties to
+    the lower index) until the counts sum to sizes[r]."""
+    raw = proportions * sizes[:, None]
+    counts = np.floor(raw).astype(np.int64)
+    shortfall = sizes - counts.sum(axis=1)
+    rank = np.argsort(-(raw - counts), axis=1, kind="stable").argsort(axis=1)
+    counts += rank < shortfall[:, None]
+    return counts
+
+
+def _group_by_owner(rows: np.ndarray, owner: np.ndarray, num_owners: int) -> list[np.ndarray]:
+    """Each owner's rows (row indices, so >= 0) in ascending order: one
+    sort of the key owner * span + row, then one cut at the owner counts."""
+    counts = np.bincount(owner, minlength=num_owners)
+    base = np.arange(num_owners) * (int(rows.max()) + 1 if len(rows) else 1)
+    grouped = np.sort(base[owner] + rows) - np.repeat(base, counts)
+    ends = np.cumsum(counts).tolist()
+    return [grouped[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _heads(sizes: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Over groups of `sizes` laid end to end, True at the first limits[g]
+    places of each group g."""
+    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return offset < np.repeat(limits, sizes)
 
 
 def _rebalance_floor(assignment: list[np.ndarray], floor: int = 2) -> list[np.ndarray]:
@@ -190,31 +206,59 @@ def _split_train_test(
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Seeded per-client holdout, stratified by label where counts allow;
-    every client keeps at least one train and one test row."""
-    train, test = [], []
-    for rows in assignment:
-        rows = np.asarray(rows)
-        if len(rows) < 2:
-            train.append(rows)
-            test.append(np.array([], dtype=np.int64))
-            continue
-        # shuffle positions within `rows`: a permutation's draws depend only
-        # on its length, so this picks the same rows as shuffling the rows
-        row_labels = labels[rows]
-        positions = np.arange(len(rows))
-        te_parts = []
-        for c in np.unique(row_labels):
-            c_pos = rng.permutation(positions[row_labels == c])
-            te_parts.append(c_pos[: int(np.floor(len(c_pos) * test_fraction))])
-        te = np.concatenate(te_parts)
-        if len(te) == 0:
-            n_te_target = max(1, int(np.floor(len(rows) * test_fraction)))
-            te = rng.permutation(len(rows))[:n_te_target]
-        te = te[: len(rows) - 1]
-        is_train = np.ones(len(rows), dtype=bool)
-        is_train[te] = False
-        train.append(np.sort(rows[is_train]).astype(np.int64, copy=False))
-        test.append(np.sort(rows[te]).astype(np.int64, copy=False))
+    every client keeps at least one train and one test row.
+
+    A client with two or more rows has one segment per label it holds,
+    taken in (client, label) order: a stable sort leaves each segment's
+    positions ascending, so shuffling it in place draws and yields what
+    `rng.permutation` of those positions would.  The first
+    floor(size * test_fraction) positions of each shuffled segment are
+    test rows.  A client whose segments all give none draws one
+    permutation of its own positions after its last segment and keeps the
+    first max(1, floor(rows * test_fraction)) of it.  floor(k * f) < k for
+    0 < f < 1, so every such client keeps a train row.
+    """
+    train = [np.asarray(rows) for rows in assignment]
+    test = [np.array([], dtype=np.int64) for _ in assignment]
+    held = [i for i, rows in enumerate(train) if len(rows) >= 2]
+    if not held:
+        return train, test
+    sizes = np.array([len(train[i]) for i in held])
+    rows = np.concatenate([train[i] for i in held]).astype(np.int64, copy=False)
+    client = np.repeat(np.arange(len(held)), sizes)
+    row_labels = labels[rows]
+    num_labels = int(row_labels.max()) + 1
+    key = client * num_labels + row_labels
+    by_segment = np.argsort(key, kind="stable")
+    seg_sizes = np.bincount(key)
+    seg_keys = np.flatnonzero(seg_sizes)
+    seg_sizes = seg_sizes[seg_keys]
+    seg_client = seg_keys // num_labels
+    seg_ends = np.cumsum(seg_sizes)
+    seg_test = np.floor(seg_sizes * test_fraction).astype(np.int64)
+    fallback = np.bincount(seg_client[seg_test > 0], minlength=len(held)) == 0
+    last = np.append(seg_client[1:] != seg_client[:-1], True)
+    fallback_size = np.where(last & fallback[seg_client], sizes[seg_client], 0)
+
+    draws = []
+    for start, end, m in zip(
+        (seg_ends - seg_sizes).tolist(), seg_ends.tolist(), fallback_size.tolist()
+    ):
+        rng.shuffle(by_segment[start:end])
+        if m:
+            draws.append(rng.permutation(m))
+
+    is_test = np.zeros(len(rows), dtype=bool)
+    is_test[by_segment[_heads(seg_sizes, seg_test)]] = True
+    if draws:
+        fb_sizes = sizes[fallback]
+        fb_starts = (np.cumsum(sizes) - sizes)[fallback]
+        positions = np.concatenate(draws) + np.repeat(fb_starts, fb_sizes)
+        fb_test = np.maximum(1, np.floor(fb_sizes * test_fraction).astype(np.int64))
+        is_test[positions[_heads(fb_sizes, fb_test)]] = True
+    groups = _group_by_owner(rows, client + len(held) * is_test, 2 * len(held))
+    for h, i in enumerate(held):
+        train[i], test[i] = groups[h], groups[len(held) + h]
     return train, test
 
 
@@ -227,17 +271,21 @@ def partition_dirichlet(data: Dataset, spec: PartitionSpec) -> Partition:
             f"insufficient data: {len(data)} rows for {spec.num_clients} clients"
         )
     rng = np.random.default_rng(spec.seed)
-    per_client: list[list[int]] = [[] for _ in range(spec.num_clients)]
-    for c in range(data.num_classes):
-        c_rows = np.flatnonzero(data.labels == c)
-        if len(c_rows) == 0:
-            continue
-        c_rows = rng.permutation(c_rows)
-        p = rng.dirichlet(np.full(spec.num_clients, spec.alpha))
-        for i, chunk in enumerate(_largest_remainder_split(c_rows, p)):
-            per_client[i].extend(chunk.tolist())
-    assignment = [np.sort(np.array(rows, dtype=np.int64)) for rows in per_client]
-    assignment = _rebalance_floor(assignment)
+    # each class's rows, ascending, one block per class; each block is
+    # shuffled in place as rng.permutation would shuffle a copy
+    by_label = np.argsort(data.labels, kind="stable")
+    class_sizes = np.bincount(data.labels, minlength=data.num_classes)
+    proportions = np.zeros((data.num_classes, spec.num_clients))
+    alphas = np.full(spec.num_clients, spec.alpha)
+    end = 0
+    for c, size in enumerate(class_sizes.tolist()):
+        start, end = end, end + size
+        if size:
+            rng.shuffle(by_label[start:end])
+            proportions[c] = rng.dirichlet(alphas)
+    counts = _largest_remainder_counts(class_sizes, proportions)
+    owner = np.repeat(np.tile(np.arange(spec.num_clients), data.num_classes), counts.ravel())
+    assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
     train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
     return Partition(assignment=assignment, train=train, test=test)
 
@@ -253,14 +301,16 @@ def partition_pathological(data: Dataset, spec: PartitionSpec) -> Partition:
             f"shard size would be 0: {n} rows for {num_shards} shards"
         )
     rng = np.random.default_rng(spec.seed)
-    order = np.lexsort((np.arange(n), data.labels))
-    shards = np.array_split(order, num_shards)
     deal = rng.permutation(num_shards)
-    assignment = []
-    for i in range(spec.num_clients):
-        mine = deal[i * spec.shards_per_client : (i + 1) * spec.shards_per_client]
-        assignment.append(np.sort(np.concatenate([shards[s] for s in mine])))
-    assignment = _rebalance_floor(assignment)
+    shard_owner = np.empty(num_shards, dtype=np.int64)
+    shard_owner[deal] = np.arange(num_shards) // spec.shards_per_client
+    # np.array_split's cut: the first n % num_shards shards hold a row more
+    small, extra = divmod(n, num_shards)
+    shard_sizes = np.full(num_shards, small)
+    shard_sizes[:extra] += 1
+    owner = np.repeat(shard_owner, shard_sizes)
+    by_label = np.argsort(data.labels, kind="stable")
+    assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
     train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
     return Partition(assignment=assignment, train=train, test=test)
 

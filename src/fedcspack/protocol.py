@@ -195,6 +195,10 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         raise ConfigError(
             f"dataset dim {dataset.features.shape[1]} != model input {config.model.input_dim}"
         )
+    if dataset.num_classes > config.model.num_classes:
+        raise ConfigError(
+            f"dataset classes {dataset.num_classes} > model outputs {config.model.num_classes}"
+        )
     partition = make_partition(dataset, config.partition)
     pack = effective_pack(config)
     d = config.model.total_params

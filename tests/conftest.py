@@ -6,6 +6,16 @@ from fedcspack.model import ShapeSpec
 from fedcspack.partition import PartitionSpec
 
 
+def same(a, b) -> bool:
+    """Equal values, dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and a.tobytes() == b.tobytes()
+    )
+
+
 def small_config(**overrides):
     """Fast desk-scale run: 6 classes, tiny MLP, 8 clients."""
     defaults = dict(

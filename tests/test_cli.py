@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,40 @@ class TestConfig:
         doc = apply_overrides(base_doc(), overrides)
         with pytest.raises(ConfigError, match=field):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("rounds=true", "rounds must be an integer"),
+            ("clients=6.0", "clients must be an integer"),
+            ("pack=1.5", "pack must be an integer"),
+            ("local_epochs=false", "local_epochs must be an integer"),
+            ("batch_size=16.0", "batch_size must be an integer"),
+            ("seed=1.0", "seed must be an integer"),
+            ("seed=-1", "seed must be >= 0"),
+            ("partition.num_clients=true", "num_clients must be an integer"),
+            ("partition.seed=2.5", "partition.seed must be an integer"),
+            ("partition.seed=-1", "partition.seed must be >= 0"),
+            ("partition.shards_per_client=2.0", "shards_per_client must be an integer"),
+            ("dataset.num_classes=5.0", "num_classes must be an integer"),
+            ("dataset.dim=true", "dim must be an integer"),
+            ("dataset.samples_per_class=40.5", "samples_per_class must be an integer"),
+            ("dataset.seed=false", "dataset.seed must be an integer"),
+            ("dataset.seed=-3", "dataset.seed must be >= 0"),
+        ],
+    )
+    def test_integer_fields_checked_at_load(self, override, message):
+        doc = apply_overrides(base_doc(), [override])
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
+    def test_more_blob_classes_than_model_outputs(self):
+        doc = apply_overrides(base_doc(), ["dataset.num_classes=12"])
+        doc["model"]["widths"] = [12, 16, 10]
+        with pytest.raises(ConfigError, match="num_classes"):
+            config_from_dict(doc)
+        doc["dataset"]["num_classes"] = 10
+        assert config_from_dict(doc).model.num_classes == 10
 
     def test_overrides(self):
         doc = apply_overrides(base_doc(), ["method=fedavg", "partition.alpha=1.5", "rounds=2"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import small_config
+from conftest import same, small_config
 from fedcspack import packing
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
@@ -25,16 +25,6 @@ from fedcspack.packing import (
 )
 from fedcspack.protocol import _client_update, _server_ingest, effective_pack
 from fedcspack.wire import decode_update, encode_update
-
-
-def same(a, b) -> bool:
-    """Equal values, dtype, shape and bytes (so -0.0 differs from 0.0)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (
-        a.dtype == b.dtype
-        and np.array_equal(a, b)
-        and a.tobytes() == b.tobytes()
-    )
 
 
 def spec_with_total(n):

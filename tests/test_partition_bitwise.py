@@ -1,0 +1,174 @@
+"""Set-up is bit for bit the reference loops in partition_oracle.py: the
+same partitions, holdouts, blob features, IDX features and initial
+parameters, with equal dtypes and equal bytes."""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import partition_oracle as oracle
+from conftest import same
+from fedcspack.model import ShapeSpec, init_params
+from fedcspack.partition import (
+    Dataset,
+    PartitionSpec,
+    _split_train_test,
+    load_idx,
+    make_partition,
+    partition_dirichlet,
+    partition_pathological,
+    synth_blobs,
+)
+
+
+def same_lists(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(same(x, y) for x, y in zip(xs, ys))
+
+
+def same_partition(a, b) -> bool:
+    return (
+        same_lists(a.assignment, b.assignment)
+        and same_lists(a.train, b.train)
+        and same_lists(a.test, b.test)
+    )
+
+
+@st.composite
+def labelled(draw, max_classes=12, max_rows=240):
+    """Labels over up to 12 classes, some of them empty and the rest of
+    very different sizes (a class may hold one row)."""
+    num_classes = draw(st.integers(1, max_classes))
+    n = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(num_classes) ** draw(st.sampled_from([1.0, 4.0, 12.0]))
+    weights[rng.random(num_classes) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if weights.sum() == 0:
+        weights[rng.integers(num_classes)] = 1.0
+    labels = rng.choice(num_classes, size=n, p=weights / weights.sum()).astype(np.int64)
+    return Dataset(np.zeros((n, 1), dtype=np.float32), labels, num_classes)
+
+
+fractions = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.05, 0.5, 0.95]))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=labelled(),
+    clients=st.integers(1, 60),
+    alpha=st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.01, 0.05, 1.0, 5.0])),
+    test_fraction=fractions,
+    seed=seeds,
+)
+def test_dirichlet_matches_oracle(data, clients, alpha, test_fraction, seed):
+    # clients beyond the row count are cut back so the spec is valid; with
+    # up to 60 clients over a few rows per class, many clients hold 0 or 1
+    # row after the Dirichlet cut and _rebalance_floor moves rows
+    spec = PartitionSpec(
+        law="dirichlet", num_clients=min(clients, len(data)), seed=seed,
+        alpha=alpha, test_fraction=test_fraction,
+    )
+    assert same_partition(partition_dirichlet(data, spec), oracle.partition_dirichlet(data, spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=labelled(),
+    clients=st.integers(1, 40),
+    shards=st.integers(1, 4),
+    test_fraction=fractions,
+    seed=seeds,
+)
+def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed):
+    clients = max(1, min(clients, len(data) // shards))
+    shards = min(shards, len(data))
+    spec = PartitionSpec(
+        law="pathological", num_clients=clients, seed=seed,
+        shards_per_client=shards, test_fraction=test_fraction,
+    )
+    assert same_partition(
+        partition_pathological(data, spec), oracle.partition_pathological(data, spec)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=labelled(max_rows=120),
+    cuts=st.lists(st.integers(0, 120), max_size=12),
+    dtype=st.sampled_from([np.int64, np.int32]),
+    test_fraction=st.one_of(fractions, st.just(float(np.nextafter(1.0, 0.0))), st.just(1e-9)),
+    seed=seeds,
+)
+def test_split_train_test_matches_oracle(data, cuts, dtype, test_fraction, seed):
+    """Arbitrary client blocks: empty, single-row, unsorted and of a
+    narrower dtype, at holdout fractions up to just below 1."""
+    order = np.random.default_rng(seed).permutation(len(data)).astype(dtype)
+    assignment = np.split(order, sorted(min(c, len(data)) for c in cuts))
+    got = _split_train_test(list(assignment), data.labels, test_fraction, np.random.default_rng(seed))
+    want = oracle._split_train_test(
+        list(assignment), data.labels, test_fraction, np.random.default_rng(seed)
+    )
+    assert same_lists(got[0], want[0]) and same_lists(got[1], want[1])
+
+
+def test_rebalance_tiny_client_and_fallback():
+    """One hand-picked case through every rare path at once: rows moved by
+    _rebalance_floor (so a client's rows are no longer sorted), a client
+    left with 1 row, and clients whose labels are all singletons (the
+    fallback permutation)."""
+    data = Dataset(np.zeros((7, 1), dtype=np.float32), np.arange(7) % 4, 4)
+    spec = PartitionSpec(law="dirichlet", num_clients=4, seed=3, alpha=0.05)
+    got = partition_dirichlet(data, spec)
+    assert same_partition(got, oracle.partition_dirichlet(data, spec))
+    assert [a.tolist() for a in got.assignment] == [[6, 3], [0, 4], [1, 2], [5]]
+    assert [len(t) for t in got.test] == [1, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "classes, dim, per_class, spread",
+    [(1, 1, 1, 0.3), (3, 5, 7, 1e-6), (10, 32, 100, 0.2), (10, 256, 100, 0.1), (12, 3, 50, 4.0)],
+)
+def test_synth_blobs_matches_oracle(classes, dim, per_class, spread):
+    for seed in (0, 1, 2**31 + 5):
+        got = synth_blobs(classes, dim, per_class, spread, seed)
+        want = oracle.synth_blobs(classes, dim, per_class, spread, seed)
+        assert same(got.features, want.features) and same(got.labels, want.labels)
+        assert got.num_classes == want.num_classes and got.name == want.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 60),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    classes=st.integers(1, 10),
+    seed=seeds,
+    law=st.sampled_from(["dirichlet", "pathological"]),
+)
+def test_idx_round_trip_matches_oracle(tmp_path_factory, count, rows, cols, classes, seed, law):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(count, rows, cols), dtype=np.uint8)
+    labels = rng.integers(0, classes, size=count, dtype=np.uint8)
+    work = tmp_path_factory.mktemp("idx")
+    (work / "i.idx").write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + pixels.tobytes())
+    (work / "l.idx").write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
+    data = load_idx(work / "i.idx", work / "l.idx")
+    assert same(data.features, oracle.idx_features(pixels.reshape(count, rows * cols)))
+    assert same(data.labels, labels.astype(np.int64))
+    spec = PartitionSpec(law=law, num_clients=max(1, count // 4), seed=seed, shards_per_client=1)
+    reference = oracle.partition_dirichlet if law == "dirichlet" else oracle.partition_pathological
+    assert same_partition(make_partition(data, spec), reference(data, spec))
+
+
+@pytest.mark.parametrize(
+    "widths", [[1, 1], [32, 64, 10], [64, 64, 10], [256, 256, 10], [7, 3, 5, 2]]
+)
+def test_init_params_matches_oracle(widths):
+    shape = ShapeSpec.from_widths(widths)
+    for seed in (0, 1, 12345):
+        assert same(init_params(shape, seed).values, oracle.init_params(shape, seed).values)

@@ -16,7 +16,7 @@ from fedcspack import protocol
 from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
-from fedcspack.partition import Dataset, Partition, PartitionSpec
+from fedcspack.partition import Dataset, Partition, PartitionSpec, save_idx, synth_blobs
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, decode_update, encode_update
@@ -130,6 +130,18 @@ class TestRunLoop:
     def test_dataset_model_dim_mismatch(self):
         config = small_config(model=ShapeSpec.from_widths([20, 6]))
         with pytest.raises(ConfigError):
+            run(config)
+
+    def test_idx_dataset_with_more_classes_than_model_outputs(self, tmp_path):
+        blobs = synth_blobs(12, 16, 10, spread=0.3, seed=4)
+        features = (blobs.features - blobs.features.min()) / np.ptp(blobs.features)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(Dataset(features, blobs.labels, 12), images, labels)
+        config = small_config(
+            dataset=DatasetSpec(kind="idx", images=str(images), labels=str(labels)),
+            model=ShapeSpec.from_widths([16, 24, 10]),
+        )
+        with pytest.raises(ConfigError, match="12 > model outputs 10"):
             run(config)
 
     def test_weight_mode_ablation_runs(self):
