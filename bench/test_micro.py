@@ -10,12 +10,17 @@ of the wide model (fedcspack-wide), one round's aggregation of 10 client
 updates in those two shapes, package scoring and selective pull on the
 wide model, and the set-up kernels: the Dirichlet partition of topk-desk
 and fedcspack-wide, the pathological partition of fedprox-idx, the blobs
-of fedcspack-wide and the wide model's initial parameters.
+of fedcspack-wide and the wide model's initial parameters.  The last
+benchmark times a whole topk-desk set-up through the command line, from
+`main`'s argv to the return of `init_params`.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from fedcspack import cli, protocol
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
@@ -170,3 +175,41 @@ def test_synth_blobs_wide(benchmark):
 def test_init_params_wide(benchmark):
     params = benchmark(init_params, WIDE, 0)
     assert len(params.values) == 68_362
+
+
+# one topk-desk input: MLP 32-64-10, 20 Dirichlet clients over 10 x 100 blobs
+TOPK_DESK = {
+    "method": "magnitude_topk", "rounds": 12, "clients": 20, "cpr": 0.5,
+    "local_epochs": 2, "lr": 0.2, "batch_size": 32, "pack": 128, "seed": 1,
+    "topk_fraction": 0.1,
+    "partition": {"law": "dirichlet", "num_clients": 20, "seed": 2, "alpha": 1.0},
+    "model": {"widths": [32, 64, 10], "activation": "relu"},
+    "dataset": {"kind": "blobs", "num_classes": 10, "dim": 32,
+                "samples_per_class": 100, "spread": 0.2, "seed": 3},
+}
+
+
+class SetupDone(Exception):
+    """Raised once init_params returns: the run's set-up is over."""
+
+
+def test_cli_setup(benchmark, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TOPK_DESK))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    init_params = protocol.init_params
+
+    def stop_after(*args, **kwargs):
+        init_params(*args, **kwargs)
+        raise SetupDone
+
+    monkeypatch.setattr(protocol, "init_params", stop_after)
+
+    def setup():
+        try:
+            cli.main(argv)
+        except SetupDone:
+            return
+        raise AssertionError("run returned without calling init_params")
+
+    benchmark(setup)

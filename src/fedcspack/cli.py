@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -80,10 +81,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
+    datasets = {}  # cells that differ only in method or lr share one dataset
     for cell_id, combo in enumerate(itertools.product(*[v for _, v in axes])):
         overrides = [f"{key}={value}" for (key, _), value in zip(axes, combo)]
         config = config_from_dict(apply_overrides(base, overrides))
-        result = run(config)
+        if config.dataset not in datasets:
+            datasets[config.dataset] = build_dataset(config.dataset)
+        result = run(config, dataset=datasets[config.dataset])
         cell_dir = out / f"cell_{cell_id:03d}"
         cell_dir.mkdir(exist_ok=True)
         write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
@@ -113,7 +117,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later
+    `main` call in the process: parsing reads it and writes only a fresh
+    namespace, so one call's arguments never reach the next."""
     parser = argparse.ArgumentParser(prog="fedcspack")
     sub = parser.add_subparsers(dest="command", required=True)
 

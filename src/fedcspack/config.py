@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_real
 from .model import ShapeSpec
 from .partition import PartitionSpec
 
@@ -40,6 +40,7 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "idx" and (not self.images or not self.labels):
             raise ConfigError("idx dataset needs images and labels paths")
+        require_real("dataset.spread", self.spread)
         if self.kind == "blobs" and not (math.isfinite(self.spread) and self.spread > 0):
             raise ConfigError("spread must be finite and > 0")
         for name in ("num_classes", "dim", "samples_per_class"):
@@ -73,6 +74,8 @@ class RunConfig:
         for name in ("rounds", "clients", "pack", "local_epochs", "batch_size"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
+        for name in ("cpr", "lr", "cap_ratio", "prox_mu", "topk_fraction"):
+            require_real(name, getattr(self, name))
         if not 0 < self.cpr <= 1:
             raise ConfigError("cpr must be in (0, 1]")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -46,3 +46,10 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a real number (a bool is not
+    one); range and finiteness are the caller's checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")

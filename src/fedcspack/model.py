@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataError, NumericError, ShapeError
+from .errors import EmptyDataError, NumericError, ShapeError, require_int
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -45,6 +45,8 @@ class ShapeSpec:
         """Build from a width chain, e.g. [32, 64, 10] -> (32,64),(64,10)."""
         if len(widths) < 2:
             raise ShapeError("need at least input and output widths")
+        for i, width in enumerate(widths):
+            require_int(f"model.widths[{i}]", width, 1)
         dims = tuple((int(a), int(b)) for a, b in zip(widths, widths[1:]))
         return cls(layer_dims=dims, activation=activation)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, require_int
+from .errors import ConfigError, IngestError, require_int, require_real
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -53,6 +53,8 @@ class PartitionSpec:
         require_int("num_clients", self.num_clients, 1)
         require_int("partition.seed", self.seed, 0)
         require_int("shards_per_client", self.shards_per_client, 1)
+        require_real("partition.alpha", self.alpha)
+        require_real("partition.test_fraction", self.test_fraction)
         if self.law == "dirichlet" and not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError("alpha must be finite and > 0")
         if not 0 < self.test_fraction < 1:
@@ -85,11 +87,14 @@ def synth_blobs(
     if not (math.isfinite(spread) and spread > 0):
         raise ConfigError("spread must be finite and > 0")
     rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(num_classes, dim))
+    # standard_normal(shape) makes the same draws as normal(size=shape),
+    # which returns 0.0 + 1.0 * z: the two differ only at z = -0.0, a sign
+    # that `z * spread + center` loses unless the other term is zero too
+    centers = rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     features = np.empty((num_classes * samples_per_class, dim), dtype=np.float32)
     for c in range(num_classes):
-        z = rng.normal(size=(samples_per_class, dim))
+        z = rng.standard_normal((samples_per_class, dim))
         z *= spread
         z += centers[c]
         features[c * samples_per_class : (c + 1) * samples_per_class] = z

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from fedcspack import cli
 from fedcspack.cli import main
 from fedcspack.config import apply_overrides, config_from_dict, load_config
 from fedcspack.errors import ConfigError
+from fedcspack.protocol import build_dataset
 
 
 def base_doc():
@@ -127,6 +129,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("lr=true", "lr must be a real number"),
+            ("cpr=true", "cpr must be a real number"),
+            ("cap_ratio=true", "cap_ratio must be a real number"),
+            ("prox_mu=false", "prox_mu must be a real number"),
+            ("topk_fraction=true", "topk_fraction must be a real number"),
+            ("partition.alpha=true", "partition.alpha must be a real number"),
+            ("partition.test_fraction=\"0.2\"", "partition.test_fraction must be a real number"),
+            ("dataset.spread=true", "dataset.spread must be a real number"),
+        ],
+    )
+    def test_float_fields_checked_at_load(self, override, message):
+        doc = apply_overrides(base_doc(), [override])
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            ([12.9, 16, 5], "model.widths[0] must be an integer"),
+            ([12, True, 5], "model.widths[1] must be an integer"),
+            ([12, 16, 0], "model.widths[2] must be >= 1"),
+        ],
+    )
+    def test_model_widths_checked_at_load(self, widths, message):
+        doc = base_doc()
+        doc["model"]["widths"] = widths
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
     def test_more_blob_classes_than_model_outputs(self):
         doc = apply_overrides(base_doc(), ["dataset.num_classes=12"])
         doc["model"]["widths"] = [12, 16, 10]
@@ -221,6 +255,67 @@ class TestSweep:
         assert len(rows) == 2
         assert (out / "cell_000" / "metrics.csv").exists()
         assert (out / "cell_001" / "metrics.csv").exists()
+
+    def test_datasets_built_once_per_command(self, config_path, tmp_path, monkeypatch):
+        """Cells that share a dataset spec share one dataset, and each cell
+        writes what a standalone run of its config writes."""
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return build_dataset(spec)
+
+        monkeypatch.setattr(cli, "build_dataset", counted)
+        out = tmp_path / "sweep"
+        grid = "method=fedcspack,fedavg"
+        assert main(["sweep", "--config", str(config_path), "--grid", grid, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        for cell, method in enumerate(("fedcspack", "fedavg")):
+            alone = tmp_path / f"alone_{method}"
+            main(["run", "--config", str(config_path), "--override", f"method={method}",
+                  "--out", str(alone)])
+            assert deterministic_metrics(out / f"cell_{cell:03d}") == deterministic_metrics(alone)
+
+
+def deterministic_metrics(out_dir: Path) -> list[list[str]]:
+    """metrics.csv without its wall_ms column, the one timing field."""
+    with open(out_dir / "metrics.csv") as f:
+        rows = list(csv.reader(f))
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1 :] for row in rows]
+
+
+class TestInProcessCalls:
+    """`main` reuses one parser per process; no call may see another's
+    arguments."""
+
+    def test_override_does_not_outlive_its_call(self, config_path, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        main(["run", "--config", str(config_path), "--override", "rounds=1", "--out", str(first)])
+        main(["run", "--config", str(config_path), "--out", str(second)])
+        assert json.loads((first / "run.json").read_text())["config"]["rounds"] == 1
+        doc = json.loads((second / "run.json").read_text())
+        assert doc["config"]["rounds"] == base_doc()["rounds"]
+        assert len(doc["rounds"]) == base_doc()["rounds"]
+
+    def test_valid_call_after_argument_error(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(config_path), "--bogus"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (out / "metrics.csv").exists()
+
+    def test_sweep_grids_not_shared(self, config_path, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0", "--out", str(first)])
+        main(["sweep", "--config", str(config_path), "--grid", "method=fedavg", "--out", str(second)])
+        with open(second / "sweep_summary.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 1
+        assert "cpr" not in rows[0]
+        assert rows[0]["method"] == "fedavg"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
