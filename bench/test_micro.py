@@ -1,6 +1,6 @@
 """Kernel micro-benchmarks (pytest-benchmark), kept out of the test suite:
 
-    PYTHONPATH=src python -m pytest bench --benchmark-only
+    python -m pytest bench --benchmark-only
 
 Shapes follow the perfbench workloads: one client's local training on the
 wide model (fedcspack-wide) and on the IDX model with the proximal term

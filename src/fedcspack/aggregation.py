@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import FlatParams
-from .packing import PackageLayout, as_layout
+from .packing import PackageLayout
 
 # Kept importable from this module too: tools that time package_views patch
 # it in every namespace that used to look it up (see perfbench/spans.py).
@@ -62,7 +62,7 @@ class AggregateResult:
 def aggregate(
     server: ServerState,
     updates: list[ClientUpdate],
-    pack: int | PackageLayout,
+    layout: PackageLayout,
 ) -> AggregateResult:
     """One round of dual-weight aggregation.
 
@@ -74,7 +74,7 @@ def aggregate(
     the caller.
     """
     total_params = server.global_params.shape.total_params
-    layout = as_layout(total_params, pack)
+    layout.check(total_params)
 
     accepted = []
     violations = 0
@@ -121,12 +121,12 @@ def selective_pull(
     local: FlatParams,
     global_: FlatParams,
     global_mask: GlobalMask,
-    pack: int | PackageLayout,
+    layout: PackageLayout,
 ) -> FlatParams:
     """Adopt global packages at valid mask positions, keep local elsewhere."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    layout = as_layout(local.shape.total_params, pack)
+    layout.check(local.shape.total_params)
     if len(global_mask.totals) != layout.num_packages:
         raise ShapeError(
             f"mask length {len(global_mask.totals)} != package count {layout.num_packages}"

@@ -10,10 +10,9 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, ShapeError, require_int, require_real
 from .model import ShapeSpec
 from .partition import PartitionSpec
 
@@ -38,8 +37,11 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("blobs", "idx"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "idx" and (not self.images or not self.labels):
-            raise ConfigError("idx dataset needs images and labels paths")
+        if self.kind == "idx":
+            for name in ("images", "labels"):
+                path = getattr(self, name)
+                if not isinstance(path, str) or not path:
+                    raise ConfigError(f"dataset.{name} must be a non-empty path, got {path!r}")
         require_real("dataset.spread", self.spread)
         if self.kind == "blobs" and not (math.isfinite(self.spread) and self.spread > 0):
             raise ConfigError("spread must be finite and > 0")
@@ -110,44 +112,43 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _build_partition(doc: dict) -> PartitionSpec:
-    allowed = {f.name for f in dataclasses.fields(PartitionSpec)}
-    _check_keys(doc, allowed, "partition")
-    return PartitionSpec(**doc)
+def _section(doc: dict, key: str) -> dict:
+    if key not in doc:
+        raise ConfigError(f"config.{key} is required")
+    if not isinstance(doc[key], dict):
+        raise ConfigError(f"config.{key} must be a JSON object, got {doc[key]!r}")
+    return doc[key]
+
+
+def _build(cls, doc: dict, where: str):
+    """cls(**doc), with unknown keys and missing fields as ConfigError."""
+    _check_keys(doc, {f.name for f in dataclasses.fields(cls)}, where)
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_model(doc: dict) -> ShapeSpec:
     _check_keys(doc, {"widths", "activation"}, "model")
     if "widths" not in doc:
         raise ConfigError("model.widths is required")
-    return ShapeSpec.from_widths(doc["widths"], doc.get("activation", "relu"))
-
-
-def _build_dataset(doc: dict) -> DatasetSpec:
-    allowed = {f.name for f in dataclasses.fields(DatasetSpec)}
-    _check_keys(doc, allowed, "dataset")
-    return DatasetSpec(**doc)
+    if not isinstance(doc["widths"], list):
+        raise ConfigError(f"model.widths must be a list, got {doc['widths']!r}")
+    try:
+        return ShapeSpec.from_widths(doc["widths"], doc.get("activation", "relu"))
+    except ShapeError as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    _check_keys(doc, allowed, "config")
-    for key in ("partition", "model", "dataset"):
-        if key not in doc:
-            raise ConfigError(f"config.{key} is required")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {doc!r}")
     kwargs = dict(doc)
-    kwargs["partition"] = _build_partition(doc["partition"])
-    kwargs["model"] = _build_model(doc["model"])
-    kwargs["dataset"] = _build_dataset(doc["dataset"])
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    kwargs["partition"] = _build(PartitionSpec, _section(doc, "partition"), "partition")
+    kwargs["model"] = _build_model(_section(doc, "model"))
+    kwargs["dataset"] = _build(DatasetSpec, _section(doc, "dataset"), "dataset")
+    return _build(RunConfig, kwargs, "config")
 
 
 def _parse_value(text: str) -> Any:

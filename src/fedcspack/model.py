@@ -80,9 +80,6 @@ class FlatParams:
         if not np.all(np.isfinite(self.values)):
             raise NumericError("non-finite parameter values")
 
-    def copy(self) -> "FlatParams":
-        return FlatParams(self.values.copy(), self.shape)
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -114,23 +111,6 @@ def _layers(values: np.ndarray, shape: ShapeSpec) -> list[tuple[np.ndarray, np.n
     return layers
 
 
-def unflatten(params: FlatParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into (weight, bias) pairs per layer.
-
-    Views into the underlying buffer; do not mutate.
-    """
-    return _layers(params.values, params.shape)
-
-
-def flatten(layers: list[tuple[np.ndarray, np.ndarray]], shape: ShapeSpec) -> FlatParams:
-    """Inverse of unflatten: concatenate row-major weights then bias per layer."""
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float32).ravel())
-        parts.append(np.asarray(b, dtype=np.float32).ravel())
-    return FlatParams(np.concatenate(parts), shape)
-
-
 def init_params(shape: ShapeSpec, seed: int) -> FlatParams:
     """Seeded Gaussian init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
@@ -141,10 +121,6 @@ def init_params(shape: ShapeSpec, seed: int) -> FlatParams:
         values[start:stop] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=fan_in * fan_out)
         start = stop + fan_out
     return FlatParams(values, shape)
-
-
-def zeros_like(shape: ShapeSpec) -> FlatParams:
-    return FlatParams(np.zeros(shape.total_params, dtype=np.float32), shape)
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], shape: ShapeSpec, features: np.ndarray):
@@ -250,16 +226,6 @@ def _sgd_step(
     w[...] = w32
     if not np.isfinite(w32).all():
         raise NumericError("non-finite parameter values")
-
-
-def sgd_step(params: FlatParams, batch: Batch, lr: float) -> FlatParams:
-    """One full-batch gradient step; pure (input untouched)."""
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    w = params.values.astype(np.float64)
-    w32 = np.empty_like(params.values)
-    _sgd_step(w, w32, np.empty_like(w), batch, params.shape, lr)
-    return FlatParams(w32, params.shape)
 
 
 def _offending_layer(shape: ShapeSpec, flat: np.ndarray) -> int:

@@ -41,6 +41,11 @@ class PackageLayout:
         self.offsets.setflags(write=False)
         self.lengths.setflags(write=False)
 
+    def check(self, total_params: int) -> None:
+        """Raise ShapeError unless this layout tiles total_params elements."""
+        if self.total_params != total_params:
+            raise ShapeError(f"layout of {self.total_params} params used for {total_params}")
+
     def element_mask(self, package_mask: np.ndarray) -> np.ndarray:
         """Per-element copy of a per-package boolean mask."""
         return np.repeat(package_mask, self.pack)[: self.total_params]
@@ -68,16 +73,6 @@ class PackageLayout:
 def package_views(total_params: int, pack: int) -> PackageLayout:
     """Tile [0, total_params) into ceil(total/pack) slices; tail may be short."""
     return PackageLayout(total_params, pack)
-
-
-def as_layout(total_params: int, pack: int | PackageLayout) -> PackageLayout:
-    """`pack` itself when it is already a layout of total_params elements,
-    else a new layout of that package size."""
-    if not isinstance(pack, PackageLayout):
-        return package_views(total_params, pack)
-    if pack.total_params != total_params:
-        raise ShapeError(f"layout of {pack.total_params} params used for {total_params}")
-    return pack
 
 
 @dataclass(frozen=True)
@@ -162,9 +157,7 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
     return float(_kl_rows(*_row_pair(local, global_, "kl"))[0])
 
 
-def score_packages(
-    local: FlatParams, global_: FlatParams, pack: int | PackageLayout
-) -> SimilarityProfile:
+def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
     """Score every package of `local` against its global counterpart.
 
     Full packages are scored as rows of (rows, pack) blocks; a short tail
@@ -172,7 +165,7 @@ def score_packages(
     """
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    layout = as_layout(local.shape.total_params, pack)
+    layout.check(local.shape.total_params)
     overall = cosine(local.values, global_.values)
     cos = np.empty(layout.num_packages)
     kl = np.empty(layout.num_packages)

@@ -153,11 +153,12 @@ def evaluate(
     locals_: list[FlatParams],
     partition: Partition,
     dataset: Dataset,
-    pack: int | PackageLayout,
+    layout: PackageLayout,
 ) -> tuple[float, float, list[float]]:
     """Global accuracy on the pooled test rows, the dataset-size weighted
     mean of per-client post-pull accuracies on their own test rows, and
     those per-client accuracies (0.0 for a client without test rows)."""
+    layout.check(server.global_params.shape.total_params)
     pooled = np.concatenate(partition.test)
     global_acc = 0.0
     if len(pooled):
@@ -173,7 +174,7 @@ def evaluate(
         if len(rows) == 0:
             per_client.append(0.0)
             continue
-        model = selective_pull(locals_[i], server.global_params, server.global_mask, pack)
+        model = selective_pull(locals_[i], server.global_params, server.global_mask, layout)
         batch = Batch(dataset.features[rows], dataset.labels[rows])
         _, correct = forward_loss(model, batch)
         per_client.append(correct / len(rows))
@@ -200,9 +201,8 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             f"dataset classes {dataset.num_classes} > model outputs {config.model.num_classes}"
         )
     partition = make_partition(dataset, config.partition)
-    pack = effective_pack(config)
     d = config.model.total_params
-    layout = package_views(d, pack)
+    layout = package_views(d, effective_pack(config))
 
     server = ServerState(
         global_params=init_params(config.model, config.seed),

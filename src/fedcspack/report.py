@@ -37,12 +37,6 @@ class RunSummary:
     total_bytes_up: int
     compression_vs_dense: float
 
-    def rounds_to_target(self, target: float, metrics: list[RoundMetrics]) -> int | None:
-        for m in metrics:
-            if m.global_acc >= target:
-                return m.round
-        return None
-
 
 def summarize(metrics: list[RoundMetrics], dense_bytes_per_round: int) -> RunSummary:
     if not metrics:
@@ -84,11 +78,15 @@ def metrics_rows(metrics: list[RoundMetrics]) -> list[list[str]]:
     return rows
 
 
-def write_metrics_csv(metrics: list[RoundMetrics], path: str | Path) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(METRICS_HEADER)
-        w.writerows(metrics_rows(metrics))
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_metrics_csv(metrics: list[RoundMetrics], path: str | Path) -> None:
+    _write_csv(path, METRICS_HEADER, metrics_rows(metrics))
 
 
 def write_run_json(config: RunConfig, metrics: list[RoundMetrics], path: str | Path) -> None:
@@ -105,32 +103,21 @@ def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_di
     per-client accuracy bars."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "acc_vs_round.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["round", "global_acc", "personalized_acc"])
-        for m in metrics:
-            w.writerow([m.round, _fmt(m.global_acc), _fmt(m.personalized_acc)])
-    written.append(path)
-
-    path = out / "bytes_vs_round.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["round", "bytes_up", "bytes_down"])
-        for m in metrics:
-            w.writerow([m.round, m.bytes_up, m.bytes_down])
-    written.append(path)
-
-    path = out / "per_client_acc.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["client", "accuracy"])
-        for i, acc in enumerate(per_client_acc):
-            w.writerow([i, _fmt(acc)])
-    written.append(path)
-    return written
+    acc, traffic, clients = (
+        out / "acc_vs_round.csv", out / "bytes_vs_round.csv", out / "per_client_acc.csv"
+    )
+    _write_csv(
+        acc,
+        ["round", "global_acc", "personalized_acc"],
+        [[m.round, _fmt(m.global_acc), _fmt(m.personalized_acc)] for m in metrics],
+    )
+    _write_csv(
+        traffic,
+        ["round", "bytes_up", "bytes_down"],
+        [[m.round, m.bytes_up, m.bytes_down] for m in metrics],
+    )
+    _write_csv(clients, ["client", "accuracy"], [[i, _fmt(a)] for i, a in enumerate(per_client_acc)])
+    return [acc, traffic, clients]
 
 
 def per_client_accuracy(result) -> list[float]:

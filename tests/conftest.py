@@ -3,6 +3,7 @@ import pytest
 
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import ShapeSpec
+from fedcspack.packing import package_views
 from fedcspack.partition import PartitionSpec
 
 
@@ -14,6 +15,11 @@ def same(a, b) -> bool:
         and np.array_equal(a, b)
         and a.tobytes() == b.tobytes()
     )
+
+
+def layout_of(params, pack):
+    """The layout of `params`' model at package size `pack`."""
+    return package_views(params.shape.total_params, pack)
 
 
 def small_config(**overrides):

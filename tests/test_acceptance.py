@@ -15,7 +15,7 @@ from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggrega
 from fedcspack.cli import main as cli_main
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import Batch, FlatParams, ShapeSpec, forward_loss, gradient, init_params
-from fedcspack.packing import cosine, kl_package
+from fedcspack.packing import cosine, kl_package, package_views
 from fedcspack.partition import PartitionSpec, label_histogram, make_partition, synth_blobs
 from fedcspack.protocol import run
 from fedcspack.report import summarize
@@ -113,7 +113,7 @@ def test_aggregation_brute_force_oracle():
             weights = rng.uniform(0.01, 2.0, size=len(sel))
             payload = rng.normal(size=pack * len(sel)).astype(np.float32)
             updates.append(ClientUpdate(cid, sel, weights, payload))
-        got = aggregate(server, updates, pack).state.global_params.values
+        got = aggregate(server, updates, package_views(d, pack)).state.global_params.values
 
         step = [0.0] * d
         totals = [0.0] * (j_count + 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import layout_of
 from fedcspack.aggregation import (
     ClientUpdate,
     GlobalMask,
@@ -60,7 +61,7 @@ class TestFoldMasks:
 
     def test_empty(self):
         server = make_server(np.zeros(12), pack=3)
-        gm = aggregate(server, [], pack=3).state.global_mask
+        gm = aggregate(server, [], layout_of(server.global_params, 3)).state.global_mask
         assert np.array_equal(gm.totals, np.zeros(4))
         assert not gm.valid.any()
 
@@ -68,7 +69,7 @@ class TestFoldMasks:
         server = make_server(np.zeros(9), pack=3)
         a = update_of(0, {1: 0.5})
         b = update_of(1, {1: 0.25, 2: 0.1})
-        gm = aggregate(server, [a, b], pack=3).state.global_mask
+        gm = aggregate(server, [a, b], layout_of(server.global_params, 3)).state.global_mask
         assert gm.totals[1] == pytest.approx(0.75)
         assert gm.totals[2] == pytest.approx(0.1)
         assert list(gm.valid) == [False, True, True]
@@ -83,7 +84,7 @@ class TestFoldMasks:
                 for j in rng.choice(6, size=rng.integers(1, 6), replace=False)
             }
             updates.append(update_of(cid, entries, pack=2))
-        gm = aggregate(server, updates, pack=2).state.global_mask
+        gm = aggregate(server, updates, layout_of(server.global_params, 2)).state.global_mask
         expected = np.zeros(6)
         for u in updates:
             for j, w in zip(u.packages, u.weights):
@@ -94,7 +95,7 @@ class TestFoldMasks:
         server = make_server(np.zeros(12), pack=3)
         short = update_of(0, {0: 1.0}, {0: np.ones(2, dtype=np.float32)})
         with pytest.raises(ShapeError, match="payload of 2 values for packages of 3"):
-            aggregate(server, [short], pack=3)
+            aggregate(server, [short], layout_of(server.global_params, 3))
 
 
 def make_server(values, pack):
@@ -106,7 +107,7 @@ def make_server(values, pack):
 class TestAggregate:
     def test_empty_updates(self):
         server = make_server(np.arange(6, dtype=float), pack=3)
-        result = aggregate(server, [], pack=3)
+        result = aggregate(server, [], layout_of(server.global_params, 3))
         assert np.array_equal(result.state.global_params.values, server.global_params.values)
         assert result.state.round == 1
         assert result.violations == 0
@@ -115,7 +116,7 @@ class TestAggregate:
         server = make_server(np.zeros(3), pack=3)
         payload = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         update = update_of(0, {0: 0.37}, {0: payload})
-        result = aggregate(server, [update], pack=3)
+        result = aggregate(server, [update], layout_of(server.global_params, 3))
         assert np.allclose(result.state.global_params.values, payload, atol=1e-7)
 
     def test_two_clients_weighted(self):
@@ -123,7 +124,7 @@ class TestAggregate:
         p = np.array([1.0, 0.0, 2.0], dtype=np.float32)
         q = np.array([0.0, 4.0, -2.0], dtype=np.float32)
         updates = [update_of(0, {0: 1.0}, {0: p}), update_of(1, {0: 3.0}, {0: q})]
-        result = aggregate(server, updates, pack=3)
+        result = aggregate(server, updates, layout_of(server.global_params, 3))
         assert np.allclose(result.state.global_params.values, 0.25 * p + 0.75 * q, atol=1e-7)
 
     def test_randomized_brute_force(self):
@@ -141,7 +142,7 @@ class TestAggregate:
                     j: rng.normal(size=pack).astype(np.float32) for j in entries
                 }
                 updates.append(update_of(cid, entries, deltas))
-            result = aggregate(server, updates, pack=pack)
+            result = aggregate(server, updates, layout_of(server.global_params, pack))
             expected = scalar_reference(server.global_params.values, pack, updates)
             assert np.allclose(
                 result.state.global_params.values, expected, atol=1e-6
@@ -151,7 +152,7 @@ class TestAggregate:
         rng = np.random.default_rng(3)
         server = make_server(rng.normal(size=9), pack=3)
         update = update_of(0, {1: 1.0})
-        result = aggregate(server, [update], pack=3)
+        result = aggregate(server, [update], layout_of(server.global_params, 3))
         out = result.state.global_params.values
         assert np.array_equal(out[0:3], server.global_params.values[0:3])
         assert np.array_equal(out[6:9], server.global_params.values[6:9])
@@ -164,9 +165,9 @@ class TestAggregate:
             entries = {int(j): float(rng.uniform(0.1, 1.0)) for j in rng.choice(3, 2, replace=False)}
             deltas = {j: rng.normal(size=4).astype(np.float32) for j in entries}
             updates.append(update_of(cid, entries, deltas))
-        a = aggregate(server, updates, pack=4)
+        a = aggregate(server, updates, layout_of(server.global_params, 4))
         shuffled = [updates[i] for i in rng.permutation(5)]
-        b = aggregate(server, shuffled, pack=4)
+        b = aggregate(server, shuffled, layout_of(server.global_params, 4))
         assert np.array_equal(a.state.global_params.values, b.state.global_params.values)
 
     def test_convex_combination_bound(self):
@@ -176,7 +177,7 @@ class TestAggregate:
         updates = [
             update_of(i, {0: float(rng.uniform(0.1, 2.0))}, {0: p}) for i, p in enumerate(payloads)
         ]
-        result = aggregate(server, updates, pack=4)
+        result = aggregate(server, updates, layout_of(server.global_params, 4))
         applied = result.state.global_params.values
         lo = np.min(payloads, axis=0)
         hi = np.max(payloads, axis=0)
@@ -201,7 +202,7 @@ class TestAggregate:
     def check_one_rejected(self, bad):
         server = make_server(np.zeros(6), pack=3)
         good = update_of(0, {0: 1.0})
-        result = aggregate(server, [good, bad], pack=3)
+        result = aggregate(server, [good, bad], layout_of(server.global_params, 3))
         assert result.violations == 1
         # only the good client contributed
         assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
@@ -214,7 +215,7 @@ class TestAggregate:
         server = make_server(rng.normal(size=d), pack=d)
         deltas = [rng.normal(size=d).astype(np.float32) for _ in range(4)]
         updates = [update_of(i, {0: 1.0}, {0: p}) for i, p in enumerate(deltas)]
-        result = aggregate(server, updates, pack=d)
+        result = aggregate(server, updates, layout_of(server.global_params, d))
         fedavg = server.global_params.values.astype(np.float64) + np.mean(
             [p.astype(np.float64) for p in deltas], axis=0
         )
@@ -226,14 +227,14 @@ class TestSelectivePull:
         rng = np.random.default_rng(1)
         local = params_of(rng.normal(size=9))
         global_ = params_of(rng.normal(size=9))
-        out = selective_pull(local, global_, GlobalMask.all_valid(3), pack=3)
+        out = selective_pull(local, global_, GlobalMask.all_valid(3), layout_of(local, 3))
         assert np.array_equal(out.values, global_.values)
 
     def test_none_valid_keeps_local(self):
         rng = np.random.default_rng(2)
         local = params_of(rng.normal(size=9))
         global_ = params_of(rng.normal(size=9))
-        out = selective_pull(local, global_, GlobalMask(np.zeros(3)), pack=3)
+        out = selective_pull(local, global_, GlobalMask(np.zeros(3)), layout_of(local, 3))
         assert np.array_equal(out.values, local.values)
 
     def test_partial_pull(self):
@@ -241,6 +242,6 @@ class TestSelectivePull:
         local = params_of(rng.normal(size=9))
         global_ = params_of(rng.normal(size=9))
         mask = GlobalMask(np.array([1.0, 0.0, 0.0]))
-        out = selective_pull(local, global_, mask, pack=3)
+        out = selective_pull(local, global_, mask, layout_of(local, 3))
         assert np.array_equal(out.values[0:3], global_.values[0:3])
         assert np.array_equal(out.values[3:9], local.values[3:9])

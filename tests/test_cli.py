@@ -10,7 +10,7 @@ import pytest
 
 from fedcspack import cli
 from fedcspack.cli import main
-from fedcspack.config import apply_overrides, config_from_dict, load_config
+from fedcspack.config import apply_overrides, config_from_dict
 from fedcspack.errors import ConfigError
 from fedcspack.protocol import build_dataset
 
@@ -49,7 +49,8 @@ def config_path(tmp_path):
 
 class TestConfig:
     def test_loads(self, config_path):
-        config = load_config(config_path)
+        with open(config_path) as f:
+            config = config_from_dict(json.load(f))
         assert config.method == "fedcspack"
         assert config.model.total_params == 12 * 16 + 16 + 16 * 5 + 5
 
@@ -160,6 +161,34 @@ class TestConfig:
         doc["model"]["widths"] = widths
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("model", "widths"), [12], "need at least input and output widths"),
+            (("model", "activation"), "tanh", "unknown activation 'tanh'"),
+            (("model", "widths"), 5, "model.widths must be a list"),
+            (("partition",), 5, "config.partition must be a JSON object"),
+            (("dataset",), [], "config.dataset must be a JSON object"),
+            (
+                ("dataset",),
+                {"kind": "idx", "images": 5, "labels": "labels.idx"},
+                "dataset.images must be a non-empty path",
+            ),
+        ],
+    )
+    def test_bad_section_fails_at_load(self, path, value, message):
+        doc = base_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            config_from_dict([base_doc()])
 
     def test_more_blob_classes_than_model_outputs(self):
         doc = apply_overrides(base_doc(), ["dataset.num_classes=12"])

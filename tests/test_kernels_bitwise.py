@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import same, small_config
+from conftest import layout_of, same, small_config
 from fedcspack import packing
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
@@ -88,7 +88,7 @@ class TestScorePackages:
     def test_matches_oracle(self, pair, block):
         local, global_, pack = pair
         with mock.patch.object(packing, "SCORE_BLOCK", block):
-            got = score_packages(local, global_, pack)
+            got = score_packages(local, global_, layout_of(local, pack))
         assert_same_profile(got, oracle.score_packages(local, global_, pack))
 
     @pytest.mark.parametrize("pack", [1, 128, 1000, 9000, 68_362, 100_000])
@@ -99,13 +99,14 @@ class TestScorePackages:
         rng = np.random.default_rng(pack)
         local = FlatParams(global_.values + rng.normal(scale=0.01, size=spec.total_params), spec)
         assert_same_profile(
-            score_packages(local, global_, pack), oracle.score_packages(local, global_, pack)
+            score_packages(local, global_, layout_of(local, pack)),
+            oracle.score_packages(local, global_, pack),
         )
 
     def test_zero_norm_package_scores_zero_cosine(self):
         local = FlatParams(np.array([0, 0, 1, 2, 3], dtype=np.float32), spec_with_total(5))
         global_ = FlatParams(np.array([1, 2, 0, 0, 3], dtype=np.float32), spec_with_total(5))
-        got = score_packages(local, global_, 2)
+        got = score_packages(local, global_, layout_of(local, 2))
         assert list(got.per_package_cos) == [0.0, 0.0, 1.0]
         assert_same_profile(got, oracle.score_packages(local, global_, 2))
 
@@ -143,10 +144,8 @@ class TestSelectivePull:
     def test_matches_oracle(self, pair, seed):
         local, global_, pack = pair
         mask = GlobalMask(package_mask(np.random.default_rng(seed), -(-len(local.values) // pack)))
-        got = selective_pull(local, global_, mask, pack)
+        got = selective_pull(local, global_, mask, layout_of(local, pack))
         assert same(got.values, oracle.selective_pull(local, global_, mask, pack).values)
-        layout = package_views(len(local.values), pack)
-        assert same(selective_pull(local, global_, mask, layout).values, got.values)
 
 
 @st.composite
@@ -188,7 +187,7 @@ class TestAggregate:
     @given(rounds())
     def test_matches_oracle(self, case):
         server, updates, pack = case
-        got = aggregate(server, updates, pack)
+        got = aggregate(server, updates, layout_of(server.global_params, pack))
         want = oracle.aggregate(server, updates, pack)
         assert same(got.state.global_params.values, want.state.global_params.values)
         assert same(got.state.global_mask.totals, want.state.global_mask.totals)

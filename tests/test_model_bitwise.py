@@ -19,7 +19,6 @@ from fedcspack.model import (
     gradient,
     init_params,
     local_train,
-    sgd_step,
 )
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
@@ -99,7 +98,6 @@ def test_local_train_matches_oracle(case):
         assert forward_loss(got, data) == oracle.forward_loss(got, data)
 
     assert_same(gradient(params, data), oracle.gradient(params, data))
-    assert_same(sgd_step(params, data, case["lr"]).values, oracle.sgd_step(params, data, case["lr"]).values)
 
 
 @pytest.mark.parametrize("features", [np.float32, np.float64])
@@ -150,7 +148,6 @@ def test_nan_gradient_names_its_layer():
     got = outcome(local_train, params, data, rng=np.random.default_rng(0), **kwargs)
     want = outcome(oracle.local_train, params, data, rng=np.random.default_rng(0), **kwargs)
     assert got == want == "non-finite gradient in layer 0"
-    assert outcome(sgd_step, params, data, 0.1) == want
 
 
 @pytest.mark.parametrize("prox_mu, vectors", [(0.0, 3), (0.01, 4)])

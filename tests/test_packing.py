@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config
+from conftest import layout_of, small_config
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ShapeError
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
@@ -18,7 +19,8 @@ from fedcspack.packing import (
     score_packages,
     select_topk,
 )
-from fedcspack.protocol import _client_update
+from fedcspack.partition import Dataset, Partition
+from fedcspack.protocol import _client_update, evaluate
 
 
 def spec_with_total(n):
@@ -57,10 +59,23 @@ class TestPackageViews:
         assert list(layout.elements(np.array([2, 0]))) == [8, 9, 0, 1, 2, 3]
         assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
 
-    def test_layout_of_another_size_rejected(self):
+    def test_layout_of_another_size_rejected(self, subtests):
         a = params_of(np.ones(10))
-        with pytest.raises(ShapeError):
-            score_packages(a, a, package_views(12, 4))
+        layout = package_views(12, 4)  # 3 packages, as a layout of 10 has
+        server = ServerState(a, GlobalMask.all_valid(3))
+        # no test rows, so evaluate pulls nothing: its own check must fire
+        partition = Partition([np.arange(2)], [np.arange(2)], [np.arange(0)])
+        dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
+        kernels = {
+            "score_packages": lambda: score_packages(a, a, layout),
+            "aggregate": lambda: aggregate(server, [], layout),
+            "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
+            "evaluate": lambda: evaluate(server, [a], partition, dataset, layout),
+        }
+        for name, call in kernels.items():
+            with subtests.test(kernel=name):
+                with pytest.raises(ShapeError, match="layout of 12 params used for 10"):
+                    call()
 
 
 class TestCosine:
@@ -128,7 +143,7 @@ class TestScorePackages:
     def test_identical_models(self):
         rng = np.random.default_rng(5)
         p = params_of(rng.normal(size=15))
-        prof = score_packages(p, p, pack=4)
+        prof = score_packages(p, p, layout_of(p, 4))
         assert prof.overall == pytest.approx(1.0)
         assert np.allclose(prof.per_package_cos, 1.0)
         assert np.allclose(prof.per_package_kl, 0.0, atol=1e-12)
@@ -137,7 +152,7 @@ class TestScorePackages:
         rng = np.random.default_rng(4)
         a = params_of(rng.normal(size=10))
         b = params_of(rng.normal(size=10))
-        prof = score_packages(a, b, pack=100)
+        prof = score_packages(a, b, layout_of(a, 100))
         assert prof.num_packages == 1
         assert prof.per_package_cos[0] == prof.overall
 
@@ -145,7 +160,7 @@ class TestScorePackages:
         rng = np.random.default_rng(4)
         a = params_of(rng.normal(size=10))
         b = params_of(rng.normal(size=10))
-        prof = score_packages(a, b, pack=4)
+        prof = score_packages(a, b, layout_of(a, 4))
         assert prof.num_packages == 3
 
 
@@ -210,7 +225,7 @@ class TestBuildMask:
 
 def dense_update(loc, g, pack):
     """The payloads a dense (fedavg) client sends, one per package."""
-    layout = package_views(len(loc.values), pack)
+    layout = layout_of(loc, pack)
     update = _client_update(small_config(method="fedavg"), 0, 0, loc, g, layout)
     return np.split(update.payload, np.cumsum(update.lengths)[:-1])
 
@@ -247,8 +262,9 @@ def test_selection_scale_invariance(scale, seed):
     b = params_of(rng.normal(size=24))
     a2 = params_of(a.values * scale)
     b2 = params_of(b.values * scale)
-    p1 = score_packages(a, b, pack=5)
-    p2 = score_packages(a2, b2, pack=5)
+    layout = package_views(24, 5)
+    p1 = score_packages(a, b, layout)
+    p2 = score_packages(a2, b2, layout)
     assert np.allclose(p1.per_package_cos, p2.per_package_cos, atol=1e-6)
     assert p1.overall == pytest.approx(p2.overall, abs=1e-6)
     assert np.array_equal(select_topk(p1, 0.5), select_topk(p2, 0.5))

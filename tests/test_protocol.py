@@ -5,9 +5,12 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_selection_constant_weights, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
@@ -357,6 +360,80 @@ class TestMalformedUpdates:
             assert aggregate(server, [ingested], layout).violations == 1
 
 
+def dropped_at_ingest(ingest, round_, position, victim):
+    """An ingest that rejects the `position`-th update of round `round_`
+    as a violation and appends its sender to `victim`."""
+    senders = []
+
+    def wrapped(config, update, sender, t, layout):
+        if t == round_:
+            senders.append(sender)
+            if len(senders) == position + 1:
+                victim.append(sender)
+                raise ProtocolViolation("dropped")
+        return ingest(config, update, sender, t, layout)
+
+    return wrapped
+
+
+def corrupted_at(encode, round_, victim, kind, j_count):
+    """An encode_update that applies corruption `kind` to client `victim`'s
+    update of round `round_`, or to its blob for a blob corruption."""
+
+    def wrapped(update):
+        if (update.round, update.client_id) != (round_, victim):
+            return encode(update)
+        if kind in BLOB_CORRUPTIONS:
+            return BLOB_CORRUPTIONS[kind](encode(update))
+        return encode(CORRUPTIONS[kind][0](update, j_count))
+
+    return wrapped
+
+
+def trajectory(config):
+    """Per round: the global parameters' digest and both accuracies; and
+    the violation counts, after checking that every global is finite."""
+    globals_ = []
+    result = run(config, round_hook=lambda t, s: globals_.append(s.global_params.values.copy()))
+    assert all(np.isfinite(g).all() for g in globals_)
+    rounds = [
+        (hashlib.sha256(g.tobytes()).hexdigest(), m.global_acc, m.personalized_acc)
+        for g, m in zip(globals_, result.metrics)
+    ]
+    return rounds, [m.violations for m in result.metrics]
+
+
+class TestFaultProperty:
+    """One corrupted update, at any sampled client in any round, costs the
+    run exactly that update: the trajectory is that of the same run with
+    the update dropped at ingest."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(
+            # fedavg weighs every package 1.0 and never reads theta
+            [("fedcspack", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS]]
+            + [("fedavg", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS] if kind != "nan_theta"]
+        ),
+        st.integers(0, 2),
+        st.integers(0, 3),  # among the 4 clients sampled per round
+    )
+    def test_equals_run_with_update_dropped(self, case, round_, position):
+        method, kind = case
+        config = small_config(method=method, rounds=3)
+        victim = []
+        drop = dropped_at_ingest(protocol._server_ingest, round_, position, victim)
+        with mock.patch.object(protocol, "_server_ingest", drop):
+            want, want_violations = trajectory(config)
+        assert len(victim) == 1
+        j_count = package_views(config.model.total_params, effective_pack(config)).num_packages
+        corrupt = corrupted_at(protocol.encode_update, round_, victim[0], kind, j_count)
+        with mock.patch.object(protocol, "encode_update", corrupt):
+            got, violations = trajectory(config)
+        assert violations == want_violations == [int(t == round_) for t in range(config.rounds)]
+        assert got == want
+
+
 class TestEvaluate:
     def constant_predictor(self, num_classes, winner):
         # zero weights, bias picks the winner class
@@ -383,7 +460,7 @@ class TestEvaluate:
             round=0,
         )
         _, personalized, per_client = evaluate(
-            server, locals_, partition, dataset, pack=spec.total_params
+            server, locals_, partition, dataset, package_views(spec.total_params, spec.total_params)
         )
         assert personalized == pytest.approx(0.75 * 1.0 + 0.25 * 0.0)
         assert per_client == [1.0, 0.0]
@@ -412,8 +489,9 @@ class TestEvaluate:
         spec = config.model
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
         server = ServerState(zero, GlobalMask.all_valid(1), 0)
-        locals_ = [zero.copy() for _ in range(config.clients)]
+        locals_ = [zero] * config.clients
         global_acc, _, _ = evaluate(
-            server, locals_, result.partition, result.dataset, pack=spec.total_params
+            server, locals_, result.partition, result.dataset,
+            package_views(spec.total_params, spec.total_params),
         )
         assert 0.0 <= global_acc <= 0.45  # 6 classes, argmax ties resolve to class 0
