@@ -7,10 +7,11 @@ wide model (fedcspack-wide) and on the IDX model with the proximal term
 (fedprox-idx), the encode and decode of one client update in the
 magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
 of the wide model (fedcspack-wide), one round's aggregation of 10 client
-updates in those two shapes, package scoring and selective pull on the
-wide model, and the set-up kernels: the Dirichlet partition of topk-desk
-and fedcspack-wide, the pathological partition of fedprox-idx, the blobs
-of fedcspack-wide and the wide model's initial parameters.  The last
+updates and the server's ingest of one client's blob in those two shapes,
+package scoring and selective pull on the wide model, and the set-up
+kernels: the Dirichlet partition of topk-desk and fedcspack-wide, the
+pathological partition of fedprox-idx, the blobs of fedcspack-wide and
+the wide model's initial parameters.  The last
 benchmark times a whole topk-desk set-up through the command line, from
 `main`'s argv to the return of `init_params`.
 """
@@ -22,6 +23,7 @@ import pytest
 
 from fedcspack import cli, protocol
 from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.config import apply_overrides, config_from_dict
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
@@ -130,7 +132,25 @@ def test_aggregate(benchmark, shape, pack, per_client):
         payload = rng.normal(scale=0.01, size=layout.lengths[packages].sum()).astype(np.float32)
         updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payload))
     result = benchmark(aggregate, server, updates, layout)
-    assert result.violations == 0
+    assert result.state.round == 1
+
+
+@pytest.mark.parametrize(
+    "shape, pack, count, method",
+    [
+        pytest.param(DESK, 1, 277, "magnitude_topk", id="topk-desk-277x1"),
+        pytest.param(WIDE, 128, 134, "fedcspack", id="wide-134x128"),
+    ],
+)
+def test_server_ingest(benchmark, shape, pack, count, method):
+    """One client's blob through the server boundary: decode, header,
+    index, length, theta/beta and payload finiteness checks, weights."""
+    config = config_from_dict(apply_overrides(TOPK_DESK, [f"method={method}"]))
+    update = sparse_update(shape, pack, count)
+    blob = encode_update(update)
+    layout = package_views(shape.total_params, pack)
+    ingested = benchmark(protocol._server_ingest, config, blob, update.client_id, 0, layout)
+    assert len(ingested.packages) == count and len(ingested.payload) == len(update.payload)
 
 
 def test_score_packages_wide(benchmark):

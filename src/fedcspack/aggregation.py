@@ -56,7 +56,6 @@ class ServerState:
 @dataclass(frozen=True)
 class AggregateResult:
     state: ServerState
-    violations: int
 
 
 def aggregate(
@@ -64,39 +63,29 @@ def aggregate(
     updates: list[ClientUpdate],
     layout: PackageLayout,
 ) -> AggregateResult:
-    """One round of dual-weight aggregation.
+    """One round of dual-weight aggregation of updates the server has
+    accepted (`protocol._server_ingest` is the one place that rejects).
 
     Per package the applied step is the mask-weight normalized combination
-    of client payloads.  An update whose weights are not all finite and
-    > 0, or whose payload is not all finite, is rejected whole and
-    counted as a protocol violation.  Folding is
-    fixed to ascending client id so float sums are order-independent of
-    the caller.
+    of client payloads.  Folding is fixed to ascending client id so float
+    sums are order-independent of the caller.
     """
     total_params = server.global_params.shape.total_params
     layout.check(total_params)
 
-    accepted = []
-    violations = 0
+    updates = sorted(updates, key=lambda u: u.client_id)
     totals = np.zeros(layout.num_packages)
-    for u in sorted(updates, key=lambda u: u.client_id):
-        if not ((u.weights > 0) & np.isfinite(u.weights)).all():
-            violations += 1
-            continue
+    for u in updates:
         expected = layout.lengths[u.packages].sum()
         if len(u.payload) != expected:
             raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
-        if not np.isfinite(u.payload).all():
-            violations += 1
-            continue
         totals[u.packages] += u.weights
-        accepted.append(u)
 
     # each client adds (w_j / total_j) * payload to its packages' elements in
     # one scatter; packages of one client never overlap, so every element
     # sums its clients' terms in ascending client id
     acc = np.zeros(total_params)
-    for u in accepted:
+    for u in updates:
         if not len(u.packages):
             continue
         term = np.repeat(u.weights / totals[u.packages], layout.lengths[u.packages])
@@ -114,7 +103,7 @@ def aggregate(
         global_mask=new_mask,
         round=server.round + 1,
     )
-    return AggregateResult(state=state, violations=violations)
+    return AggregateResult(state=state)
 
 
 def selective_pull(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -20,6 +20,7 @@ from .config import apply_overrides, config_from_dict
 from .partition import label_histogram, make_partition
 from .protocol import build_dataset, run
 from .report import (
+    _write_csv,
     emit_series,
     per_client_accuracy,
     summarize,
@@ -93,25 +94,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
         write_run_json(config, result.metrics, cell_dir / "run.json")
         summary = summarize(result.metrics, result.dense_bytes_per_round)
-        rows.append(
-            {
-                **{key: value for (key, _), value in zip(axes, combo)},
-                "cell": f"cell_{cell_id:03d}",
-                "method": summary.method,
-                "final_global_acc": summary.final_global_acc,
-                "best_global_acc": summary.best_global_acc,
-                "mean_personalized_acc": summary.mean_personalized_acc,
-                "total_bytes_up": summary.total_bytes_up,
-                "compression_vs_dense": summary.compression_vs_dense,
-            }
-        )
+        cell = {key: value for (key, _), value in zip(axes, combo)}
+        rows.append({**cell, "cell": f"cell_{cell_id:03d}", **dataclasses.asdict(summary)})
 
-    summary_path = out / "sweep_summary.csv"
-    fieldnames = list(rows[0].keys()) if rows else ["cell"]
-    with open(summary_path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fieldnames)
-        w.writeheader()
-        w.writerows(rows)
+    header = list(rows[0]) if rows else ["cell"]
+    _write_csv(out / "sweep_summary.csv", header, [list(row.values()) for row in rows])
     for row in rows:
         print(" ".join(f"{k}={v}" for k, v in row.items()))
     return 0

@@ -115,20 +115,33 @@ def _client_update(
 
 def _server_ingest(
     config: RunConfig,
-    update: PackedUpdate,
+    blob: bytes | bytearray,
     sender: int,
     round_: int,
     layout: PackageLayout,
 ) -> ClientUpdate:
-    """Check a decoded wire update against the round and the server's
-    layout, and reduce it to the aggregator's arrays.
+    """The server's one boundary: decode a client's bytes, check them
+    against the round and the server's layout, and reduce the update to
+    the aggregator's arrays.
+
+    Raises DecodeError for bytes the codec cannot read and
+    ProtocolViolation for an update the server must not fold: a header
+    other than (sender, round, pack), a package index >= J, a payload
+    length other than its package's, a theta outside [-1, 1], a beta that
+    is not finite and >= 0, or a non-finite payload value.  With finite
+    theta and beta every weight is finite and >= EPS_W, so `aggregate`
+    folds what this returns without a check of its own.
 
     fedcspack weights derive from the transmitted theta/beta per the
     configured weight mode; baselines weigh every package equally so the
-    normalized combination is the plain mean over senders.  Raises
-    ProtocolViolation for an update whose header or package geometry does
-    not match the round; `aggregate` judges the values.
+    normalized combination is the plain mean over senders.
     """
+    update = decode_update(blob)
+    if len(blob) != update.encoded_length():
+        raise InvariantError(
+            f"round {round_}: traffic metering drifted from the codec on client {sender} "
+            f"({len(blob)} bytes sent, {update.encoded_length()} by encoded_length)"
+        )
     if (update.client_id, update.round, update.pack) != (sender, round_, layout.pack):
         raise ProtocolViolation(
             f"header (client {update.client_id}, round {update.round}, pack {update.pack}) "
@@ -140,6 +153,13 @@ def _server_ingest(
         raise ProtocolViolation(f"package index {packages[-1]} >= {layout.num_packages}")
     if (update.lengths != layout.lengths[packages]).any():
         raise ProtocolViolation("payload length differs from its package length")
+    # NaN fails every comparison; the -0.0 a KL term can be passes
+    if not (np.abs(update.theta) <= 1.0).all():
+        raise ProtocolViolation("theta outside [-1, 1]")
+    if not ((0.0 <= update.beta) & (update.beta < np.inf)).all():
+        raise ProtocolViolation("beta not finite and >= 0")
+    if not np.isfinite(update.payload).all():
+        raise ProtocolViolation("non-finite payload value")
     if config.method == "fedcspack":
         theta, beta = update.theta.astype(np.float64), update.beta.astype(np.float64)
         weights = mask_weights(theta, beta, config.weight_mode)
@@ -258,18 +278,11 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             # a blob the server rejects was still sent
             bytes_up += len(blob)
             try:
-                u = decode_update(blob)
-                if len(blob) != u.encoded_length():
-                    raise InvariantError(
-                        f"round {t}: traffic metering drifted from the codec on client {i} "
-                        f"({len(blob)} bytes sent, {u.encoded_length()} by encoded_length)"
-                    )
-                updates.append(_server_ingest(config, u, i, t, layout))
+                updates.append(_server_ingest(config, blob, i, t, layout))
             except (DecodeError, ProtocolViolation) as exc:
                 log.info("round %d: update from client %d rejected: %s", t, i, exc)
                 rejected += 1
-        result = aggregate(server, updates, layout)
-        server = result.state
+        server = aggregate(server, updates, layout).state
 
         # dense broadcast of the new global model, metered through the codec
         # as one full-vector entry per recipient
@@ -295,7 +308,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 bytes_down=bytes_down,
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
                 participants=tuple(sampled),
-                violations=rejected + result.violations,
+                violations=rejected,
             )
         )
     return RunResult(

@@ -103,17 +103,7 @@ def split_payload(u: ClientUpdate, vs) -> list[np.ndarray]:
 
 def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> AggregateResult:
     vs = views(server.global_params.shape.total_params, pack)
-    accepted = []
-    violations = 0
-    for u in sorted(updates, key=lambda u: u.client_id):
-        if any(not (w > 0 and math.isfinite(w)) for w in u.weights):
-            violations += 1
-            continue
-        payloads = split_payload(u, vs)
-        if any(not np.isfinite(payload).all() for payload in payloads):
-            violations += 1
-            continue
-        accepted.append((u, payloads))
+    accepted = [(u, split_payload(u, vs)) for u in sorted(updates, key=lambda u: u.client_id)]
 
     totals = np.zeros(len(vs))
     for u, _ in accepted:
@@ -136,7 +126,7 @@ def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> Ag
         global_mask=GlobalMask(totals),
         round=server.round + 1,
     )
-    return AggregateResult(state=state, violations=violations)
+    return AggregateResult(state=state)
 
 
 def client_update(config, client_id, round_, trained, global_snapshot) -> PackedUpdate:

@@ -12,7 +12,8 @@ from fedcspack import cli
 from fedcspack.cli import main
 from fedcspack.config import apply_overrides, config_from_dict
 from fedcspack.errors import ConfigError
-from fedcspack.protocol import build_dataset
+from fedcspack.protocol import build_dataset, run
+from fedcspack.report import summarize
 
 
 def base_doc():
@@ -264,24 +265,23 @@ class TestPartitionReport:
 
 class TestSweep:
     def test_grid(self, config_path, tmp_path):
+        """sweep_summary.csv: the grid keys, the cell, then the RunSummary
+        fields, each value as the cell's own `summarize` gives it."""
         out = tmp_path / "sweep"
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--config",
-                    str(config_path),
-                    "--grid",
-                    "cpr=0.5,1.0",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
+        assert main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0",
+                     "--out", str(out)]) == 0
+        lines = (out / "sweep_summary.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == (
+            "cpr,cell,method,final_global_acc,best_global_acc,mean_personalized_acc,"
+            "total_bytes_up,compression_vs_dense"
         )
-        with open(out / "sweep_summary.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 2
+        result = run(config_from_dict(apply_overrides(base_doc(), ["cpr=1.0"])))
+        s = summarize(result.metrics, result.dense_bytes_per_round)
+        assert lines[2] == (
+            f"1.0,cell_001,{s.method},{s.final_global_acc!r},{s.best_global_acc!r},"
+            f"{s.mean_personalized_acc!r},{s.total_bytes_up},{s.compression_vs_dense!r}"
+        )
+        assert len(lines) == 4 and lines[3] == ""
         assert (out / "cell_000" / "metrics.csv").exists()
         assert (out / "cell_001" / "metrics.csv").exists()
 
@@ -299,6 +299,9 @@ class TestSweep:
         grid = "method=fedcspack,fedavg"
         assert main(["sweep", "--config", str(config_path), "--grid", grid, "--out", str(out)]) == 0
         assert len(calls) == 1
+        # a grid key that names a summary field keeps one column, in the grid's place
+        header = (out / "sweep_summary.csv").read_text().splitlines()[0]
+        assert header.startswith("method,cell,final_global_acc,")
         for cell, method in enumerate(("fedcspack", "fedavg")):
             alone = tmp_path / f"alone_{method}"
             main(["run", "--config", str(config_path), "--override", f"method={method}",

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import full_selection_constant_weights, small_config
@@ -22,7 +22,7 @@ from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec, save_idx, synth_blobs
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
-from fedcspack.wire import MAGIC, VERSION, decode_update, encode_update
+from fedcspack.wire import MAGIC, VERSION, encode_update
 
 BROADCAST_ID = 0xFFFFFFFF
 
@@ -228,21 +228,30 @@ def with_value(values, k, value):
     return out
 
 
-def first_payload_nan(u):
+def first_package_set(u, value):
+    """The payload of `u` with its first package's values set to `value`."""
     payload = np.array(u.payload, dtype=np.float32)
-    payload[: u.lengths[0]] = np.nan
+    payload[: u.lengths[0]] = value
     return payload
 
 
 # each takes a client update and the package count J; the value is the
-# corruption and where the server rejects it: the decoder (DecodeError),
-# the ingest (ProtocolViolation) or `aggregate` (None, counted there)
+# corruption and how `_server_ingest` rejects its blob: DecodeError for
+# bytes the codec cannot read, ProtocolViolation for an update the server
+# must not fold
 CORRUPTIONS = {
     "index_out_of_range": (
         lambda u, j_count: dataclasses.replace(u, packages=with_value(u.packages, -1, j_count)),
         ProtocolViolation,
     ),
-    "nan_payload": (lambda u, _: dataclasses.replace(u, payload=first_payload_nan(u)), None),
+    "nan_payload": (
+        lambda u, _: dataclasses.replace(u, payload=first_package_set(u, np.nan)),
+        ProtocolViolation,
+    ),
+    "inf_payload": (
+        lambda u, _: dataclasses.replace(u, payload=first_package_set(u, np.inf)),
+        ProtocolViolation,
+    ),
     # one value short, with its length: the blob decodes, the length is wrong
     "short_payload": (
         lambda u, _: dataclasses.replace(
@@ -262,7 +271,16 @@ CORRUPTIONS = {
         lambda u, _: dataclasses.replace(u, client_id=1000), ProtocolViolation
     ),
     "nan_theta": (
-        lambda u, _: dataclasses.replace(u, theta=with_value(u.theta, 0, np.nan)), None
+        lambda u, _: dataclasses.replace(u, theta=with_value(u.theta, 0, np.nan)),
+        ProtocolViolation,
+    ),
+    "theta_out_of_range": (
+        lambda u, _: dataclasses.replace(u, theta=np.full(len(u.theta), 1e30)),
+        ProtocolViolation,
+    ),
+    "negative_beta": (
+        lambda u, _: dataclasses.replace(u, beta=with_value(u.beta, 0, -0.9)),
+        ProtocolViolation,
     ),
 }
 
@@ -273,6 +291,12 @@ BLOB_CORRUPTIONS = {
     "trailing_byte": lambda blob: blob + b"\0",
     "bad_version": lambda blob: blob[:4] + struct.pack("<H", VERSION + 1) + blob[6:],
 }
+
+# every corruption under both weightings: fedcspack's mask weights, and
+# fedavg's 1.0, which never reads theta or beta
+FAULT_CASES = [
+    (method, kind) for method in ("fedcspack", "fedavg") for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS]
+]
 
 
 def first_client_sends(encode, send, honest, sent):
@@ -306,12 +330,7 @@ def corrupt_first_blob(encode, corrupt, honest, sent):
 
 
 class TestMalformedUpdates:
-    @pytest.mark.parametrize(
-        "method, kind",
-        [("fedcspack", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS]]
-        # fedavg weighs every package 1.0 and never reads theta
-        + [("fedavg", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS] if kind != "nan_theta"],
-    )
+    @pytest.mark.parametrize("method, kind", FAULT_CASES)
     def test_counted_not_fatal(self, monkeypatch, method, kind):
         config = small_config(method=method, rounds=2)
         layout = package_views(config.model.total_params, effective_pack(config))
@@ -333,8 +352,7 @@ class TestMalformedUpdates:
         # round 0's global is the aggregate of the other clients' updates
         start = init_params(config.model, config.seed)
         others = [
-            protocol._server_ingest(config, decode_update(blob), cid, 0, layout)
-            for cid, blob in honest
+            protocol._server_ingest(config, blob, cid, 0, layout) for cid, blob in honest
         ]
         assert len(others) == len(sent) - 1 == len(result.metrics[0].participants) - 1
         server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
@@ -350,14 +368,10 @@ class TestMalformedUpdates:
         trained = FlatParams((global_.values + noise).astype(np.float32), config.model)
         corrupt, error = CORRUPTIONS[kind]
         update = protocol._client_update(config, 2, 0, trained, global_, layout)
+        protocol._server_ingest(config, encode_update(update), 2, 0, layout)  # honest: accepted
         blob = encode_update(corrupt(update, layout.num_packages))
-        if error is not None:
-            with pytest.raises(error):
-                protocol._server_ingest(config, decode_update(blob), 2, 0, layout)
-        else:
-            ingested = protocol._server_ingest(config, decode_update(blob), 2, 0, layout)
-            server = ServerState(global_, GlobalMask.all_valid(layout.num_packages))
-            assert aggregate(server, [ingested], layout).violations == 1
+        with pytest.raises(error):
+            protocol._server_ingest(config, blob, 2, 0, layout)
 
 
 def dropped_at_ingest(ingest, round_, position, victim):
@@ -365,13 +379,13 @@ def dropped_at_ingest(ingest, round_, position, victim):
     as a violation and appends its sender to `victim`."""
     senders = []
 
-    def wrapped(config, update, sender, t, layout):
+    def wrapped(config, blob, sender, t, layout):
         if t == round_:
             senders.append(sender)
             if len(senders) == position + 1:
                 victim.append(sender)
                 raise ProtocolViolation("dropped")
-        return ingest(config, update, sender, t, layout)
+        return ingest(config, blob, sender, t, layout)
 
     return wrapped
 
@@ -410,14 +424,17 @@ class TestFaultProperty:
 
     @settings(max_examples=12, deadline=None)
     @given(
-        st.sampled_from(
-            # fedavg weighs every package 1.0 and never reads theta
-            [("fedcspack", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS]]
-            + [("fedavg", kind) for kind in [*CORRUPTIONS, *BLOB_CORRUPTIONS] if kind != "nan_theta"]
-        ),
+        st.sampled_from(FAULT_CASES),
         st.integers(0, 2),
         st.integers(0, 3),  # among the 4 clients sampled per round
     )
+    # the range and infinite-payload kinds run every time, for both methods
+    @example(("fedcspack", "theta_out_of_range"), 0, 1)
+    @example(("fedavg", "theta_out_of_range"), 2, 0)
+    @example(("fedcspack", "negative_beta"), 1, 3)
+    @example(("fedavg", "negative_beta"), 0, 2)
+    @example(("fedcspack", "inf_payload"), 2, 2)
+    @example(("fedavg", "inf_payload"), 1, 0)
     def test_equals_run_with_update_dropped(self, case, round_, position):
         method, kind = case
         config = small_config(method=method, rounds=3)
