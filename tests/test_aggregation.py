@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import layout_of
+from conftest import layout_of, small_config
 from fedcspack.aggregation import (
     ClientUpdate,
     GlobalMask,
@@ -9,9 +9,11 @@ from fedcspack.aggregation import (
     aggregate,
     selective_pull,
 )
-from fedcspack.errors import ShapeError
+from fedcspack.errors import ProtocolViolation, ShapeError
 from fedcspack.model import FlatParams, ShapeSpec
-from fedcspack.packing import package_views
+from fedcspack.packing import mask_weights, package_views
+from fedcspack.protocol import _server_ingest
+from fedcspack.wire import PackedUpdate, encode_update
 
 
 def spec_with_total(n):
@@ -34,6 +36,24 @@ def update_of(client_id, weights, payloads=None, pack=3):
         np.array(packages, dtype=np.intp),
         np.array([weights[j] for j in packages], dtype=np.float64),
         np.concatenate([np.zeros(0, np.float32)] + [payloads[j] for j in packages]),
+    )
+
+
+def packed_of(client_id, entries, pack=3):
+    """A round-0 PackedUpdate from {package: fields}; each entry's theta
+    defaults to 1.0, beta to 0.0 (mask weight 1.0) and payload to ones."""
+    packages = sorted(entries)
+    field = lambda name, default: [entries[j].get(name, default) for j in packages]  # noqa: E731
+    payloads = field("payload", np.ones(pack, dtype=np.float32))
+    return PackedUpdate(
+        client_id,
+        0,
+        pack,
+        np.array(packages, dtype=np.uint32),
+        np.array(field("theta", 1.0), dtype=np.float32),
+        np.array(field("beta", 0.0), dtype=np.float32),
+        np.array([len(p) for p in payloads], dtype=np.uint32),
+        np.concatenate([np.zeros(0, np.float32)] + payloads),
     )
 
 
@@ -182,6 +202,35 @@ class TestAggregate:
         hi = np.max(payloads, axis=0)
         assert np.all(applied >= lo - 1e-6)
         assert np.all(applied <= hi + 1e-6)
+
+    # a weight comes from the transmitted theta and beta: NaN theta gives
+    # a NaN weight, infinite beta an infinite one
+    @pytest.mark.parametrize("bad_weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad_weight):
+        terms = {"theta": bad_weight} if np.isnan(bad_weight) else {"beta": bad_weight}
+        assert not np.isfinite(mask_weights(terms.get("theta", 1.0), terms.get("beta", 0.0)))
+        self.check_one_rejected(packed_of(1, {0: {}, 1: terms}))
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, bad_value):
+        payload = np.ones(3, dtype=np.float32)
+        payload[1] = bad_value
+        self.check_one_rejected(packed_of(1, {0: {}, 1: {"payload": payload}}))
+
+    def check_one_rejected(self, bad):
+        """`bad` is rejected at the server boundary, so the aggregate is
+        that of the good client alone."""
+        server = make_server(np.zeros(6), pack=3)
+        layout = layout_of(server.global_params, 3)
+        config = small_config()
+        ingest = lambda u: _server_ingest(config, encode_update(u), u.client_id, 0, layout)  # noqa: E731
+        good = ingest(packed_of(0, {0: {}}))
+        with pytest.raises(ProtocolViolation):
+            ingest(bad)
+        result = aggregate(server, [good], layout)
+        assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
+        assert np.array_equal(result.state.global_params.values[3:], np.zeros(3, dtype=np.float32))
+        assert list(result.state.global_mask.totals) == [1.0, 0.0]
 
     def test_fedavg_equivalence_single_package(self):
         rng = np.random.default_rng(11)
