@@ -131,8 +131,7 @@ def test_aggregate(benchmark, shape, pack, per_client):
         packages = np.sort(rng.choice(layout.num_packages, size=per_client, replace=False))
         payload = rng.normal(scale=0.01, size=layout.lengths[packages].sum()).astype(np.float32)
         updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payload))
-    result = benchmark(aggregate, server, updates, layout)
-    assert result.state.round == 1
+    benchmark(aggregate, server, updates, layout)
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,6 @@ class GlobalMask:
 class ServerState:
     global_params: FlatParams
     global_mask: GlobalMask
-    round: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ def aggregate(
     state = ServerState(
         global_params=FlatParams(new_values, server.global_params.shape),
         global_mask=new_mask,
-        round=server.round + 1,
     )
     return AggregateResult(state=state)
 

@@ -29,14 +29,14 @@ from .report import (
 )
 
 
-def _load_doc(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+def _load_doc(args: argparse.Namespace) -> dict:
+    """The command's config document: the --config file, --overrides applied."""
+    with open(args.config) as f:
+        return apply_overrides(json.load(f), args.override)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    doc = apply_overrides(_load_doc(args.config), args.override)
-    config = config_from_dict(doc)
+    config = config_from_dict(_load_doc(args))
     result = run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -54,8 +54,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_report(args: argparse.Namespace) -> int:
-    doc = apply_overrides(_load_doc(args.config), args.override)
-    config = config_from_dict(doc)
+    config = config_from_dict(_load_doc(args))
     dataset = build_dataset(config.dataset)
     partition = make_partition(dataset, config.partition)
     print(f"dataset={dataset.name} rows={len(dataset)} classes={dataset.num_classes}")
@@ -70,35 +69,35 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = apply_overrides(_load_doc(args.config), args.override)
-    axes = []
+    base = _load_doc(args)
+    keys, values = [], []
     for grid in args.grid:
         if "=" not in grid:
             raise SystemExit(f"--grid {grid!r} is not key=v1,v2,...")
         key, _, raw = grid.partition("=")
-        values = raw.split(",")
-        axes.append((key, values))
+        keys.append(key)
+        values.append(raw.split(","))
 
+    # every cell's config is checked before --out is made or any cell runs
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
+    configs = [config_from_dict(apply_overrides(base, [f"{k}={v}" for k, v in cell.items()]))
+               for cell in cells]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     datasets = {}  # cells that differ only in method or lr share one dataset
-    for cell_id, combo in enumerate(itertools.product(*[v for _, v in axes])):
-        overrides = [f"{key}={value}" for (key, _), value in zip(axes, combo)]
-        config = config_from_dict(apply_overrides(base, overrides))
+    for cell_id, (cell, config) in enumerate(zip(cells, configs)):
         if config.dataset not in datasets:
             datasets[config.dataset] = build_dataset(config.dataset)
         result = run(config, dataset=datasets[config.dataset])
-        cell_dir = out / f"cell_{cell_id:03d}"
-        cell_dir.mkdir(exist_ok=True)
-        write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
-        write_run_json(config, result.metrics, cell_dir / "run.json")
+        name = f"cell_{cell_id:03d}"
+        (out / name).mkdir(exist_ok=True)
+        write_metrics_csv(result.metrics, out / name / "metrics.csv")
+        write_run_json(config, result.metrics, out / name / "run.json")
         summary = summarize(result.metrics, result.dense_bytes_per_round)
-        cell = {key: value for (key, _), value in zip(axes, combo)}
-        rows.append({**cell, "cell": f"cell_{cell_id:03d}", **dataclasses.asdict(summary)})
+        rows.append({**cell, "cell": name, **dataclasses.asdict(summary)})
 
-    header = list(rows[0]) if rows else ["cell"]
-    _write_csv(out / "sweep_summary.csv", header, [list(row.values()) for row in rows])
+    _write_csv(out / "sweep_summary.csv", list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(" ".join(f"{k}={v}" for k, v in row.items()))
     return 0
@@ -111,21 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
     namespace, so one call's arguments never reach the next."""
     parser = argparse.ArgumentParser(prog="fedcspack")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_opts = argparse.ArgumentParser(add_help=False)
+    config_opts.add_argument("--config", required=True)
+    config_opts.add_argument("--override", action="append", default=[], metavar="key=value")
 
-    p_run = sub.add_parser("run", help="execute one simulation")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--override", action="append", default=[], metavar="key=value")
+    p_run = sub.add_parser("run", parents=[config_opts], help="execute one simulation")
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
 
-    p_part = sub.add_parser("partition-report", help="print per-client label histograms")
-    p_part.add_argument("--config", required=True)
-    p_part.add_argument("--override", action="append", default=[], metavar="key=value")
+    p_part = sub.add_parser(
+        "partition-report", parents=[config_opts], help="print per-client label histograms"
+    )
     p_part.set_defaults(func=cmd_partition_report)
 
-    p_sweep = sub.add_parser("sweep", help="cartesian parameter sweeps")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--override", action="append", default=[], metavar="key=value")
+    p_sweep = sub.add_parser("sweep", parents=[config_opts], help="cartesian parameter sweeps")
     p_sweep.add_argument("--grid", action="append", default=[], required=True, metavar="key=v1,v2,...")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,9 +1,9 @@
 """Dataset synthesis, IDX ingestion and Non-IID partitioning.
 
-Two partition laws: Dirichlet label-skew (per-class proportions drawn from
-Dir(alpha)) and pathological shards (label-sorted rows cut into contiguous
-shards dealt randomly).  Both are deterministic per seed and produce an
-exact, disjoint cover of the dataset rows.
+`make_partition` is the one partition entry point.  Its two laws, Dirichlet
+label-skew (per-class proportions drawn from Dir(alpha)) and pathological
+shards (label-sorted rows cut into contiguous shards dealt randomly), are
+deterministic per seed and produce an exact, disjoint cover of the rows.
 """
 
 from __future__ import annotations
@@ -267,18 +267,14 @@ def _split_train_test(
     return train, test
 
 
-def partition_dirichlet(data: Dataset, spec: PartitionSpec) -> Partition:
-    """Label-skew split: each class's rows divided by a Dir(alpha) draw."""
-    if spec.law != "dirichlet":
-        raise ConfigError("spec.law must be 'dirichlet'")
+def _dirichlet_owners(
+    data: Dataset, spec: PartitionSpec, rng: np.random.Generator, by_label: np.ndarray
+) -> np.ndarray:
+    """Label skew: each class's rows divided by a Dir(alpha) draw.  Each
+    class's block of `by_label` is shuffled in place, as rng.permutation
+    would shuffle a copy, before its draw."""
     if len(data) < spec.num_clients:
-        raise ConfigError(
-            f"insufficient data: {len(data)} rows for {spec.num_clients} clients"
-        )
-    rng = np.random.default_rng(spec.seed)
-    # each class's rows, ascending, one block per class; each block is
-    # shuffled in place as rng.permutation would shuffle a copy
-    by_label = np.argsort(data.labels, kind="stable")
+        raise ConfigError(f"insufficient data: {len(data)} rows for {spec.num_clients} clients")
     class_sizes = np.bincount(data.labels, minlength=data.num_classes)
     proportions = np.zeros((data.num_classes, spec.num_clients))
     alphas = np.full(spec.num_clients, spec.alpha)
@@ -289,41 +285,35 @@ def partition_dirichlet(data: Dataset, spec: PartitionSpec) -> Partition:
             rng.shuffle(by_label[start:end])
             proportions[c] = rng.dirichlet(alphas)
     counts = _largest_remainder_counts(class_sizes, proportions)
-    owner = np.repeat(np.tile(np.arange(spec.num_clients), data.num_classes), counts.ravel())
-    assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
-    train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
-    return Partition(assignment=assignment, train=train, test=test)
+    return np.repeat(np.tile(np.arange(spec.num_clients), data.num_classes), counts.ravel())
 
 
-def partition_pathological(data: Dataset, spec: PartitionSpec) -> Partition:
-    """Label-sorted rows cut into equal contiguous shards, dealt randomly."""
-    if spec.law != "pathological":
-        raise ConfigError("spec.law must be 'pathological'")
-    n = len(data)
+def _shard_owners(n: int, spec: PartitionSpec, rng: np.random.Generator) -> np.ndarray:
+    """Pathological shards: label-sorted rows cut into equal contiguous
+    shards, dealt randomly."""
     num_shards = spec.num_clients * spec.shards_per_client
     if n < num_shards:
-        raise ConfigError(
-            f"shard size would be 0: {n} rows for {num_shards} shards"
-        )
-    rng = np.random.default_rng(spec.seed)
+        raise ConfigError(f"shard size would be 0: {n} rows for {num_shards} shards")
     deal = rng.permutation(num_shards)
     shard_owner = np.empty(num_shards, dtype=np.int64)
     shard_owner[deal] = np.arange(num_shards) // spec.shards_per_client
     # np.array_split's cut: the first n % num_shards shards hold a row more
     small, extra = divmod(n, num_shards)
-    shard_sizes = np.full(num_shards, small)
-    shard_sizes[:extra] += 1
-    owner = np.repeat(shard_owner, shard_sizes)
-    by_label = np.argsort(data.labels, kind="stable")
-    assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
-    train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
-    return Partition(assignment=assignment, train=train, test=test)
+    return np.repeat(shard_owner, small + (np.arange(num_shards) < extra))
 
 
 def make_partition(data: Dataset, spec: PartitionSpec) -> Partition:
-    if spec.law == "dirichlet":
-        return partition_dirichlet(data, spec)
-    return partition_pathological(data, spec)
+    """The one partition entry point: the law gives an owner to each row of
+    the stable label sort, then the shared steps (group, rebalance,
+    holdout) run on the same generator."""
+    rng = np.random.default_rng(spec.seed)
+    # each class's rows, ascending, one block per class
+    by_label = np.argsort(data.labels, kind="stable")
+    owner = (_dirichlet_owners(data, spec, rng, by_label) if spec.law == "dirichlet"
+             else _shard_owners(len(data), spec, rng))
+    assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
+    train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
+    return Partition(assignment=assignment, train=train, test=test)
 
 
 def label_histogram(data: Dataset, rows: np.ndarray) -> np.ndarray:

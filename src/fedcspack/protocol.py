@@ -227,7 +227,6 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     server = ServerState(
         global_params=init_params(config.model, config.seed),
         global_mask=GlobalMask.all_valid(layout.num_packages),
-        round=0,
     )
     # nothing writes a FlatParams' values in place, so every client may
     # start from the one initial model

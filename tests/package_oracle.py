@@ -124,7 +124,6 @@ def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> Ag
     state = ServerState(
         global_params=FlatParams(new_values, server.global_params.shape),
         global_mask=GlobalMask(totals),
-        round=server.round + 1,
     )
     return AggregateResult(state=state)
 

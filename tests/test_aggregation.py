@@ -121,7 +121,7 @@ class TestFoldMasks:
 def make_server(values, pack):
     params = params_of(values)
     j_count = package_views(len(values), pack).num_packages
-    return ServerState(params, GlobalMask.all_valid(j_count), round=0)
+    return ServerState(params, GlobalMask.all_valid(j_count))
 
 
 class TestAggregate:
@@ -129,7 +129,6 @@ class TestAggregate:
         server = make_server(np.arange(6, dtype=float), pack=3)
         result = aggregate(server, [], layout_of(server.global_params, 3))
         assert np.array_equal(result.state.global_params.values, server.global_params.values)
-        assert result.state.round == 1
 
     def test_single_client_weights_cancel(self):
         server = make_server(np.zeros(3), pack=3)

@@ -285,6 +285,15 @@ class TestSweep:
         assert (out / "cell_000" / "metrics.csv").exists()
         assert (out / "cell_001" / "metrics.csv").exists()
 
+    def test_bad_cell_fails_before_any_cell_runs(self, config_path, tmp_path):
+        """A bad value in the grid's last cell fails at load: no cell has
+        run and --out is not made."""
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="cpr"):
+            main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0,7",
+                  "--out", str(out)])
+        assert not out.exists()
+
     def test_datasets_built_once_per_command(self, config_path, tmp_path, monkeypatch):
         """Cells that share a dataset spec share one dataset, and each cell
         writes what a standalone run of its config writes."""

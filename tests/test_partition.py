@@ -10,8 +10,6 @@ from fedcspack.partition import (
     label_histogram,
     load_idx,
     make_partition,
-    partition_dirichlet,
-    partition_pathological,
     save_idx,
     synth_blobs,
 )
@@ -103,7 +101,7 @@ class TestDirichlet:
     def test_iid_limit(self):
         data = synth_blobs(10, 4, 1000, spread=0.5, seed=3)  # 10k rows
         spec = PartitionSpec(law="dirichlet", num_clients=10, seed=4, alpha=1e6)
-        part = partition_dirichlet(data, spec)
+        part = make_partition(data, spec)
         global_props = np.bincount(data.labels, minlength=10) / len(data)
         for rows in part.assignment:
             props = label_histogram(data, rows) / len(rows)
@@ -112,32 +110,32 @@ class TestDirichlet:
     def test_single_client_gets_everything(self):
         data = synth_blobs(3, 4, 20, spread=0.5, seed=5)
         spec = PartitionSpec(law="dirichlet", num_clients=1, seed=6, alpha=0.5)
-        part = partition_dirichlet(data, spec)
+        part = make_partition(data, spec)
         assert len(part.assignment[0]) == len(data)
 
     def test_exact_cover(self):
         data = synth_blobs(5, 4, 40, spread=0.5, seed=7)
         spec = PartitionSpec(law="dirichlet", num_clients=7, seed=8, alpha=0.3)
-        part = partition_dirichlet(data, spec)
+        part = make_partition(data, spec)
         assert_exact_cover(part, len(data))
 
     def test_floor_rule(self):
         data = synth_blobs(2, 3, 20, spread=0.5, seed=9)
         spec = PartitionSpec(law="dirichlet", num_clients=8, seed=10, alpha=0.05)
-        part = partition_dirichlet(data, spec)
+        part = make_partition(data, spec)
         assert all(len(rows) >= 2 for rows in part.assignment)
 
     def test_insufficient_data(self):
         data = synth_blobs(2, 3, 2, spread=0.5, seed=1)  # 4 rows
         spec = PartitionSpec(law="dirichlet", num_clients=10, seed=2, alpha=1.0)
         with pytest.raises(ConfigError, match="insufficient data"):
-            partition_dirichlet(data, spec)
+            make_partition(data, spec)
 
     def test_determinism(self):
         data = synth_blobs(4, 4, 50, spread=0.5, seed=11)
         spec = PartitionSpec(law="dirichlet", num_clients=5, seed=12, alpha=0.5)
-        a = partition_dirichlet(data, spec)
-        b = partition_dirichlet(data, spec)
+        a = make_partition(data, spec)
+        b = make_partition(data, spec)
         for x, y in zip(a.assignment, b.assignment):
             assert np.array_equal(x, y)
         for x, y in zip(a.test, b.test):
@@ -148,27 +146,27 @@ class TestPathological:
     def test_few_classes_per_client(self):
         data = synth_blobs(10, 4, 100, spread=0.5, seed=13)  # balanced, 1000 rows
         spec = PartitionSpec(law="pathological", num_clients=10, seed=14, shards_per_client=2)
-        part = partition_pathological(data, spec)
+        part = make_partition(data, spec)
         for rows in part.assignment:
             assert len(np.unique(data.labels[rows])) <= 2
 
     def test_single_client_holds_every_shard(self):
         data = synth_blobs(3, 4, 30, spread=0.5, seed=15)
         spec = PartitionSpec(law="pathological", num_clients=1, seed=16, shards_per_client=4)
-        part = partition_pathological(data, spec)
+        part = make_partition(data, spec)
         assert len(part.assignment[0]) == len(data)
 
     def test_exact_cover(self):
         data = synth_blobs(6, 4, 33, spread=0.5, seed=17)
         spec = PartitionSpec(law="pathological", num_clients=9, seed=18, shards_per_client=2)
-        part = partition_pathological(data, spec)
+        part = make_partition(data, spec)
         assert_exact_cover(part, len(data))
 
     def test_zero_shard_size_error(self):
         data = synth_blobs(2, 3, 2, spread=0.5, seed=19)  # 4 rows
         spec = PartitionSpec(law="pathological", num_clients=5, seed=20, shards_per_client=2)
         with pytest.raises(ConfigError, match="shard size"):
-            partition_pathological(data, spec)
+            make_partition(data, spec)
 
 
 def client_entropy(data, partition):

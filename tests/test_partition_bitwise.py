@@ -20,8 +20,6 @@ from fedcspack.partition import (
     _split_train_test,
     load_idx,
     make_partition,
-    partition_dirichlet,
-    partition_pathological,
     synth_blobs,
 )
 
@@ -73,7 +71,7 @@ def test_dirichlet_matches_oracle(data, clients, alpha, test_fraction, seed):
         law="dirichlet", num_clients=min(clients, len(data)), seed=seed,
         alpha=alpha, test_fraction=test_fraction,
     )
-    assert same_partition(partition_dirichlet(data, spec), oracle.partition_dirichlet(data, spec))
+    assert same_partition(make_partition(data, spec), oracle.partition_dirichlet(data, spec))
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,7 +90,7 @@ def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed)
         shards_per_client=shards, test_fraction=test_fraction,
     )
     assert same_partition(
-        partition_pathological(data, spec), oracle.partition_pathological(data, spec)
+        make_partition(data, spec), oracle.partition_pathological(data, spec)
     )
 
 
@@ -123,7 +121,7 @@ def test_rebalance_tiny_client_and_fallback():
     fallback permutation)."""
     data = Dataset(np.zeros((7, 1), dtype=np.float32), np.arange(7) % 4, 4)
     spec = PartitionSpec(law="dirichlet", num_clients=4, seed=3, alpha=0.05)
-    got = partition_dirichlet(data, spec)
+    got = make_partition(data, spec)
     assert same_partition(got, oracle.partition_dirichlet(data, spec))
     assert [a.tolist() for a in got.assignment] == [[6, 3], [0, 4], [1, 2], [5]]
     assert [len(t) for t in got.test] == [1, 1, 1, 0]

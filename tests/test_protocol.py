@@ -474,7 +474,6 @@ class TestEvaluate:
         server = ServerState(
             global_params=FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec),
             global_mask=GlobalMask(np.zeros(1)),  # nothing valid: pull keeps locals
-            round=0,
         )
         _, personalized, per_client = evaluate(
             server, locals_, partition, dataset, package_views(spec.total_params, spec.total_params)
@@ -505,7 +504,7 @@ class TestEvaluate:
         # untrained uniform model scores near chance on balanced classes
         spec = config.model
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
-        server = ServerState(zero, GlobalMask.all_valid(1), 0)
+        server = ServerState(zero, GlobalMask.all_valid(1))
         locals_ = [zero] * config.clients
         global_acc, _, _ = evaluate(
             server, locals_, result.partition, result.dataset,
