@@ -7,7 +7,8 @@ wide model (fedcspack-wide) and on the IDX model with the proximal term
 (fedprox-idx), the encode and decode of one client update in the
 magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
 of the wide model (fedcspack-wide), one round's aggregation of 10 client
-updates and the server's ingest of one client's blob in those two shapes,
+updates in those two shapes under fedcspack's weighting and the
+baselines', the server's ingest of one client's blob in those shapes,
 package scoring and selective pull on the wide model, and the set-up
 kernels: the Dirichlet partition of topk-desk and fedcspack-wide, the
 pathological partition of fedprox-idx, the blobs of fedcspack-wide and
@@ -22,8 +23,7 @@ import numpy as np
 import pytest
 
 from fedcspack import cli, protocol
-from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
-from fedcspack.config import apply_overrides, config_from_dict
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
@@ -115,6 +115,9 @@ def wide_pair():
     return local, global_
 
 
+# "dual" weighs each package from its theta and beta (fedcspack), None
+# weighs every package 1.0 (the baselines)
+@pytest.mark.parametrize("weight_mode", ["dual", None])
 @pytest.mark.parametrize(
     "shape, pack, per_client",
     [
@@ -122,33 +125,35 @@ def wide_pair():
         pytest.param(WIDE, 128, 134, id="wide-10x134x128"),
     ],
 )
-def test_aggregate(benchmark, shape, pack, per_client):
+def test_aggregate(benchmark, shape, pack, per_client, weight_mode):
     layout = package_views(shape.total_params, pack)
     rng = np.random.default_rng(0)
     server = ServerState(init_params(shape, 0), GlobalMask.all_valid(layout.num_packages))
     updates = []
     for cid in range(10):
         packages = np.sort(rng.choice(layout.num_packages, size=per_client, replace=False))
-        payload = rng.normal(scale=0.01, size=layout.lengths[packages].sum()).astype(np.float32)
-        updates.append(ClientUpdate(cid, packages, rng.uniform(0.5, 1.5, size=per_client), payload))
-    benchmark(aggregate, server, updates, layout)
+        lengths = layout.lengths[packages]
+        payload = rng.normal(scale=0.01, size=lengths.sum()).astype(np.float32)
+        theta = rng.uniform(-1.0, 1.0, size=per_client).astype(np.float32)
+        beta = rng.uniform(0.0, 0.5, size=per_client).astype(np.float32)
+        updates.append(PackedUpdate(cid, 0, pack, packages, theta, beta, lengths, payload))
+    benchmark(aggregate, server, updates, layout, weight_mode)
 
 
 @pytest.mark.parametrize(
-    "shape, pack, count, method",
+    "shape, pack, count",
     [
-        pytest.param(DESK, 1, 277, "magnitude_topk", id="topk-desk-277x1"),
-        pytest.param(WIDE, 128, 134, "fedcspack", id="wide-134x128"),
+        pytest.param(DESK, 1, 277, id="topk-desk-277x1"),
+        pytest.param(WIDE, 128, 134, id="wide-134x128"),
     ],
 )
-def test_server_ingest(benchmark, shape, pack, count, method):
+def test_server_ingest(benchmark, shape, pack, count):
     """One client's blob through the server boundary: decode, header,
-    index, length, theta/beta and payload finiteness checks, weights."""
-    config = config_from_dict(apply_overrides(TOPK_DESK, [f"method={method}"]))
+    index, length, theta/beta and payload finiteness checks."""
     update = sparse_update(shape, pack, count)
     blob = encode_update(update)
     layout = package_views(shape.total_params, pack)
-    ingested = benchmark(protocol._server_ingest, config, blob, update.client_id, 0, layout)
+    ingested = benchmark(protocol._server_ingest, blob, update.client_id, 0, layout)
     assert len(ingested.packages) == count and len(ingested.payload) == len(update.payload)
 
 

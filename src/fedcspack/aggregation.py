@@ -11,23 +11,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import FlatParams
-from .packing import PackageLayout
+from .packing import PackageLayout, mask_weights
+from .wire import PackedUpdate
 
 # Kept importable from this module too: tools that time package_views patch
 # it in every namespace that used to look it up (see perfbench/spans.py).
 from .packing import package_views  # noqa: F401
-
-
-@dataclass(frozen=True)
-class ClientUpdate:
-    """One client's update as the aggregator folds it: ascending package
-    indices, one mask weight per package and one flat payload holding the
-    packages' local-minus-global deltas, package after package."""
-
-    client_id: int
-    packages: np.ndarray
-    weights: np.ndarray
-    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,35 +48,45 @@ class AggregateResult:
 
 def aggregate(
     server: ServerState,
-    updates: list[ClientUpdate],
+    updates: list[PackedUpdate],
     layout: PackageLayout,
+    weight_mode: str | None,
 ) -> AggregateResult:
     """One round of dual-weight aggregation of updates the server has
     accepted (`protocol._server_ingest` is the one place that rejects).
 
-    Per package the applied step is the mask-weight normalized combination
-    of client payloads.  Folding is fixed to ascending client id so float
-    sums are order-independent of the caller.
+    A package's mask weight is `mask_weights` of its transmitted theta and
+    beta under `weight_mode`; with weight_mode None (the baselines) every
+    package weighs 1.0 whatever theta and beta say, so the combination is
+    the plain mean over senders.  Per package the applied step is the
+    mask-weight normalized combination of client payloads.  Folding is
+    fixed to ascending client id so float sums are order-independent of
+    the caller.
     """
     total_params = server.global_params.shape.total_params
     layout.check(total_params)
 
     updates = sorted(updates, key=lambda u: u.client_id)
+    weights = [
+        np.ones(len(u.packages)) if weight_mode is None
+        else mask_weights(u.theta.astype(np.float64), u.beta.astype(np.float64), weight_mode)
+        for u in updates
+    ]
     totals = np.zeros(layout.num_packages)
-    for u in updates:
+    for u, w in zip(updates, weights):
         expected = layout.lengths[u.packages].sum()
         if len(u.payload) != expected:
             raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
-        totals[u.packages] += u.weights
+        totals[u.packages] += w
 
     # each client adds (w_j / total_j) * payload to its packages' elements in
     # one scatter; packages of one client never overlap, so every element
     # sums its clients' terms in ascending client id
     acc = np.zeros(total_params)
-    for u in updates:
+    for u, w in zip(updates, weights):
         if not len(u.packages):
             continue
-        term = np.repeat(u.weights / totals[u.packages], layout.lengths[u.packages])
+        term = np.repeat(w / totals[u.packages], layout.lengths[u.packages])
         term *= u.payload
         np.add.at(acc, layout.elements(u.packages), term)
 

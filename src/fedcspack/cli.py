@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .config import apply_overrides, config_from_dict
 from .partition import label_histogram, make_partition
-from .protocol import build_dataset, run
+from .protocol import build_dataset, checked_partition, run
 from .report import (
     _write_csv,
     emit_series,
@@ -75,20 +75,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if "=" not in grid:
             raise SystemExit(f"--grid {grid!r} is not key=v1,v2,...")
         key, _, raw = grid.partition("=")
+        if key in keys:
+            raise SystemExit(f"--grid key {key!r} is given twice")
         keys.append(key)
         values.append(raw.split(","))
 
-    # every cell's config is checked before --out is made or any cell runs
+    # every cell's config, dataset and partition is checked before --out is
+    # made or any cell runs
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
     configs = [config_from_dict(apply_overrides(base, [f"{k}={v}" for k, v in cell.items()]))
                for cell in cells]
+    datasets = {}  # cells that differ only in method or lr share one dataset
+    for config in configs:
+        if config.dataset not in datasets:
+            datasets[config.dataset] = build_dataset(config.dataset)
+        checked_partition(config, datasets[config.dataset])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    datasets = {}  # cells that differ only in method or lr share one dataset
     for cell_id, (cell, config) in enumerate(zip(cells, configs)):
-        if config.dataset not in datasets:
-            datasets[config.dataset] = build_dataset(config.dataset)
         result = run(config, dataset=datasets[config.dataset])
         name = f"cell_{cell_id:03d}"
         (out / name).mkdir(exist_ok=True)

@@ -158,22 +158,15 @@ def forward_loss(params: FlatParams, batch: Batch) -> tuple[float, int]:
 
 
 def gradient(
-    params: FlatParams | np.ndarray,
-    batch: Batch,
-    shape: ShapeSpec | None = None,
-    out: np.ndarray | None = None,
+    w: np.ndarray, batch: Batch, shape: ShapeSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Analytic gradient of the mean cross-entropy, as a flat float64 vector.
 
-    `params` is a FlatParams, or a float64 vector of float32 values together
-    with its `shape` (read as is, not cast).  Each layer's weight and bias
-    gradients are written straight into their slices of `out` (a new
-    vector when None).
+    `w` is a float64 vector of float32 values laid out as `shape` (read as
+    is, not cast).  Each layer's weight and bias gradients are written
+    straight into their slices of `out` (a new vector when None).
     """
-    if isinstance(params, FlatParams):
-        shape = params.shape
-        params = params.values.astype(np.float64)
-    layers = _layers(params, shape)
+    layers = _layers(w, shape)
     logits, inputs = _forward(layers, shape, batch.features)
     n = len(batch)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
+from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig
 from .errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
-from .packing import PackageLayout, mask_weights, package_views, score_packages, select_topk
+from .packing import PackageLayout, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
 from .wire import PackedUpdate, decode_update, encode_update
 
@@ -61,6 +61,22 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
             seed=spec.seed,
         )
     return load_idx(spec.images, spec.labels)
+
+
+def checked_partition(config: RunConfig, dataset: Dataset) -> Partition:
+    """The run's partition of `dataset`, after checking that the dataset
+    fits the model; raises ConfigError for a row width other than the
+    model's input width, more classes than the model has outputs, or a
+    partition the data cannot fill."""
+    if dataset.features.shape[1] != config.model.input_dim:
+        raise ConfigError(
+            f"dataset dim {dataset.features.shape[1]} != model input {config.model.input_dim}"
+        )
+    if dataset.num_classes > config.model.num_classes:
+        raise ConfigError(
+            f"dataset classes {dataset.num_classes} > model outputs {config.model.num_classes}"
+        )
+    return make_partition(dataset, config.partition)
 
 
 def effective_pack(config: RunConfig) -> int:
@@ -114,27 +130,19 @@ def _client_update(
 
 
 def _server_ingest(
-    config: RunConfig,
-    blob: bytes | bytearray,
-    sender: int,
-    round_: int,
-    layout: PackageLayout,
-) -> ClientUpdate:
+    blob: bytes | bytearray, sender: int, round_: int, layout: PackageLayout
+) -> PackedUpdate:
     """The server's one boundary: decode a client's bytes, check them
-    against the round and the server's layout, and reduce the update to
-    the aggregator's arrays.
+    against the round and the server's layout, and return the update it
+    checked.
 
     Raises DecodeError for bytes the codec cannot read and
     ProtocolViolation for an update the server must not fold: a header
     other than (sender, round, pack), a package index >= J, a payload
     length other than its package's, a theta outside [-1, 1], a beta that
     is not finite and >= 0, or a non-finite payload value.  With finite
-    theta and beta every weight is finite and >= EPS_W, so `aggregate`
+    theta and beta every mask weight is finite and >= EPS_W, so `aggregate`
     folds what this returns without a check of its own.
-
-    fedcspack weights derive from the transmitted theta/beta per the
-    configured weight mode; baselines weigh every package equally so the
-    normalized combination is the plain mean over senders.
     """
     update = decode_update(blob)
     if len(blob) != update.encoded_length():
@@ -147,7 +155,7 @@ def _server_ingest(
             f"header (client {update.client_id}, round {update.round}, pack {update.pack}) "
             f"!= (client {sender}, round {round_}, pack {layout.pack})"
         )
-    packages = update.packages.astype(np.intp)
+    packages = update.packages
     # decode_update guarantees ascending, distinct indices
     if len(packages) and packages[-1] >= layout.num_packages:
         raise ProtocolViolation(f"package index {packages[-1]} >= {layout.num_packages}")
@@ -160,12 +168,7 @@ def _server_ingest(
         raise ProtocolViolation("beta not finite and >= 0")
     if not np.isfinite(update.payload).all():
         raise ProtocolViolation("non-finite payload value")
-    if config.method == "fedcspack":
-        theta, beta = update.theta.astype(np.float64), update.beta.astype(np.float64)
-        weights = mask_weights(theta, beta, config.weight_mode)
-    else:
-        weights = np.ones(len(packages))
-    return ClientUpdate(update.client_id, packages, weights, update.payload)
+    return update
 
 
 def evaluate(
@@ -212,17 +215,11 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     """
     if dataset is None:
         dataset = build_dataset(config.dataset)
-    if dataset.features.shape[1] != config.model.input_dim:
-        raise ConfigError(
-            f"dataset dim {dataset.features.shape[1]} != model input {config.model.input_dim}"
-        )
-    if dataset.num_classes > config.model.num_classes:
-        raise ConfigError(
-            f"dataset classes {dataset.num_classes} > model outputs {config.model.num_classes}"
-        )
-    partition = make_partition(dataset, config.partition)
+    partition = checked_partition(config, dataset)
     d = config.model.total_params
     layout = package_views(d, effective_pack(config))
+    # the server's one method branch: baselines weigh every package 1.0
+    weight_mode = config.weight_mode if config.method == "fedcspack" else None
 
     server = ServerState(
         global_params=init_params(config.model, config.seed),
@@ -277,11 +274,11 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             # a blob the server rejects was still sent
             bytes_up += len(blob)
             try:
-                updates.append(_server_ingest(config, blob, i, t, layout))
+                updates.append(_server_ingest(blob, i, t, layout))
             except (DecodeError, ProtocolViolation) as exc:
                 log.info("round %d: update from client %d rejected: %s", t, i, exc)
                 rejected += 1
-        server = aggregate(server, updates, layout).state
+        server = aggregate(server, updates, layout, weight_mode).state
 
         # dense broadcast of the new global model, metered through the codec
         # as one full-vector entry per recipient

@@ -49,15 +49,23 @@ def small_config(**overrides):
     return RunConfig(**defaults)
 
 
+def weight_mode_of(config):
+    """The weighting `run` folds with: the configured mode for fedcspack,
+    None (every package 1.0) for the baselines."""
+    return config.weight_mode if config.method == "fedcspack" else None
+
+
 def full_selection_constant_weights(monkeypatch):
     """Make fedcspack send every package at weight 1.0, which turns it into
     FedAvg (with a single package the selection returns it anyway)."""
-    from fedcspack import protocol
+    from fedcspack import aggregation, protocol
 
     monkeypatch.setattr(
         protocol, "select_topk", lambda profile, cap_ratio: np.arange(profile.num_packages)
     )
-    monkeypatch.setattr(protocol, "mask_weights", lambda cos, kl, weight_mode: np.ones(len(cos)))
+    monkeypatch.setattr(
+        aggregation, "mask_weights", lambda cos, kl, weight_mode: np.ones(len(cos))
+    )
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from fedcspack.aggregation import AggregateResult, ClientUpdate, GlobalMask, ServerState
+from fedcspack.aggregation import AggregateResult, GlobalMask, ServerState
 from fedcspack.errors import ShapeError
 from fedcspack.model import Batch, FlatParams, forward_loss
 from fedcspack.packing import EPS_Q, EPS_W, SimilarityProfile
@@ -86,7 +86,7 @@ def selective_pull(local: FlatParams, global_: FlatParams, global_mask: GlobalMa
     return FlatParams(out, local.shape)
 
 
-def split_payload(u: ClientUpdate, vs) -> list[np.ndarray]:
+def split_payload(u: PackedUpdate, vs) -> list[np.ndarray]:
     """The flat payload of `u` cut into one slice per package; ShapeError
     unless the package lengths add up to exactly the payload."""
     out, read = [], 0
@@ -101,18 +101,37 @@ def split_payload(u: ClientUpdate, vs) -> list[np.ndarray]:
     return out
 
 
-def aggregate(server: ServerState, updates: list[ClientUpdate], pack: int) -> AggregateResult:
+def mask_weight(theta: float, beta: float, weight_mode: str | None) -> float:
+    """One package's mask weight; 1.0 for the baselines (weight_mode None)."""
+    if weight_mode is None:
+        return 1.0
+    if weight_mode == "dual":
+        w = theta + beta
+    elif weight_mode == "cos_only":
+        w = theta
+    else:
+        w = beta
+    return max(w, EPS_W)
+
+
+def aggregate(
+    server: ServerState, updates: list[PackedUpdate], pack: int, weight_mode: str | None
+) -> AggregateResult:
     vs = views(server.global_params.shape.total_params, pack)
-    accepted = [(u, split_payload(u, vs)) for u in sorted(updates, key=lambda u: u.client_id)]
+    accepted = []
+    for u in sorted(updates, key=lambda u: u.client_id):
+        terms = zip(u.theta.tolist(), u.beta.tolist())
+        weights = [mask_weight(theta, beta, weight_mode) for theta, beta in terms]
+        accepted.append((u, weights, split_payload(u, vs)))
 
     totals = np.zeros(len(vs))
-    for u, _ in accepted:
-        weights = np.zeros(len(vs))
-        weights[u.packages] = u.weights
-        totals += weights
+    for u, weights, _ in accepted:
+        per_package = np.zeros(len(vs))
+        per_package[u.packages] = weights
+        totals += per_package
     acc = np.zeros(server.global_params.shape.total_params)
-    for u, payloads in accepted:
-        for j, w, payload in zip(u.packages, u.weights, payloads):
+    for u, weights, payloads in accepted:
+        for j, w, payload in zip(u.packages, weights, payloads):
             _, start, stop = vs[j]
             acc[start:stop] += (w / totals[j]) * payload.astype(np.float64)
 
@@ -164,36 +183,6 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
         beta=np.array([e[2] for e in entries]),
         lengths=np.array([len(e[3]) for e in entries], dtype=np.intp),
         payload=np.concatenate([np.zeros(0, np.float32)] + [e[3] for e in entries]),
-    )
-
-
-def server_ingest(config, update) -> ClientUpdate:
-    packages, weights, payloads = [], [], []
-    read = 0
-    for j, theta, beta, n in zip(
-        update.packages.tolist(),
-        update.theta.tolist(),
-        update.beta.tolist(),
-        update.lengths.tolist(),
-    ):
-        if config.method == "fedcspack":
-            if config.weight_mode == "dual":
-                w = theta + beta
-            elif config.weight_mode == "cos_only":
-                w = theta
-            else:
-                w = beta
-            weights.append(max(w, EPS_W))
-        else:
-            weights.append(1.0)
-        packages.append(j)
-        payloads.append(update.payload[read : read + n].astype(np.float32))
-        read += n
-    return ClientUpdate(
-        update.client_id,
-        np.array(packages, dtype=np.intp),
-        np.array(weights),
-        np.concatenate([np.zeros(0, np.float32)] + payloads),
     )
 
 

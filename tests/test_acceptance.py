@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import full_selection_constant_weights, small_config
-from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.cli import main as cli_main
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import Batch, FlatParams, ShapeSpec, forward_loss, gradient, init_params
@@ -84,7 +84,7 @@ def test_gradient_correctness():
         batch = Batch(
             rng.normal(size=(8, 6)).astype(np.float32), rng.integers(0, 5, size=8)
         )
-        g = gradient(params, batch)
+        g = gradient(params.values.astype(np.float64), batch, params.shape)
         for c in rng.choice(spec.total_params, size=32, replace=False):
             fd = central_difference(params, batch, c)
             scale = max(abs(fd), abs(g[c]), 1e-4)
@@ -112,16 +112,19 @@ def test_aggregation_brute_force_oracle():
             sel = np.sort(rng.choice(j_count, size=int(rng.integers(1, j_count + 1)), replace=False))
             weights = rng.uniform(0.01, 2.0, size=len(sel))
             payload = rng.normal(size=pack * len(sel)).astype(np.float32)
-            updates.append(ClientUpdate(cid, sel, weights, payload))
-        got = aggregate(server, updates, package_views(d, pack)).state.global_params.values
+            # under "dual", theta 0.0 and beta w weigh a package at exactly w
+            zeros, lengths = np.zeros(len(sel)), np.full(len(sel), pack)
+            updates.append(PackedUpdate(cid, 0, pack, sel, zeros, weights, lengths, payload))
+        layout = package_views(d, pack)
+        got = aggregate(server, updates, layout, "dual").state.global_params.values
 
         step = [0.0] * d
         totals = [0.0] * (j_count + 1)
         for u in updates:
-            for j, w in zip(u.packages, u.weights):
+            for j, w in zip(u.packages, u.beta):
                 totals[j] += float(w)
         for u in updates:
-            for i, (j, w) in enumerate(zip(u.packages, u.weights)):
+            for i, (j, w) in enumerate(zip(u.packages, u.beta)):
                 for k in range(pack):
                     step[j * pack + k] += (float(w) / totals[j]) * float(u.payload[i * pack + k])
         before = server.global_params.values.astype(np.float64)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import layout_of, small_config
-from fedcspack.aggregation import (
-    ClientUpdate,
-    GlobalMask,
-    ServerState,
-    aggregate,
-    selective_pull,
-)
+from conftest import layout_of
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ProtocolViolation, ShapeError
 from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import mask_weights, package_views
@@ -26,17 +20,13 @@ def params_of(values):
 
 
 def update_of(client_id, weights, payloads=None, pack=3):
-    """A ClientUpdate from {package: weight} and {package: payload}; payloads
-    default to ones of length `pack`."""
-    packages = sorted(weights)
-    if payloads is None:
-        payloads = {j: np.ones(pack, dtype=np.float32) for j in packages}
-    return ClientUpdate(
-        client_id,
-        np.array(packages, dtype=np.intp),
-        np.array([weights[j] for j in packages], dtype=np.float64),
-        np.concatenate([np.zeros(0, np.float32)] + [payloads[j] for j in packages]),
-    )
+    """A PackedUpdate from {package: weight} and {package: payload} that
+    `aggregate` weighs, under "dual", at the float32 of each weight: theta
+    0.0 and beta the weight.  Payloads default to ones of length `pack`."""
+    entries = {j: {"theta": 0.0, "beta": w} for j, w in weights.items()}
+    for j, payload in (payloads or {}).items():
+        entries[j]["payload"] = payload
+    return packed_of(client_id, entries, pack)
 
 
 def packed_of(client_id, entries, pack=3):
@@ -58,17 +48,18 @@ def packed_of(client_id, entries, pack=3):
 
 
 def scalar_reference(global_values, pack, updates):
-    """Straight-line per-coordinate aggregation oracle."""
+    """Straight-line per-coordinate aggregation oracle for `update_of`'s
+    updates, whose weight is the beta."""
     d = len(global_values)
     layout = package_views(d, pack)
     totals = [0.0] * layout.num_packages
     for u in updates:
-        for j, w in zip(u.packages, u.weights):
+        for j, w in zip(u.packages, u.beta):
             totals[j] += float(w)
     out = [float(v) for v in global_values]
     for u in sorted(updates, key=lambda u: u.client_id):
         read = 0
-        for j, w in zip(u.packages, u.weights):
+        for j, w in zip(u.packages, u.beta):
             coef = float(w) / totals[j]
             for k in range(int(layout.lengths[j])):
                 out[int(layout.offsets[j]) + k] += coef * float(u.payload[read])
@@ -81,7 +72,7 @@ class TestFoldMasks:
 
     def test_empty(self):
         server = make_server(np.zeros(12), pack=3)
-        gm = aggregate(server, [], layout_of(server.global_params, 3)).state.global_mask
+        gm = aggregate(server, [], layout_of(server.global_params, 3), "dual").state.global_mask
         assert np.array_equal(gm.totals, np.zeros(4))
         assert not gm.valid.any()
 
@@ -89,7 +80,7 @@ class TestFoldMasks:
         server = make_server(np.zeros(9), pack=3)
         a = update_of(0, {1: 0.5})
         b = update_of(1, {1: 0.25, 2: 0.1})
-        gm = aggregate(server, [a, b], layout_of(server.global_params, 3)).state.global_mask
+        gm = aggregate(server, [a, b], layout_of(server.global_params, 3), "dual").state.global_mask
         assert gm.totals[1] == pytest.approx(0.75)
         assert gm.totals[2] == pytest.approx(0.1)
         assert list(gm.valid) == [False, True, True]
@@ -104,10 +95,10 @@ class TestFoldMasks:
                 for j in rng.choice(6, size=rng.integers(1, 6), replace=False)
             }
             updates.append(update_of(cid, entries, pack=2))
-        gm = aggregate(server, updates, layout_of(server.global_params, 2)).state.global_mask
+        gm = aggregate(server, updates, layout_of(server.global_params, 2), "dual").state.global_mask
         expected = np.zeros(6)
         for u in updates:
-            for j, w in zip(u.packages, u.weights):
+            for j, w in zip(u.packages, u.beta):
                 expected[j] += w
         assert np.allclose(gm.totals, expected, atol=1e-12)
 
@@ -115,7 +106,7 @@ class TestFoldMasks:
         server = make_server(np.zeros(12), pack=3)
         short = update_of(0, {0: 1.0}, {0: np.ones(2, dtype=np.float32)})
         with pytest.raises(ShapeError, match="payload of 2 values for packages of 3"):
-            aggregate(server, [short], layout_of(server.global_params, 3))
+            aggregate(server, [short], layout_of(server.global_params, 3), "dual")
 
 
 def make_server(values, pack):
@@ -127,14 +118,14 @@ def make_server(values, pack):
 class TestAggregate:
     def test_empty_updates(self):
         server = make_server(np.arange(6, dtype=float), pack=3)
-        result = aggregate(server, [], layout_of(server.global_params, 3))
+        result = aggregate(server, [], layout_of(server.global_params, 3), "dual")
         assert np.array_equal(result.state.global_params.values, server.global_params.values)
 
     def test_single_client_weights_cancel(self):
         server = make_server(np.zeros(3), pack=3)
         payload = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         update = update_of(0, {0: 0.37}, {0: payload})
-        result = aggregate(server, [update], layout_of(server.global_params, 3))
+        result = aggregate(server, [update], layout_of(server.global_params, 3), "dual")
         assert np.allclose(result.state.global_params.values, payload, atol=1e-7)
 
     def test_two_clients_weighted(self):
@@ -142,7 +133,7 @@ class TestAggregate:
         p = np.array([1.0, 0.0, 2.0], dtype=np.float32)
         q = np.array([0.0, 4.0, -2.0], dtype=np.float32)
         updates = [update_of(0, {0: 1.0}, {0: p}), update_of(1, {0: 3.0}, {0: q})]
-        result = aggregate(server, updates, layout_of(server.global_params, 3))
+        result = aggregate(server, updates, layout_of(server.global_params, 3), "dual")
         assert np.allclose(result.state.global_params.values, 0.25 * p + 0.75 * q, atol=1e-7)
 
     def test_randomized_brute_force(self):
@@ -160,7 +151,7 @@ class TestAggregate:
                     j: rng.normal(size=pack).astype(np.float32) for j in entries
                 }
                 updates.append(update_of(cid, entries, deltas))
-            result = aggregate(server, updates, layout_of(server.global_params, pack))
+            result = aggregate(server, updates, layout_of(server.global_params, pack), "dual")
             expected = scalar_reference(server.global_params.values, pack, updates)
             assert np.allclose(
                 result.state.global_params.values, expected, atol=1e-6
@@ -170,7 +161,7 @@ class TestAggregate:
         rng = np.random.default_rng(3)
         server = make_server(rng.normal(size=9), pack=3)
         update = update_of(0, {1: 1.0})
-        result = aggregate(server, [update], layout_of(server.global_params, 3))
+        result = aggregate(server, [update], layout_of(server.global_params, 3), "dual")
         out = result.state.global_params.values
         assert np.array_equal(out[0:3], server.global_params.values[0:3])
         assert np.array_equal(out[6:9], server.global_params.values[6:9])
@@ -183,9 +174,9 @@ class TestAggregate:
             entries = {int(j): float(rng.uniform(0.1, 1.0)) for j in rng.choice(3, 2, replace=False)}
             deltas = {j: rng.normal(size=4).astype(np.float32) for j in entries}
             updates.append(update_of(cid, entries, deltas))
-        a = aggregate(server, updates, layout_of(server.global_params, 4))
+        a = aggregate(server, updates, layout_of(server.global_params, 4), "dual")
         shuffled = [updates[i] for i in rng.permutation(5)]
-        b = aggregate(server, shuffled, layout_of(server.global_params, 4))
+        b = aggregate(server, shuffled, layout_of(server.global_params, 4), "dual")
         assert np.array_equal(a.state.global_params.values, b.state.global_params.values)
 
     def test_convex_combination_bound(self):
@@ -195,7 +186,7 @@ class TestAggregate:
         updates = [
             update_of(i, {0: float(rng.uniform(0.1, 2.0))}, {0: p}) for i, p in enumerate(payloads)
         ]
-        result = aggregate(server, updates, layout_of(server.global_params, 4))
+        result = aggregate(server, updates, layout_of(server.global_params, 4), "dual")
         applied = result.state.global_params.values
         lo = np.min(payloads, axis=0)
         hi = np.max(payloads, axis=0)
@@ -221,12 +212,11 @@ class TestAggregate:
         that of the good client alone."""
         server = make_server(np.zeros(6), pack=3)
         layout = layout_of(server.global_params, 3)
-        config = small_config()
-        ingest = lambda u: _server_ingest(config, encode_update(u), u.client_id, 0, layout)  # noqa: E731
+        ingest = lambda u: _server_ingest(encode_update(u), u.client_id, 0, layout)  # noqa: E731
         good = ingest(packed_of(0, {0: {}}))
         with pytest.raises(ProtocolViolation):
             ingest(bad)
-        result = aggregate(server, [good], layout)
+        result = aggregate(server, [good], layout, "dual")
         assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
         assert np.array_equal(result.state.global_params.values[3:], np.zeros(3, dtype=np.float32))
         assert list(result.state.global_mask.totals) == [1.0, 0.0]
@@ -237,7 +227,7 @@ class TestAggregate:
         server = make_server(rng.normal(size=d), pack=d)
         deltas = [rng.normal(size=d).astype(np.float32) for _ in range(4)]
         updates = [update_of(i, {0: 1.0}, {0: p}) for i, p in enumerate(deltas)]
-        result = aggregate(server, updates, layout_of(server.global_params, d))
+        result = aggregate(server, updates, layout_of(server.global_params, d), "dual")
         fedavg = server.global_params.values.astype(np.float64) + np.mean(
             [p.astype(np.float64) for p in deltas], axis=0
         )

@@ -294,6 +294,29 @@ class TestSweep:
                   "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("dataset.samples_per_class=40,1", "insufficient data: 5 rows for 6 clients"),
+            ("dataset.dim=12,7", "dataset dim 7 != model input 12"),
+        ],
+    )
+    def test_bad_dataset_fails_before_any_cell_runs(self, config_path, tmp_path, grid, message):
+        """A cell whose dataset does not fit its model or partition fails
+        before any cell runs: --out is not made."""
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=message):
+            main(["sweep", "--config", str(config_path), "--grid", grid, "--out", str(out)])
+        assert not out.exists()
+
+    def test_repeated_grid_key_rejected(self, config_path, tmp_path):
+        """A key given in two --grid options would keep only its last values."""
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit, match="'method' is given twice"):
+            main(["sweep", "--config", str(config_path), "--grid", "method=fedavg,fedprox",
+                  "--grid", "method=magnitude_topk", "--out", str(out)])
+        assert not out.exists()
+
     def test_datasets_built_once_per_command(self, config_path, tmp_path, monkeypatch):
         """Cells that share a dataset spec share one dataset, and each cell
         writes what a standalone run of its config writes."""

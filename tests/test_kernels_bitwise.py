@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import layout_of, same, small_config
+from conftest import layout_of, same, small_config, weight_mode_of
 from fedcspack import packing
-from fedcspack.aggregation import ClientUpdate, GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
     SimilarityProfile,
@@ -24,7 +24,7 @@ from fedcspack.packing import (
     select_topk,
 )
 from fedcspack.protocol import _client_update, _server_ingest, effective_pack
-from fedcspack.wire import decode_update, encode_update
+from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 
 def spec_with_total(n):
@@ -150,8 +150,9 @@ class TestSelectivePull:
 
 @st.composite
 def rounds(draw):
-    """A server state plus shuffled updates as the server accepts them;
-    some carry a float64 payload."""
+    """A server state, shuffled updates as the server accepts them (float32
+    theta in [-1, 1] and beta >= 0, zeros among them; some carry a float64
+    payload) and a weighting."""
     d = draw(st.integers(2, 400))
     pack = draw(st.one_of(st.just(1), st.integers(1, 64), st.integers(d, d + 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -163,7 +164,9 @@ def rounds(draw):
     num_clients = draw(st.integers(0, 8))
     for cid in rng.permutation(3 * num_clients)[:num_clients]:
         chosen = np.sort(rng.permutation(j_count)[: int(rng.integers(0, j_count + 1))])
-        weights = rng.uniform(1e-6, 3.0, size=len(chosen))
+        zero = rng.random((2, len(chosen))) < 0.1
+        theta = np.where(zero[0], 0.0, rng.uniform(-1.0, 1.0, size=len(chosen))).astype(np.float32)
+        beta = np.where(zero[1], 0.0, rng.exponential(size=len(chosen))).astype(np.float32)
         dtype = np.float64 if rng.random() < 0.1 else np.float32
         payload = np.concatenate(
             [np.zeros(0)]
@@ -172,17 +175,19 @@ def rounds(draw):
                 for j in chosen.tolist()
             ]
         ).astype(dtype)
-        updates.append(ClientUpdate(int(cid), chosen, weights, payload))
-    return server, updates, pack
+        lengths = np.minimum(pack, d - chosen * pack)
+        updates.append(PackedUpdate(int(cid), 0, pack, chosen, theta, beta, lengths, payload))
+    weight_mode = draw(st.sampled_from(["dual", "cos_only", "kl_only", None]))
+    return server, updates, pack, weight_mode
 
 
 class TestAggregate:
     @settings(max_examples=150, deadline=None)
     @given(rounds())
     def test_matches_oracle(self, case):
-        server, updates, pack = case
-        got = aggregate(server, updates, layout_of(server.global_params, pack))
-        want = oracle.aggregate(server, updates, pack)
+        server, updates, pack, weight_mode = case
+        got = aggregate(server, updates, layout_of(server.global_params, pack), weight_mode)
+        want = oracle.aggregate(server, updates, pack, weight_mode)
         assert same(got.state.global_params.values, want.state.global_params.values)
         assert same(got.state.global_mask.totals, want.state.global_mask.totals)
 
@@ -198,7 +203,7 @@ CLIENT_CASES = [
 ]
 
 
-class TestClientUpdateAndIngest:
+class TestClientIngestAndFold:
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(CLIENT_CASES),
@@ -217,9 +222,16 @@ class TestClientUpdateAndIngest:
         blob = encode_update(_client_update(config, 3, 2, trained, global_, layout))
         assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
 
-        got = _server_ingest(config, blob, 3, 2, layout)
-        want = oracle.server_ingest(config, decode_update(blob))
-        assert got.client_id == want.client_id
-        assert same(got.packages, want.packages)
-        assert same(got.weights, want.weights)
-        assert same(got.payload, want.payload)
+        # the boundary returns the decoded update, unchanged
+        got = _server_ingest(blob, 3, 2, layout)
+        want = decode_update(blob)
+        assert (got.client_id, got.round, got.pack) == (want.client_id, want.round, want.pack)
+        for field in ("packages", "theta", "beta", "lengths", "payload"):
+            assert same(getattr(got, field), getattr(want, field))
+
+        # folded under the run's weighting of this method
+        server = ServerState(global_, GlobalMask.all_valid(layout.num_packages))
+        folded = aggregate(server, [got], layout, weight_mode_of(config)).state
+        want = oracle.aggregate(server, [want], layout.pack, weight_mode_of(config)).state
+        assert same(folded.global_params.values, want.global_params.values)
+        assert same(folded.global_mask.totals, want.global_mask.totals)

@@ -121,7 +121,7 @@ def test_logistic_gradient_matches_hand_computation():
     p = [v / sum(e) for v in e]
     expected = np.array([p[0] * x, (p[1] - 1) * x, p[0], p[1] - 1])
 
-    g = gradient(params, batch)
+    g = gradient(params.values.astype(np.float64), batch, params.shape)
     assert np.allclose(g, expected, atol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_gradient_against_finite_differences():
     rng = np.random.default_rng(42)
     params = init_params(spec, seed=4)
     batch = random_batch(rng, 10, 6, 4)
-    g = gradient(params, batch)
+    g = gradient(params.values.astype(np.float64), batch, params.shape)
     coords = rng.choice(spec.total_params, size=32, replace=False)
     for c in coords:
         fd = central_difference(params, batch, c)

@@ -68,7 +68,7 @@ class TestPackageViews:
         dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
         kernels = {
             "score_packages": lambda: score_packages(a, a, layout),
-            "aggregate": lambda: aggregate(server, [], layout),
+            "aggregate": lambda: aggregate(server, [], layout, "dual"),
             "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
             "evaluate": lambda: evaluate(server, [a], partition, dataset, layout),
         }

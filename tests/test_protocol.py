@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_selection_constant_weights, small_config
+from conftest import full_selection_constant_weights, small_config, weight_mode_of
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
 from fedcspack import protocol
@@ -351,12 +351,10 @@ class TestMalformedUpdates:
         assert result.metrics[0].bytes_up == sum(map(len, sent))
         # round 0's global is the aggregate of the other clients' updates
         start = init_params(config.model, config.seed)
-        others = [
-            protocol._server_ingest(config, blob, cid, 0, layout) for cid, blob in honest
-        ]
+        others = [protocol._server_ingest(blob, cid, 0, layout) for cid, blob in honest]
         assert len(others) == len(sent) - 1 == len(result.metrics[0].participants) - 1
         server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
-        want = aggregate(server, others, layout).state.global_params.values
+        want = aggregate(server, others, layout, weight_mode_of(config)).state.global_params.values
         assert np.array_equal(globals_[0], want)
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -368,10 +366,10 @@ class TestMalformedUpdates:
         trained = FlatParams((global_.values + noise).astype(np.float32), config.model)
         corrupt, error = CORRUPTIONS[kind]
         update = protocol._client_update(config, 2, 0, trained, global_, layout)
-        protocol._server_ingest(config, encode_update(update), 2, 0, layout)  # honest: accepted
+        protocol._server_ingest(encode_update(update), 2, 0, layout)  # honest: accepted
         blob = encode_update(corrupt(update, layout.num_packages))
         with pytest.raises(error):
-            protocol._server_ingest(config, blob, 2, 0, layout)
+            protocol._server_ingest(blob, 2, 0, layout)
 
 
 def dropped_at_ingest(ingest, round_, position, victim):
@@ -379,13 +377,13 @@ def dropped_at_ingest(ingest, round_, position, victim):
     as a violation and appends its sender to `victim`."""
     senders = []
 
-    def wrapped(config, blob, sender, t, layout):
+    def wrapped(blob, sender, t, layout):
         if t == round_:
             senders.append(sender)
             if len(senders) == position + 1:
                 victim.append(sender)
                 raise ProtocolViolation("dropped")
-        return ingest(config, blob, sender, t, layout)
+        return ingest(blob, sender, t, layout)
 
     return wrapped
 
@@ -449,6 +447,27 @@ class TestFaultProperty:
             got, violations = trajectory(config)
         assert violations == want_violations == [int(t == round_) for t in range(config.rounds)]
         assert got == want
+
+
+@pytest.mark.parametrize("method", ["fedavg", "magnitude_topk"])
+def test_baselines_ignore_theta_and_beta(method):
+    """A baseline weighs every package 1.0: one update that carries in-range
+    theta -0.5 and beta 2.0 leaves the trajectory of the honest run."""
+    config = small_config(method=method, rounds=3)
+    want = trajectory(config)
+    encode, skewed = protocol.encode_update, []
+
+    def skew_one(update):
+        if update.round == 1 and update.client_id != BROADCAST_ID and not skewed:
+            skewed.append(update.client_id)
+            n = len(update.packages)
+            update = dataclasses.replace(update, theta=np.full(n, -0.5), beta=np.full(n, 2.0))
+        return encode(update)
+
+    with mock.patch.object(protocol, "encode_update", skew_one):
+        got = trajectory(config)
+    assert len(skewed) == 1
+    assert got == want
 
 
 class TestEvaluate:
