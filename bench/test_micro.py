@@ -8,13 +8,14 @@ wide model (fedcspack-wide) and on the IDX model with the proximal term
 magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
 of the wide model (fedcspack-wide), one round's aggregation of 10 client
 updates in those two shapes under fedcspack's weighting and the
-baselines', the server's ingest of one client's blob in those shapes,
-package scoring and selective pull on the wide model, and the set-up
-kernels: the Dirichlet partition of topk-desk and fedcspack-wide, the
-pathological partition of fedprox-idx, the blobs of fedcspack-wide and
-the wide model's initial parameters.  The last
-benchmark times a whole topk-desk set-up through the command line, from
-`main`'s argv to the return of `init_params`.
+baselines' and of the dense updates that fedavg and fedprox fold (wide
+and IDX models), the server's ingest of one client's blob in those
+shapes, package scoring and selective pull on the wide model, and the
+set-up kernels: the Dirichlet partition of topk-desk and fedcspack-wide,
+the pathological partition of fedprox-idx, the blobs of fedcspack-wide
+and the wide model's initial parameters.  The last benchmark times a
+whole topk-desk set-up through the command line, from `main`'s argv to
+the return of `init_params`.
 """
 
 import json
@@ -31,6 +32,7 @@ from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 WIDE = ShapeSpec.from_widths([256, 256, 10])  # d = 68,362
 DESK = ShapeSpec.from_widths([32, 64, 10])  # d = 2,762
+IDX = ShapeSpec.from_widths([64, 64, 10])  # d = 4,810, the fedprox-idx model
 
 
 def client_data(rows: int, dim: int, classes: int) -> Batch:
@@ -58,7 +60,6 @@ def test_local_train(benchmark, widths, rows, epochs, batch_size, prox_mu):
             batch_size=batch_size,
             rng=np.random.default_rng(1),
             prox_mu=prox_mu,
-            anchor=params if prox_mu > 0 else None,
         )
     )
 
@@ -116,13 +117,17 @@ def wide_pair():
 
 
 # "dual" weighs each package from its theta and beta (fedcspack), None
-# weighs every package 1.0 (the baselines)
-@pytest.mark.parametrize("weight_mode", ["dual", None])
+# weighs every package 1.0 (the baselines); fedavg and fedprox fold dense
+# updates, every package of every client
 @pytest.mark.parametrize(
-    "shape, pack, per_client",
+    "shape, pack, per_client, weight_mode",
     [
-        pytest.param(DESK, 1, 277, id="topk-desk-10x277x1"),
-        pytest.param(WIDE, 128, 134, id="wide-10x134x128"),
+        pytest.param(DESK, 1, 277, "dual", id="topk-desk-10x277x1-dual"),
+        pytest.param(DESK, 1, 277, None, id="topk-desk-10x277x1-None"),
+        pytest.param(WIDE, 128, 134, "dual", id="wide-10x134x128-dual"),
+        pytest.param(WIDE, 128, 134, None, id="wide-10x134x128-None"),
+        pytest.param(WIDE, 128, 535, None, id="wide-dense-10x535x128-None"),
+        pytest.param(IDX, 128, 38, None, id="fedprox-idx-dense-10x38x128-None"),
     ],
 )
 def test_aggregate(benchmark, shape, pack, per_client, weight_mode):

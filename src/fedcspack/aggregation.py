@@ -79,16 +79,18 @@ def aggregate(
             raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
         totals[u.packages] += w
 
-    # each client adds (w_j / total_j) * payload to its packages' elements in
-    # one scatter; packages of one client never overlap, so every element
-    # sums its clients' terms in ascending client id
+    # each client adds (w_j / total_j) * payload to the rows of its full
+    # packages and to the tail if it sent it; packages of one client never
+    # overlap, so every element sums its clients' terms in ascending client id
     acc = np.zeros(total_params)
+    rows, tail = layout.split(acc)
+    width = layout.pack
     for u, w in zip(updates, weights):
-        if not len(u.packages):
-            continue
-        term = np.repeat(w / totals[u.packages], layout.lengths[u.packages])
-        term *= u.payload
-        np.add.at(acc, layout.elements(u.packages), term)
+        scale = w / totals[u.packages]
+        n = np.searchsorted(u.packages, layout.num_full)
+        rows[u.packages[:n]] += scale[:n, None] * u.payload[: n * width].reshape(n, width)
+        if n < len(u.packages):
+            tail += scale[n:] * u.payload[n * width :]
 
     # packages with weight: float32(float64(global) + step), in place
     new_mask = GlobalMask(totals=totals)

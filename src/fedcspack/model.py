@@ -239,14 +239,13 @@ def local_train(
     batch_size: int,
     rng: np.random.Generator,
     prox_mu: float = 0.0,
-    anchor: FlatParams | None = None,
 ) -> FlatParams:
     """Minibatch SGD over `epochs` full passes in a seeded shuffle order.
 
-    With prox_mu > 0 a proximal pull toward `anchor` (mu/2 * ||w - anchor||^2)
-    is added to each minibatch objective.  The full-size buffers (float64
-    weights, gradient, float32 weights, proximal scratch) are allocated once
-    per call and updated in place by every step.
+    With prox_mu > 0 a proximal pull toward the start model `params`
+    (mu/2 * ||w - params||^2) is added to each minibatch objective.  The
+    full-size buffers (float64 weights, gradient, float32 weights, proximal
+    scratch) are allocated once per call and updated in place by every step.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -254,13 +253,11 @@ def local_train(
         raise ValueError("prox_mu must be >= 0")
     if len(data) == 0:
         raise EmptyDataError("client has no data")
-    if prox_mu > 0 and anchor is None:
-        raise ValueError("prox_mu > 0 requires an anchor")
 
     w = params.values.astype(np.float64)
     w32 = np.empty_like(params.values)
     g = np.empty_like(w)
-    prox = (prox_mu, anchor.values, np.empty_like(w)) if prox_mu > 0 else None
+    prox = (prox_mu, params.values, np.empty_like(w)) if prox_mu > 0 else None
     n = len(data)
     for _ in range(epochs):
         order = rng.permutation(n)

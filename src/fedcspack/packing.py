@@ -50,24 +50,23 @@ class PackageLayout:
         """Per-element copy of a per-package boolean mask."""
         return np.repeat(package_mask, self.pack)[: self.total_params]
 
-    def elements(self, packages: np.ndarray) -> np.ndarray:
-        """Indices of the elements of `packages`, package by package in the
-        order given."""
-        lengths = self.lengths[packages]
-        starts = np.cumsum(lengths) - lengths
-        return np.repeat(self.offsets[packages] - starts, lengths) + np.arange(lengths.sum())
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the flat vector v: the (num_full, pack) rows of its full
+        packages and its short tail package (empty when pack divides d)."""
+        width = self.num_full * self.pack
+        return v[:width].reshape(self.num_full, self.pack), v[width:]
 
     def gather(self, v: np.ndarray, packages: np.ndarray) -> np.ndarray:
         """The elements of the ascending, distinct `packages` of the flat
-        vector v, package after package: rows of its (num_full, pack) view,
-        then the short tail package, which can only come last.  v itself
-        when every package is chosen."""
+        vector v, package after package: rows of `split`, then the tail
+        package, which can only come last.  v itself when every package is
+        chosen."""
         if len(packages) == self.num_packages:
             return v
+        rows, tail = self.split(v)
         full = packages[packages < self.num_full]
-        width = self.num_full * self.pack
-        rows = v[:width].reshape(self.num_full, self.pack)[full].ravel()
-        return rows if len(full) == len(packages) else np.concatenate((rows, v[width:]))
+        picked = rows[full].ravel()
+        return picked if len(full) == len(packages) else np.concatenate((picked, tail))
 
 
 def package_views(total_params: int, pack: int) -> PackageLayout:
@@ -160,7 +159,7 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
 def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
     """Score every package of `local` against its global counterpart.
 
-    Full packages are scored as rows of (rows, pack) blocks; a short tail
+    Full packages are scored as blocks of rows of `split`; a short tail
     package is scored on its own, since padding it would regroup its sums.
     """
     if local.shape != global_.shape:
@@ -169,19 +168,18 @@ def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout
     overall = cosine(local.values, global_.values)
     cos = np.empty(layout.num_packages)
     kl = np.empty(layout.num_packages)
-    width = layout.pack
-    step = max(1, SCORE_BLOCK // width)
+    local_rows, local_tail = layout.split(local.values)
+    global_rows, global_tail = layout.split(global_.values)
+    step = max(1, SCORE_BLOCK // layout.pack)
     for r0 in range(0, layout.num_full, step):
-        r1 = min(r0 + step, layout.num_full)
-        span = slice(r0 * width, r1 * width)
-        a = local.values[span].astype(np.float64).reshape(r1 - r0, width)
-        b = global_.values[span].astype(np.float64).reshape(r1 - r0, width)
-        cos[r0:r1] = _cosine_rows(a, b)
-        kl[r0:r1] = _kl_rows(a, b)
-    if layout.num_full < layout.num_packages:
-        tail = slice(layout.num_full * width, layout.total_params)
-        cos[-1] = cosine(local.values[tail], global_.values[tail])
-        kl[-1] = kl_package(local.values[tail], global_.values[tail])
+        a = local_rows[r0 : r0 + step].astype(np.float64)
+        b = global_rows[r0 : r0 + step].astype(np.float64)
+        # a block's own length: the tail's slot is not in these rows
+        cos[r0 : r0 + len(a)] = _cosine_rows(a, b)
+        kl[r0 : r0 + len(a)] = _kl_rows(a, b)
+    if len(local_tail):
+        cos[-1] = cosine(local_tail, global_tail)
+        kl[-1] = kl_package(local_tail, global_tail)
     return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 

@@ -265,7 +265,6 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 batch_size=config.batch_size,
                 rng=train_rng,
                 prox_mu=config.prox_mu if config.method == "fedprox" else 0.0,
-                anchor=pulled if config.method == "fedprox" else None,
             )
             locals_[i] = trained
             # encoded at once: a dense update's payload is the full-size delta,

@@ -191,6 +191,40 @@ class TestAggregate:
         assert same(got.state.global_params.values, want.state.global_params.values)
         assert same(got.state.global_mask.totals, want.state.global_mask.totals)
 
+    # MLP 256-256-10 (d = 68,362): at pack 128, 534 full packages and a
+    # 10-element tail; `rounds` stops at d = 400
+    @pytest.mark.parametrize("weight_mode", ["dual", None])
+    @pytest.mark.parametrize(
+        "pack, share, with_tail",
+        [
+            pytest.param(128, 1.0, True, id="every-package"),
+            pytest.param(128, 0.25, True, id="quarter-with-tail"),
+            pytest.param(128, 0.25, False, id="quarter-without-tail"),
+            pytest.param(128, 0.0, True, id="tail-only"),
+            pytest.param(128, 0.0, False, id="empty"),
+            pytest.param(1, 0.1, False, id="pack1-tenth"),
+        ],
+    )
+    def test_wide_model(self, pack, share, with_tail, weight_mode):
+        spec = ShapeSpec.from_widths([256, 256, 10])
+        layout = package_views(spec.total_params, pack)
+        server = ServerState(init_params(spec, seed=4), GlobalMask.all_valid(layout.num_packages))
+        rng = np.random.default_rng(pack)
+        updates = []
+        for cid in (5, 0, 3):
+            full = rng.permutation(layout.num_full)[: round(share * layout.num_full)]
+            tail = [layout.num_full] if with_tail else []
+            chosen = np.concatenate((np.sort(full), tail)).astype(np.intp)
+            lengths = layout.lengths[chosen]
+            payload = rng.normal(scale=0.01, size=lengths.sum()).astype(np.float32)
+            theta = rng.uniform(-1.0, 1.0, size=len(chosen)).astype(np.float32)
+            beta = rng.exponential(size=len(chosen)).astype(np.float32)
+            updates.append(PackedUpdate(cid, 0, pack, chosen, theta, beta, lengths, payload))
+        got = aggregate(server, updates, layout, weight_mode).state
+        want = oracle.aggregate(server, updates, pack, weight_mode).state
+        assert same(got.global_params.values, want.global_params.values)
+        assert same(got.global_mask.totals, want.global_mask.totals)
+
 
 CLIENT_CASES = [
     dict(method="fedcspack"),

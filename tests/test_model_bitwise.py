@@ -49,7 +49,6 @@ def training_cases(draw):
         epochs=draw(st.integers(1, 3)),
         lr=draw(st.floats(0.01, 1.0)),
         prox_mu=draw(st.sampled_from([0.0, 0.01, 0.5])),
-        own_anchor=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -58,7 +57,7 @@ def case(widths, activation, n, batch_size, epochs, prox_mu, lr=0.3, seed=5):
     shape = ShapeSpec.from_widths(widths, activation)
     return dict(
         shape=shape, n=n, batch_size=batch_size, epochs=epochs, lr=lr,
-        prox_mu=prox_mu, own_anchor=False, seed=seed,
+        prox_mu=prox_mu, seed=seed,
     )
 
 
@@ -80,17 +79,19 @@ def outcome(fn, *args, **kwargs):
 def test_local_train_matches_oracle(case):
     shape = case["shape"]
     params = init_params(shape, case["seed"])
-    anchor = params if case["own_anchor"] else init_params(shape, case["seed"] + 1)
     data = make_data(case["seed"], case["n"], shape.input_dim, shape.num_classes)
     kwargs = dict(
         epochs=case["epochs"],
         lr=case["lr"],
         batch_size=case["batch_size"],
         prox_mu=case["prox_mu"],
-        anchor=anchor if case["prox_mu"] > 0 else None,
     )
     got = outcome(local_train, params, data, rng=np.random.default_rng(case["seed"]), **kwargs)
-    want = outcome(oracle.local_train, params, data, rng=np.random.default_rng(case["seed"]), **kwargs)
+    # the oracle is told the anchor that local_train takes: the start model
+    want = outcome(
+        oracle.local_train, params, data, rng=np.random.default_rng(case["seed"]),
+        anchor=params if case["prox_mu"] > 0 else None, **kwargs,
+    )
     if isinstance(want, str):  # training diverged: the same error
         assert got == want
     else:
@@ -133,11 +134,13 @@ def test_overflowing_lr_fails_like_oracle(monkeypatch, prox_mu):
     shape = ShapeSpec.from_widths([6, 8, 3])
     params = init_params(shape, 2)
     data = make_data(2, 20, 6, 3)
-    kwargs = dict(epochs=3, lr=1e30, batch_size=4, prox_mu=prox_mu, anchor=params)
+    kwargs = dict(epochs=3, lr=1e30, batch_size=4, prox_mu=prox_mu)
     ours = count_calls(monkeypatch, model)
     theirs = count_calls(monkeypatch, oracle)
     got = outcome(local_train, params, data, rng=np.random.default_rng(0), **kwargs)
-    want = outcome(oracle.local_train, params, data, rng=np.random.default_rng(0), **kwargs)
+    want = outcome(
+        oracle.local_train, params, data, rng=np.random.default_rng(0), anchor=params, **kwargs
+    )
     assert got == want == "non-finite parameter values"
     assert ours[0] == theirs[0] > 1
 
@@ -161,7 +164,7 @@ def test_local_train_heap_peak(prox_mu, vectors):
     d = shape.total_params
     params = init_params(shape, 0)
     data = make_data(0, 64, 256, 10)
-    kwargs = dict(epochs=1, lr=0.1, batch_size=16, prox_mu=prox_mu, anchor=params)
+    kwargs = dict(epochs=1, lr=0.1, batch_size=16, prox_mu=prox_mu)
     local_train(params, data, rng=np.random.default_rng(0), **kwargs)
     tracemalloc.start()
     try:

@@ -56,7 +56,17 @@ class TestPackageViews:
 
     def test_layout_indexing(self):
         layout = package_views(10, 4)
-        assert list(layout.elements(np.array([2, 0]))) == [8, 9, 0, 1, 2, 3]
+        v = np.arange(10.0)
+        rows, tail = layout.split(v)
+        assert rows.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]] and tail.tolist() == [8, 9]
+        rows[1] = -1.0  # views: a write reaches v
+        tail[1] = -2.0
+        assert v.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, 8, -2]
+        rows, tail = package_views(8, 4).split(np.arange(8.0))
+        assert rows.shape == (2, 4) and len(tail) == 0
+        short = package_views(3, 4)
+        rows, tail = short.split(np.arange(3.0))
+        assert short.num_full == 0 and rows.shape == (0, 4) and tail.tolist() == [0, 1, 2]
         assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
 
     def test_layout_of_another_size_rejected(self, subtests):
