@@ -30,9 +30,9 @@ from fedcspack.packing import package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
-WIDE = ShapeSpec.from_widths([256, 256, 10])  # d = 68,362
-DESK = ShapeSpec.from_widths([32, 64, 10])  # d = 2,762
-IDX = ShapeSpec.from_widths([64, 64, 10])  # d = 4,810, the fedprox-idx model
+WIDE = ShapeSpec([256, 256, 10])  # d = 68,362
+DESK = ShapeSpec([32, 64, 10])  # d = 2,762
+IDX = ShapeSpec([64, 64, 10])  # d = 4,810, the fedprox-idx model
 
 
 def client_data(rows: int, dim: int, classes: int) -> Batch:
@@ -48,7 +48,7 @@ def client_data(rows: int, dim: int, classes: int) -> Batch:
     ],
 )
 def test_local_train(benchmark, widths, rows, epochs, batch_size, prox_mu):
-    shape = ShapeSpec.from_widths(widths)
+    shape = ShapeSpec(widths)
     params = init_params(shape, 0)
     data = client_data(rows, widths[0], widths[-1])
     benchmark(

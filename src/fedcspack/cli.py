@@ -17,7 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .config import apply_overrides, config_from_dict
-from .partition import label_histogram, make_partition
+from .partition import label_histogram
 from .protocol import build_dataset, checked_partition, run
 from .report import (
     _write_csv,
@@ -56,7 +56,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_partition_report(args: argparse.Namespace) -> int:
     config = config_from_dict(_load_doc(args))
     dataset = build_dataset(config.dataset)
-    partition = make_partition(dataset, config.partition)
+    partition = checked_partition(config, dataset)
     print(f"dataset={dataset.name} rows={len(dataset)} classes={dataset.num_classes}")
     print("client  size  train  test  label_histogram")
     for i, rows in enumerate(partition.assignment):

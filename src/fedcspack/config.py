@@ -104,6 +104,10 @@ class RunConfig:
                 f"dataset.num_classes ({self.dataset.num_classes}) > model outputs "
                 f"({self.model.num_classes})"
             )
+        if self.dataset.kind == "blobs" and self.dataset.dim != self.model.input_dim:
+            raise ConfigError(
+                f"dataset dim {self.dataset.dim} != model input {self.model.input_dim}"
+            )
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
@@ -121,24 +125,13 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def _build(cls, doc: dict, where: str):
-    """cls(**doc), with unknown keys and missing fields as ConfigError."""
+    """cls(**doc), with unknown keys, missing fields and shape errors as
+    ConfigError."""
     _check_keys(doc, {f.name for f in dataclasses.fields(cls)}, where)
     try:
         return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_model(doc: dict) -> ShapeSpec:
-    _check_keys(doc, {"widths", "activation"}, "model")
-    if "widths" not in doc:
-        raise ConfigError("model.widths is required")
-    if not isinstance(doc["widths"], list):
-        raise ConfigError(f"model.widths must be a list, got {doc['widths']!r}")
-    try:
-        return ShapeSpec.from_widths(doc["widths"], doc.get("activation", "relu"))
-    except ShapeError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    except (TypeError, ShapeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
@@ -146,7 +139,7 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"config must be a JSON object, got {doc!r}")
     kwargs = dict(doc)
     kwargs["partition"] = _build(PartitionSpec, _section(doc, "partition"), "partition")
-    kwargs["model"] = _build_model(_section(doc, "model"))
+    kwargs["model"] = _build(ShapeSpec, _section(doc, "model"), "model")
     kwargs["dataset"] = _build(DatasetSpec, _section(doc, "dataset"), "dataset")
     return _build(RunConfig, kwargs, "config")
 
@@ -176,8 +169,5 @@ def apply_overrides(doc: dict[str, Any], overrides: list[str]) -> dict[str, Any]
 
 
 def config_to_dict(config: RunConfig) -> dict[str, Any]:
-    doc = dataclasses.asdict(config)
-    model = doc.pop("model")
-    widths = [model["layer_dims"][0][0]] + [o for _, o in model["layer_dims"]]
-    doc["model"] = {"widths": widths, "activation": model["activation"]}
-    return doc
+    """The JSON document that config_from_dict reads back into `config`."""
+    return dataclasses.asdict(config)

@@ -23,32 +23,27 @@ ACTIVATIONS = ("relu", "identity")
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Architecture descriptor: chained (fan_in, fan_out) pairs."""
+    """Architecture descriptor: the width chain input, hidden..., output,
+    e.g. (32, 64, 10) for an MLP with one hidden layer of 64."""
 
-    layer_dims: tuple[tuple[int, int], ...]
+    widths: tuple[int, ...]
     activation: str = "relu"
 
     def __post_init__(self):
-        if not self.layer_dims:
-            raise ShapeError("layer_dims must be non-empty")
+        if not isinstance(self.widths, (list, tuple)):
+            raise ShapeError(f"model.widths must be a list, got {self.widths!r}")
+        if len(self.widths) < 2:
+            raise ShapeError("need at least input and output widths")
+        for i, width in enumerate(self.widths):
+            require_int(f"model.widths[{i}]", width, 1)
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
-        for (_, out_prev), (in_next, _) in zip(self.layer_dims, self.layer_dims[1:]):
-            if out_prev != in_next:
-                raise ShapeError(f"layer dims do not chain: {out_prev} -> {in_next}")
-        for fan_in, fan_out in self.layer_dims:
-            if fan_in < 1 or fan_out < 1:
-                raise ShapeError("layer dims must be positive")
+        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
-    @classmethod
-    def from_widths(cls, widths: list[int] | tuple[int, ...], activation: str = "relu") -> "ShapeSpec":
-        """Build from a width chain, e.g. [32, 64, 10] -> (32,64),(64,10)."""
-        if len(widths) < 2:
-            raise ShapeError("need at least input and output widths")
-        for i, width in enumerate(widths):
-            require_int(f"model.widths[{i}]", width, 1)
-        dims = tuple((int(a), int(b)) for a, b in zip(widths, widths[1:]))
-        return cls(layer_dims=dims, activation=activation)
+    @property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
+        """(fan_in, fan_out) of each layer, in flatten order."""
+        return tuple(zip(self.widths, self.widths[1:]))
 
     @property
     def total_params(self) -> int:
@@ -56,11 +51,11 @@ class ShapeSpec:
 
     @property
     def num_classes(self) -> int:
-        return self.layer_dims[-1][1]
+        return self.widths[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.layer_dims[0][0]
+        return self.widths[0]
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,12 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 
 def save_idx(data: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
-    """Export a dataset to the IDX layout (features scaled back to u8)."""
+    """Export a dataset to the IDX layout (features scaled back to u8).
+
+    IDX labels are u8: a label above 255 is a ConfigError, raised before
+    either file is written."""
+    if len(data.labels) and data.labels.max() > 255:
+        raise ConfigError(f"IDX labels are u8, got label {data.labels.max()}")
     n, d = data.features.shape
     pixels = np.clip(np.round(data.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:

@@ -4,7 +4,7 @@ import pytest
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import ShapeSpec
 from fedcspack.packing import package_views
-from fedcspack.partition import PartitionSpec
+from fedcspack.partition import Dataset, PartitionSpec, save_idx, synth_blobs
 
 
 def same(a, b) -> bool:
@@ -35,7 +35,7 @@ def small_config(**overrides):
         pack=64,
         seed=1,
         partition=PartitionSpec(law="dirichlet", num_clients=8, seed=2, alpha=0.5),
-        model=ShapeSpec.from_widths([16, 24, 6]),
+        model=ShapeSpec([16, 24, 6]),
         dataset=DatasetSpec(
             kind="blobs", num_classes=6, dim=16, samples_per_class=60, spread=0.3, seed=3
         ),
@@ -47,6 +47,16 @@ def small_config(**overrides):
             law="dirichlet", num_clients=overrides["clients"], seed=2, alpha=0.5
         )
     return RunConfig(**defaults)
+
+
+def idx_blobs(work, num_classes, dim, samples_per_class, seed):
+    """A blob set squashed into [0, 1] and saved as an IDX pair in `work`;
+    returns the DatasetSpec that reads it."""
+    blobs = synth_blobs(num_classes, dim, samples_per_class, spread=0.3, seed=seed)
+    features = (blobs.features - blobs.features.min()) / np.ptp(blobs.features)
+    images, labels = work / "images.idx", work / "labels.idx"
+    save_idx(Dataset(features, blobs.labels, num_classes), images, labels)
+    return DatasetSpec(kind="idx", images=str(images), labels=str(labels))
 
 
 def weight_mode_of(config):

@@ -17,7 +17,6 @@ from fedcspack.aggregation import AggregateResult, GlobalMask, ServerState
 from fedcspack.errors import ShapeError
 from fedcspack.model import Batch, FlatParams, forward_loss
 from fedcspack.packing import EPS_Q, EPS_W, SimilarityProfile
-from fedcspack.protocol import baseline_magnitude_topk, effective_pack
 from fedcspack.wire import PackedUpdate
 
 
@@ -65,6 +64,21 @@ def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> Similar
         cos[j] = cosine(lv, gv)
         kl[j] = kl_package(lv, gv)
     return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
+
+
+def magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:
+    """The ceil(fraction * d) largest |delta| coordinates, ties to the lower
+    index, in ascending order: one full lexsort of the float64 delta."""
+    delta = local.values.astype(np.float64) - global_.values.astype(np.float64)
+    d = len(delta)
+    order = np.lexsort((np.arange(d), -np.abs(delta)))
+    return np.sort(order[: math.ceil(fraction * d)])
+
+
+def package_size(config) -> int:
+    """Magnitude Top-k sends single coordinates; every other method sends
+    packages of config.pack."""
+    return 1 if config.method == "magnitude_topk" else config.pack
 
 
 def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
@@ -148,7 +162,7 @@ def aggregate(
 
 
 def client_update(config, client_id, round_, trained, global_snapshot) -> PackedUpdate:
-    pack = effective_pack(config)
+    pack = package_size(config)
     vs = views(trained.shape.total_params, pack)
     # (package index, theta, beta, payload) per entry
     entries = []
@@ -167,7 +181,7 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
                 )
             )
     elif config.method == "magnitude_topk":
-        kept = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+        kept = magnitude_topk(trained, global_snapshot, config.topk_fraction)
         delta = trained.values.astype(np.float64) - global_snapshot.values.astype(np.float64)
         entries = [(int(j), 1.0, 0.0, np.array([delta[j]], dtype=np.float32)) for j in kept]
     else:
@@ -188,7 +202,7 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
 
 def per_client_accuracy(result) -> list[float]:
     """Final post-pull accuracy of every client on its own test rows."""
-    pack = effective_pack(result.config)
+    pack = package_size(result.config)
     accs = []
     for i in range(result.partition.num_clients):
         rows = result.partition.test[i]

@@ -42,7 +42,7 @@ def desk_config(method, rounds=40, **kw):
         seed=5,
         cap_ratio=0.25,
         partition=PartitionSpec(law="dirichlet", num_clients=20, seed=6, alpha=1.0),
-        model=ShapeSpec.from_widths([32, 64, 10]),
+        model=ShapeSpec([32, 64, 10]),
         dataset=DatasetSpec(
             kind="blobs", num_classes=10, dim=32, samples_per_class=100, spread=0.3, seed=7
         ),
@@ -79,7 +79,7 @@ def test_gradient_correctness():
     rng = np.random.default_rng(2024)
     ok = True
     for trial in range(10):
-        spec = ShapeSpec.from_widths([6, 12, 5])
+        spec = ShapeSpec([6, 12, 5])
         params = init_params(spec, seed=100 + trial)
         batch = Batch(
             rng.normal(size=(8, 6)).astype(np.float32), rng.integers(0, 5, size=8)
@@ -102,7 +102,7 @@ def test_aggregation_brute_force_oracle():
         pack = int(rng.integers(1, 4))
         # plus one package that no client sends, so the model has >= 2 params
         d = (j_count + 1) * pack
-        spec = ShapeSpec(layer_dims=((d - 1, 1),), activation="identity")
+        spec = ShapeSpec((d - 1, 1), "identity")
         server = ServerState(
             FlatParams(rng.normal(size=d).astype(np.float32), spec),
             GlobalMask.all_valid(j_count + 1),

@@ -11,7 +11,7 @@ from fedcspack.wire import PackedUpdate, encode_update
 
 
 def spec_with_total(n):
-    return ShapeSpec(layer_dims=((n - 1, 1),), activation="identity")
+    return ShapeSpec((n - 1, 1), "identity")
 
 
 def params_of(values):

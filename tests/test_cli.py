@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import idx_blobs
 from fedcspack import cli
 from fedcspack.cli import main
-from fedcspack.config import apply_overrides, config_from_dict
+from fedcspack.config import apply_overrides, config_from_dict, config_to_dict
 from fedcspack.errors import ConfigError
 from fedcspack.protocol import build_dataset, run
 from fedcspack.report import summarize
@@ -176,6 +178,7 @@ class TestConfig:
                 {"kind": "idx", "images": 5, "labels": "labels.idx"},
                 "dataset.images must be a non-empty path",
             ),
+            (("model", "widths"), [16, 8, 5], "dataset dim 12 != model input 16"),
         ],
     )
     def test_bad_section_fails_at_load(self, path, value, message):
@@ -206,6 +209,20 @@ class TestConfig:
         assert config.partition.alpha == 1.5
         assert config.rounds == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["method=fedcspack", "weight_mode=kl_only"],
+            ["method=fedavg"],
+            ["method=fedprox", "prox_mu=0.01"],
+            ["method=magnitude_topk", "topk_fraction=0.05"],
+            ['dataset={"kind": "idx", "images": "i.idx", "labels": "l.idx"}'],
+        ],
+    )
+    def test_to_dict_round_trips_through_json(self, overrides):
+        config = config_from_dict(apply_overrides(base_doc(), overrides))
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
     def test_bad_override_path(self):
         with pytest.raises(ConfigError, match="not found"):
             apply_overrides(base_doc(), ["nope.deep=1"])
@@ -233,7 +250,8 @@ class TestRunCommand:
         ]
         assert len(rows) == 4
         doc = json.loads((out / "run.json").read_text())
-        assert doc["config"]["method"] == "fedcspack"
+        assert doc["config"]["model"] == {"widths": [12, 16, 5], "activation": "relu"}
+        assert config_from_dict(doc["config"]) == config_from_dict(base_doc())
         assert len(doc["rounds"]) == 3
         assert "final_global_acc" in capsys.readouterr().out
 
@@ -261,6 +279,18 @@ class TestPartitionReport:
         lines = [l for l in out.splitlines() if l and l[0].isspace() or l[:1].isdigit() or l.startswith(" ")]
         # one line per client after the two header lines
         assert len(out.splitlines()) == 2 + 6
+
+    def test_rejects_what_run_rejects(self, tmp_path, capsys):
+        """An IDX set whose row width is not the model's input fails both
+        commands, before partition-report prints anything."""
+        doc = base_doc()
+        doc["dataset"] = dataclasses.asdict(idx_blobs(tmp_path, 5, 16, 40, seed=3))
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps(doc))
+        for command in (["run", "--out", str(tmp_path / "out")], ["partition-report"]):
+            with pytest.raises(ConfigError, match="dataset dim 16 != model input 12"):
+                main([*command, "--config", str(path)])
+        assert capsys.readouterr().out == ""
 
 
 class TestSweep:

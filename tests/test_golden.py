@@ -48,7 +48,7 @@ def desk_config(**overrides) -> RunConfig:
         pack=128,
         seed=11,
         partition=PartitionSpec(law="dirichlet", num_clients=10, seed=12, alpha=1.0),
-        model=ShapeSpec.from_widths([32, 64, 10]),
+        model=ShapeSpec([32, 64, 10]),
         dataset=DatasetSpec(
             kind="blobs", num_classes=10, dim=32, samples_per_class=60, spread=0.2, seed=13
         ),

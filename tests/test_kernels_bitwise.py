@@ -23,12 +23,17 @@ from fedcspack.packing import (
     score_packages,
     select_topk,
 )
-from fedcspack.protocol import _client_update, _server_ingest, effective_pack
+from fedcspack.protocol import (
+    _client_update,
+    _server_ingest,
+    baseline_magnitude_topk,
+    effective_pack,
+)
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 
 def spec_with_total(n):
-    return ShapeSpec(layer_dims=((n - 1, 1),), activation="identity")
+    return ShapeSpec((n - 1, 1), "identity")
 
 
 @st.composite
@@ -94,7 +99,7 @@ class TestScorePackages:
     @pytest.mark.parametrize("pack", [1, 128, 1000, 9000, 68_362, 100_000])
     def test_wide_model(self, pack):
         # MLP 256-256-10 (d = 68,362): long rows, a short tail, many blocks
-        spec = ShapeSpec.from_widths([256, 256, 10])
+        spec = ShapeSpec([256, 256, 10])
         global_ = init_params(spec, seed=3)
         rng = np.random.default_rng(pack)
         local = FlatParams(global_.values + rng.normal(scale=0.01, size=spec.total_params), spec)
@@ -132,6 +137,45 @@ class TestSelectTopk:
         local, global_, pack = pair
         prof = oracle.score_packages(local, global_, pack)
         assert same(select_topk(prof, cap_ratio), oracle.select_topk(prof, cap_ratio))
+
+
+# float32 values whose differences repeat a few magnitudes, with +0.0 and -0.0
+TIE_VALUES = np.array([0.0, -0.0, 0.5, -0.5, 1.0], dtype=np.float32)
+
+
+def tie_heavy_pair(rng, spec):
+    """(local, global) whose delta is all ties: |delta| in {0, 0.5, 1, 1.5, 2}."""
+    local, global_ = (rng.choice(TIE_VALUES, size=spec.total_params) for _ in range(2))
+    return FlatParams(local, spec), FlatParams(global_, spec)
+
+
+class TestMagnitudeTopk:
+    def test_oracle_hand_built_ties(self):
+        spec = spec_with_total(6)
+        global_ = FlatParams(np.array([0, 0, 0, 0, -0.0, 0], dtype=np.float32), spec)
+        local = FlatParams(np.array([1, -1, 0.5, -0.0, 0, 1], dtype=np.float32), spec)
+        # |delta| = 1, 1, 0.5, 0, 0, 1: equal magnitudes go to the lower index
+        assert oracle.magnitude_topk(local, global_, 0.5).tolist() == [0, 1, 5]
+        assert oracle.magnitude_topk(local, global_, 0.8).tolist() == [0, 1, 2, 3, 5]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    def test_tie_heavy_every_k(self, d, seed):
+        """Repeated magnitudes and +-0.0 deltas, at every k from 1 to d."""
+        local, global_ = tie_heavy_pair(np.random.default_rng(seed), spec_with_total(d))
+        for k in range(1, d + 1):
+            fraction = (k - 0.5) / d  # ceil(fraction * d) == k
+            got = baseline_magnitude_topk(local, global_, fraction)
+            assert len(got) == k
+            assert same(got, oracle.magnitude_topk(local, global_, fraction))
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.05, 0.5, 1.0])
+    def test_tie_heavy_client_update(self, fraction):
+        config = small_config(method="magnitude_topk", topk_fraction=fraction)
+        trained, global_ = tie_heavy_pair(np.random.default_rng(11), config.model)
+        layout = package_views(config.model.total_params, 1)
+        blob = encode_update(_client_update(config, 3, 2, trained, global_, layout))
+        assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
 
 
 def package_mask(rng, j_count):
@@ -206,7 +250,7 @@ class TestAggregate:
         ],
     )
     def test_wide_model(self, pack, share, with_tail, weight_mode):
-        spec = ShapeSpec.from_widths([256, 256, 10])
+        spec = ShapeSpec([256, 256, 10])
         layout = package_views(spec.total_params, pack)
         server = ServerState(init_params(spec, seed=4), GlobalMask.all_valid(layout.num_packages))
         rng = np.random.default_rng(pack)

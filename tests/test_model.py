@@ -24,24 +24,26 @@ def random_batch(rng, n, dim, classes):
 
 
 def test_shape_spec_total_params():
-    spec = ShapeSpec.from_widths([32, 64, 10])
+    spec = ShapeSpec([32, 64, 10])
     assert spec.total_params == 32 * 64 + 64 + 64 * 10 + 10
     assert spec.num_classes == 10
 
 
-def test_shape_spec_rejects_broken_chain():
-    with pytest.raises(ShapeError):
-        ShapeSpec(layer_dims=((4, 8), (9, 2)))
+def test_shape_spec_layer_dims_from_widths():
+    spec = ShapeSpec((4, 8, 2))
+    assert spec.layer_dims == ((4, 8), (8, 2))
+    # a width list is kept as a tuple, so equal chains give equal, hashable specs
+    assert ShapeSpec([4, 8, 2]) == spec and hash(ShapeSpec([4, 8, 2])) == hash(spec)
 
 
 def test_flat_params_length_checked():
-    spec = ShapeSpec.from_widths([4, 2])
+    spec = ShapeSpec([4, 2])
     with pytest.raises(ShapeError):
         FlatParams(np.zeros(7, dtype=np.float32), spec)
 
 
 def test_zero_weights_give_uniform_softmax_loss():
-    spec = ShapeSpec.from_widths([8, 10])
+    spec = ShapeSpec([8, 10])
     params = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
     rng = np.random.default_rng(0)
     loss, _ = forward_loss(params, random_batch(rng, 16, 8, 10))
@@ -50,7 +52,7 @@ def test_zero_weights_give_uniform_softmax_loss():
 
 def test_saturated_model_drives_loss_to_zero():
     # logistic regression on a single 1-feature sample with a huge margin
-    spec = ShapeSpec.from_widths([1, 2])
+    spec = ShapeSpec([1, 2])
     params = FlatParams(np.array([-50.0, 50.0, 0.0, 0.0], dtype=np.float32), spec)
     batch = Batch(np.array([[1.0]], dtype=np.float32), np.array([1]))
     loss, correct = forward_loss(params, batch)
@@ -60,7 +62,7 @@ def test_saturated_model_drives_loss_to_zero():
 
 def test_loss_matches_scalar_reimplementation():
     # independent straight-line oracle: pure-python scalar softmax CE
-    spec = ShapeSpec.from_widths([5, 4, 3])
+    spec = ShapeSpec([5, 4, 3])
     params = init_params(spec, seed=7)
     rng = np.random.default_rng(7)
     batch = random_batch(rng, 4, 5, 3)
@@ -89,7 +91,7 @@ def test_loss_matches_scalar_reimplementation():
 
 
 def test_forward_loss_permutation_invariant():
-    spec = ShapeSpec.from_widths([6, 8, 4])
+    spec = ShapeSpec([6, 8, 4])
     params = init_params(spec, seed=3)
     rng = np.random.default_rng(5)
     batch = random_batch(rng, 12, 6, 4)
@@ -101,7 +103,7 @@ def test_forward_loss_permutation_invariant():
 
 
 def test_forward_loss_shape_error():
-    spec = ShapeSpec.from_widths([6, 4])
+    spec = ShapeSpec([6, 4])
     params = init_params(spec, seed=1)
     with pytest.raises(ShapeError):
         forward_loss(params, Batch(np.zeros((2, 5), dtype=np.float32), np.array([0, 1])))
@@ -109,7 +111,7 @@ def test_forward_loss_shape_error():
 
 def test_logistic_gradient_matches_hand_computation():
     # 1-feature, 2-class softmax regression, one sample: grad_wc = (p_c - y_c) x
-    spec = ShapeSpec.from_widths([1, 2])
+    spec = ShapeSpec([1, 2])
     w = np.array([0.3, -0.2, 0.1, 0.05], dtype=np.float32)
     params = FlatParams(w, spec)
     x, y = 1.7, 1
@@ -138,7 +140,7 @@ def central_difference(params, batch, coord):
 
 
 def test_gradient_against_finite_differences():
-    spec = ShapeSpec.from_widths([6, 10, 4])
+    spec = ShapeSpec([6, 10, 4])
     rng = np.random.default_rng(42)
     params = init_params(spec, seed=4)
     batch = random_batch(rng, 10, 6, 4)
@@ -151,7 +153,7 @@ def test_gradient_against_finite_differences():
 
 
 def test_local_train_degenerate_schedule_is_one_step():
-    spec = ShapeSpec.from_widths([5, 3])
+    spec = ShapeSpec([5, 3])
     params = init_params(spec, seed=8)
     rng = np.random.default_rng(1)
     batch = random_batch(rng, 6, 5, 3)
@@ -165,7 +167,7 @@ def test_local_train_degenerate_schedule_is_one_step():
 def test_local_train_prox_dominance():
     # the proximal term anchors on the start model: a strong pull keeps the
     # trained model far closer to it than plain SGD over the same batches
-    spec = ShapeSpec.from_widths([4, 6, 3])
+    spec = ShapeSpec([4, 6, 3])
     params = init_params(spec, seed=10)
     rng = np.random.default_rng(2)
     batch = random_batch(rng, 8, 4, 3)
@@ -186,7 +188,7 @@ def test_local_train_prox_dominance():
 
 
 def test_local_train_deterministic():
-    spec = ShapeSpec.from_widths([5, 8, 3])
+    spec = ShapeSpec([5, 8, 3])
     params = init_params(spec, seed=6)
     rng = np.random.default_rng(3)
     batch = random_batch(rng, 20, 5, 3)
@@ -196,7 +198,7 @@ def test_local_train_deterministic():
 
 
 def test_local_train_empty_data():
-    spec = ShapeSpec.from_widths([3, 2])
+    spec = ShapeSpec([3, 2])
     params = init_params(spec, seed=1)
     empty = Batch(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyDataError):

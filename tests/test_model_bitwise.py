@@ -40,7 +40,7 @@ def training_cases(draw):
     widths = [draw(st.integers(1, 12))]
     widths += [draw(st.integers(1, 16)) for _ in range(depth - 1)]
     widths.append(draw(st.integers(2, 6)))
-    shape = ShapeSpec.from_widths(widths, draw(st.sampled_from(["relu", "identity"])))
+    shape = ShapeSpec(widths, draw(st.sampled_from(["relu", "identity"])))
     n = draw(st.integers(1, 40))
     return dict(
         shape=shape,
@@ -54,7 +54,7 @@ def training_cases(draw):
 
 
 def case(widths, activation, n, batch_size, epochs, prox_mu, lr=0.3, seed=5):
-    shape = ShapeSpec.from_widths(widths, activation)
+    shape = ShapeSpec(widths, activation)
     return dict(
         shape=shape, n=n, batch_size=batch_size, epochs=epochs, lr=lr,
         prox_mu=prox_mu, seed=seed,
@@ -106,7 +106,7 @@ def test_local_train_matches_oracle(case):
 
 @pytest.mark.parametrize("features", [np.float32, np.float64])
 def test_gradient_into_buffer_matches_oracle(features):
-    shape = ShapeSpec.from_widths([7, 9, 5, 3])
+    shape = ShapeSpec([7, 9, 5, 3])
     params = init_params(shape, 4)
     data = make_data(4, 11, 7, 3, dtype=features)
     out = np.full(shape.total_params, np.nan)
@@ -131,7 +131,7 @@ def count_calls(monkeypatch, module) -> list[int]:
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("prox_mu", [0.0, 0.1])
 def test_overflowing_lr_fails_like_oracle(monkeypatch, prox_mu):
-    shape = ShapeSpec.from_widths([6, 8, 3])
+    shape = ShapeSpec([6, 8, 3])
     params = init_params(shape, 2)
     data = make_data(2, 20, 6, 3)
     kwargs = dict(epochs=3, lr=1e30, batch_size=4, prox_mu=prox_mu)
@@ -146,7 +146,7 @@ def test_overflowing_lr_fails_like_oracle(monkeypatch, prox_mu):
 
 
 def test_nan_gradient_names_its_layer():
-    shape = ShapeSpec.from_widths([5, 4, 3])
+    shape = ShapeSpec([5, 4, 3])
     params = init_params(shape, 1)
     data = make_data(1, 6, 5, 3)
     data.features[2, 1] = np.nan
@@ -160,7 +160,7 @@ def test_nan_gradient_names_its_layer():
 def test_local_train_heap_peak(prox_mu, vectors):
     # the wide benchmark model: MLP 256-256-10, d = 68,362, batch 16; the
     # bound counts float64 vectors of d, one more for the proximal scratch
-    shape = ShapeSpec.from_widths([256, 256, 10])
+    shape = ShapeSpec([256, 256, 10])
     d = shape.total_params
     params = init_params(shape, 0)
     data = make_data(0, 64, 256, 10)

@@ -25,7 +25,7 @@ from fedcspack.protocol import _client_update, evaluate
 
 def spec_with_total(n):
     # (n-1, 1) layer has n-1 weights + 1 bias = n params
-    return ShapeSpec(layer_dims=((n - 1, 1),), activation="identity")
+    return ShapeSpec((n - 1, 1), "identity")
 
 
 def params_of(values):
@@ -242,7 +242,7 @@ def dense_update(loc, g, pack):
 
 class TestExtractDeltas:
     def test_identical_models_zero_payload(self):
-        p = init_params(ShapeSpec.from_widths([4, 3]), seed=5)
+        p = init_params(ShapeSpec([4, 3]), seed=5)
         (payload,) = dense_update(p, p, pack=100)
         assert np.array_equal(payload, np.zeros(p.shape.total_params, dtype=np.float32))
 

@@ -96,6 +96,16 @@ class TestIdx:
         assert np.array_equal(back.labels, scaled.labels)
         assert np.allclose(back.features, scaled.features, atol=1 / 255.0)
 
+    def test_save_rejects_label_above_u8(self, tmp_path):
+        # a u8 cast would wrap label 299 to 43 and read back 256 classes
+        data = synth_blobs(300, 2, 1, spread=0.2, seed=7)
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        with pytest.raises(ConfigError, match="IDX labels are u8, got label 299"):
+            save_idx(data, images, labels)
+        assert not images.exists() and not labels.exists()
+        save_idx(Dataset(data.features[:256], data.labels[:256], 256), images, labels)
+        assert load_idx(images, labels).num_classes == 256
+
 
 class TestDirichlet:
     def test_iid_limit(self):

@@ -167,6 +167,6 @@ def test_idx_round_trip_matches_oracle(tmp_path_factory, count, rows, cols, clas
     "widths", [[1, 1], [32, 64, 10], [64, 64, 10], [256, 256, 10], [7, 3, 5, 2]]
 )
 def test_init_params_matches_oracle(widths):
-    shape = ShapeSpec.from_widths(widths)
+    shape = ShapeSpec(widths)
     for seed in (0, 1, 12345):
         assert same(init_params(shape, seed).values, oracle.init_params(shape, seed).values)

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_selection_constant_weights, small_config, weight_mode_of
+from conftest import full_selection_constant_weights, idx_blobs, small_config, weight_mode_of
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
 from fedcspack import protocol
 from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
-from fedcspack.partition import Dataset, Partition, PartitionSpec, save_idx, synth_blobs
+from fedcspack.partition import Dataset, Partition, PartitionSpec
 from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, encode_update
@@ -28,7 +28,7 @@ BROADCAST_ID = 0xFFFFFFFF
 
 
 def spec_with_total(n):
-    return ShapeSpec(layer_dims=((n - 1, 1),), activation="identity")
+    return ShapeSpec((n - 1, 1), "identity")
 
 
 class TestMagnitudeTopk:
@@ -130,19 +130,18 @@ class TestRunLoop:
         sparse = run(small_config(method="magnitude_topk", topk_fraction=0.05, rounds=3))
         assert sum(m.bytes_up for m in sparse.metrics) < sum(m.bytes_up for m in dense.metrics)
 
-    def test_dataset_model_dim_mismatch(self):
-        config = small_config(model=ShapeSpec.from_widths([20, 6]))
-        with pytest.raises(ConfigError):
+    def test_dataset_model_dim_mismatch(self, tmp_path):
+        # blobs declare their width, so the config is rejected at load
+        with pytest.raises(ConfigError, match="dataset dim 16 != model input 20"):
+            small_config(model=ShapeSpec([20, 6]))
+        # an IDX file's width is known only once run reads it
+        config = small_config(dataset=idx_blobs(tmp_path, 6, 16, 10, seed=4), model=ShapeSpec([20, 6]))
+        with pytest.raises(ConfigError, match="dataset dim 16 != model input 20"):
             run(config)
 
     def test_idx_dataset_with_more_classes_than_model_outputs(self, tmp_path):
-        blobs = synth_blobs(12, 16, 10, spread=0.3, seed=4)
-        features = (blobs.features - blobs.features.min()) / np.ptp(blobs.features)
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        save_idx(Dataset(features, blobs.labels, 12), images, labels)
         config = small_config(
-            dataset=DatasetSpec(kind="idx", images=str(images), labels=str(labels)),
-            model=ShapeSpec.from_widths([16, 24, 10]),
+            dataset=idx_blobs(tmp_path, 12, 16, 10, seed=4), model=ShapeSpec([16, 24, 10])
         )
         with pytest.raises(ConfigError, match="12 > model outputs 10"):
             run(config)
@@ -473,14 +472,14 @@ def test_baselines_ignore_theta_and_beta(method):
 class TestEvaluate:
     def constant_predictor(self, num_classes, winner):
         # zero weights, bias picks the winner class
-        spec = ShapeSpec.from_widths([2, num_classes])
+        spec = ShapeSpec([2, num_classes])
         values = np.zeros(spec.total_params, dtype=np.float32)
         values[2 * num_classes + winner] = 10.0
         return FlatParams(values, spec)
 
     def test_dataset_size_weighting(self):
         # |D_1| = 3 |D_2|; client 1 always right, client 2 always wrong
-        spec = ShapeSpec.from_widths([2, 2])
+        spec = ShapeSpec([2, 2])
         features = np.zeros((8, 2), dtype=np.float32)
         labels = np.array([0] * 6 + [0, 0])
         dataset = Dataset(features=features, labels=labels, num_classes=2)
@@ -504,7 +503,7 @@ class TestEvaluate:
         # 8 one-row classes dealt as 8 one-shard clients: every row trains
         config = small_config(
             rounds=2,
-            model=ShapeSpec.from_widths([16, 24, 8]),
+            model=ShapeSpec([16, 24, 8]),
             dataset=DatasetSpec(
                 kind="blobs", num_classes=8, dim=16, samples_per_class=1, spread=0.3, seed=3
             ),

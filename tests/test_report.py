@@ -48,7 +48,7 @@ def test_fedavg_dense_compression_near_one():
     from fedcspack.model import ShapeSpec
 
     config = small_config(
-        method="fedavg", rounds=3, pack=10_000, model=ShapeSpec.from_widths([16, 64, 6])
+        method="fedavg", rounds=3, pack=10_000, model=ShapeSpec([16, 64, 6])
     )
     result = run(config)
     s = summarize(result.metrics, result.dense_bytes_per_round)
