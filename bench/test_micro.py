@@ -10,7 +10,9 @@ of the wide model (fedcspack-wide), one round's aggregation of 10 client
 updates in those two shapes under fedcspack's weighting and the
 baselines' and of the dense updates that fedavg and fedprox fold (wide
 and IDX models), the server's ingest of one client's blob in those
-shapes, package scoring and selective pull on the wide model, and the
+shapes, package scoring, one fedcspack client's update (scoring,
+selection, the chosen packages' KL and the payload gather at the
+fedcspack-wide cap of 0.25) and selective pull on the wide model, and the
 set-up kernels: the Dirichlet partition of topk-desk and fedcspack-wide,
 the pathological partition of fedprox-idx, the blobs of fedcspack-wide
 and the wide model's initial parameters.  The last benchmark times a
@@ -25,6 +27,7 @@ import pytest
 
 from fedcspack import cli, protocol
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.config import config_from_dict
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
@@ -167,6 +170,18 @@ def test_score_packages_wide(benchmark):
     layout = package_views(WIDE.total_params, 128)
     profile = benchmark(score_packages, local, global_, layout)
     assert profile.num_packages == 535
+
+
+def test_client_update_wide(benchmark):
+    local, global_ = wide_pair()
+    config = config_from_dict({
+        **TOPK_DESK, "method": "fedcspack", "cap_ratio": 0.25,
+        "model": {"widths": [256, 256, 10], "activation": "relu"},
+        "dataset": {**TOPK_DESK["dataset"], "dim": 256},
+    })
+    layout = package_views(WIDE.total_params, 128)
+    update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
+    assert len(update.packages) == 134  # ceil(0.25 * 535): the cap binds
 
 
 def test_selective_pull_wide(benchmark):

@@ -88,11 +88,12 @@ class RunConfig:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
-        if not math.isfinite(self.prox_mu):
-            raise ConfigError("prox_mu must be finite")
+        # checked for every method, so that run.json holds only valid JSON
+        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
+            raise ConfigError("prox_mu must be finite and >= 0")
         if self.method == "fedprox" and self.prox_mu <= 0:
             raise ConfigError("fedprox requires prox_mu > 0")
-        if self.method == "magnitude_topk" and not 0 < self.topk_fraction <= 1:
+        if not 0 < self.topk_fraction <= 1:
             raise ConfigError("topk_fraction must be in (0, 1]")
         if self.clients != self.partition.num_clients:
             raise ConfigError(

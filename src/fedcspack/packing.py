@@ -1,7 +1,7 @@
 """Client-side parameter packaging: split the flat model into PACK-sized
-packages, score each against its global counterpart by cosine similarity
-and KL distance, pick the packages worth sharing, and weigh each shared
-package for the server's fusion.
+packages, score each against its global counterpart by cosine similarity,
+pick the packages worth sharing, measure the KL distance of the shared
+ones, and weigh each shared package for the server's fusion.
 """
 
 from __future__ import annotations
@@ -76,11 +76,10 @@ def package_views(total_params: int, pack: int) -> PackageLayout:
 
 @dataclass(frozen=True)
 class SimilarityProfile:
-    """Per-round similarity record: overall cosine plus per-package scores."""
+    """Per-round similarity record: overall cosine plus per-package cosines."""
 
     overall: float
     per_package_cos: np.ndarray
-    per_package_kl: np.ndarray
 
     @property
     def num_packages(self) -> int:
@@ -156,31 +155,43 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
     return float(_kl_rows(*_row_pair(local, global_, "kl"))[0])
 
 
-def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
-    """Score every package of `local` against its global counterpart.
-
-    Full packages are scored as blocks of rows of `split`; a short tail
-    package is scored on its own, since padding it would regroup its sums.
-    """
+def _score_rows(kernel, local: FlatParams, global_: FlatParams, layout, packages) -> np.ndarray:
+    """kernel(a, b) of each of the ascending, distinct `packages` of `local`
+    and of `global_`: full packages in float64 blocks of rows of `split`, a
+    short tail package on its own, since padding it would regroup its sums."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
     layout.check(local.shape.total_params)
-    overall = cosine(local.values, global_.values)
-    cos = np.empty(layout.num_packages)
-    kl = np.empty(layout.num_packages)
     local_rows, local_tail = layout.split(local.values)
     global_rows, global_tail = layout.split(global_.values)
+    full = packages[packages < layout.num_full]
+    out = np.empty(len(packages))
     step = max(1, SCORE_BLOCK // layout.pack)
-    for r0 in range(0, layout.num_full, step):
-        a = local_rows[r0 : r0 + step].astype(np.float64)
-        b = global_rows[r0 : r0 + step].astype(np.float64)
-        # a block's own length: the tail's slot is not in these rows
-        cos[r0 : r0 + len(a)] = _cosine_rows(a, b)
-        kl[r0 : r0 + len(a)] = _kl_rows(a, b)
-    if len(local_tail):
-        cos[-1] = cosine(local_tail, global_tail)
-        kl[-1] = kl_package(local_tail, global_tail)
-    return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
+    for r0 in range(0, len(full), step):
+        rows = full[r0 : r0 + step]
+        a = local_rows[rows].astype(np.float64)
+        out[r0 : r0 + len(rows)] = kernel(a, global_rows[rows].astype(np.float64))
+    if len(full) < len(packages):
+        out[-1] = kernel(*_row_pair(local_tail, global_tail, "tail"))[0]
+    return out
+
+
+def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
+    """Cosine of the whole of `local` and of each of its packages against
+    the global counterpart."""
+    cos = _score_rows(_cosine_rows, local, global_, layout, np.arange(layout.num_packages))
+    return SimilarityProfile(overall=cosine(local.values, global_.values), per_package_cos=cos)
+
+
+def package_kl(local: FlatParams, global_: FlatParams, layout: PackageLayout, packages) -> np.ndarray:
+    """KL distance of each of the ascending, distinct `packages` of `local`
+    against its global counterpart: the beta sent with a shared package."""
+    return _score_rows(_kl_rows, local, global_, layout, packages)
+
+
+def least_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest keys (lower index on ties), ascending."""
+    return np.sort(np.argsort(keys, kind="stable")[:k])
 
 
 def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
@@ -194,10 +205,9 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarra
     cos = profile.per_package_cos
     candidates = np.flatnonzero(cos < profile.overall)
     if len(candidates) == 0:
-        return np.array([np.argmin(cos)], dtype=np.intp)
+        return least_k(cos, 1)
     k = min(len(candidates), math.ceil(cap_ratio * profile.num_packages))
-    order = np.lexsort((candidates, cos[candidates]))
-    return np.sort(candidates[order[:k]])
+    return candidates[least_k(cos[candidates], k)]
 
 
 def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str = "dual") -> np.ndarray:

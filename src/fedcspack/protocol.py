@@ -19,7 +19,7 @@ from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig
 from .errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
-from .packing import PackageLayout, package_views, score_packages, select_topk
+from .packing import PackageLayout, least_k, package_kl, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
 from .wire import PackedUpdate, decode_update, encode_update
 
@@ -86,21 +86,6 @@ def effective_pack(config: RunConfig) -> int:
     return config.pack
 
 
-def baseline_magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:
-    """Classic magnitude Top-k over the dense delta.
-
-    Returns the kept coordinate indices (ascending): the ceil(fraction * d)
-    largest |delta| coordinates, ties broken by lower index.
-    """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    delta = local.values.astype(np.float64) - global_.values.astype(np.float64)
-    d = len(delta)
-    k = math.ceil(fraction * d)
-    order = np.lexsort((np.arange(d), -np.abs(delta)))
-    return np.sort(order[:k])
-
-
 def _client_update(
     config: RunConfig,
     client_id: int,
@@ -114,12 +99,15 @@ def _client_update(
     if config.method == "fedcspack":
         profile = score_packages(trained, global_snapshot, layout)
         chosen = select_topk(profile, config.cap_ratio)
-        theta, beta = profile.per_package_cos[chosen], profile.per_package_kl[chosen]
+        theta = profile.per_package_cos[chosen]
+        beta = package_kl(trained, global_snapshot, layout, chosen)
     else:
         if config.method == "magnitude_topk":
-            # float32(a64 - b64) == a32 - b32, so the delta gathered below
-            # carries exactly the values the baseline keeps
-            chosen = baseline_magnitude_topk(trained, global_snapshot, config.topk_fraction)
+            # the ceil(fraction * d) largest |delta|, ranked in float64, where
+            # distinct magnitudes can share a float32; float32(a64 - b64) ==
+            # a32 - b32, so the delta gathered below carries these values
+            delta = trained.values.astype(np.float64) - global_snapshot.values.astype(np.float64)
+            chosen = least_k(-np.abs(delta), math.ceil(config.topk_fraction * len(delta)))
         else:  # fedavg / fedprox: dense delta, every package
             chosen = np.arange(layout.num_packages)
         theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))

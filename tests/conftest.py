@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fedcspack import protocol
 from fedcspack.config import DatasetSpec, RunConfig
-from fedcspack.model import ShapeSpec
+from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, PartitionSpec, save_idx, synth_blobs
 
@@ -15,6 +16,18 @@ def same(a, b) -> bool:
         and np.array_equal(a, b)
         and a.tobytes() == b.tobytes()
     )
+
+
+def spec_with_total(n):
+    """A model of exactly n parameters: one (n-1, 1) identity layer, n-1
+    weights and 1 bias."""
+    return ShapeSpec((n - 1, 1), "identity")
+
+
+def params_of(values):
+    """`values` as the float32 parameters of a model of their length."""
+    values = np.asarray(values, dtype=np.float32)
+    return FlatParams(values, spec_with_total(len(values)))
 
 
 def layout_of(params, pack):
@@ -47,6 +60,20 @@ def small_config(**overrides):
             law="dirichlet", num_clients=overrides["clients"], seed=2, alpha=0.5
         )
     return RunConfig(**defaults)
+
+
+def topk_kept(local, global_, fraction):
+    """The coordinates, ascending, that a magnitude Top-k client keeping
+    `fraction` of them sends for the delta local - global_."""
+    shape = local.shape
+    config = small_config(
+        method="magnitude_topk",
+        topk_fraction=fraction,
+        model=shape,
+        dataset=DatasetSpec(kind="blobs", num_classes=shape.num_classes, dim=shape.input_dim),
+    )
+    layout = package_views(shape.total_params, 1)
+    return protocol._client_update(config, 0, 0, local, global_, layout).packages
 
 
 def idx_blobs(work, num_classes, dim, samples_per_class, seed):

@@ -10,6 +10,7 @@ report used before `evaluate` returned the per-client accuracies.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +46,13 @@ def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
     return max(kl, 0.0)
 
 
+@dataclass(frozen=True)
+class ScoredProfile(SimilarityProfile):
+    """The similarity record with the KL distance of every package."""
+
+    per_package_kl: np.ndarray
+
+
 def views(total_params: int, pack: int) -> list[tuple[int, int, int]]:
     """(index, offset, stop) of every package; the tail may be short."""
     return [
@@ -53,7 +61,7 @@ def views(total_params: int, pack: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> SimilarityProfile:
+def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> ScoredProfile:
     vs = views(local.shape.total_params, pack)
     overall = cosine(local.values, global_.values)
     cos = np.empty(len(vs))
@@ -63,7 +71,7 @@ def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> Similar
         gv = global_.values[start:stop]
         cos[j] = cosine(lv, gv)
         kl[j] = kl_package(lv, gv)
-    return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
+    return ScoredProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 
 def magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:

@@ -1,22 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import layout_of
+from conftest import layout_of, params_of
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ProtocolViolation, ShapeError
-from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import mask_weights, package_views
 from fedcspack.protocol import _server_ingest
 from fedcspack.wire import PackedUpdate, encode_update
-
-
-def spec_with_total(n):
-    return ShapeSpec((n - 1, 1), "identity")
-
-
-def params_of(values):
-    values = np.asarray(values, dtype=np.float32)
-    return FlatParams(values, spec_with_total(len(values)))
 
 
 def update_of(client_id, weights, payloads=None, pack=3):

@@ -84,6 +84,10 @@ class TestConfig:
             ("cap_ratio", 0.0),
             ("cap_ratio", 1.5),
             ("payload", "raw"),
+            # method-specific ranges hold for every method
+            ("topk_fraction", float("nan")),
+            ("topk_fraction", -3),
+            ("prox_mu", -1),
         ],
     )
     def test_out_of_range_rejected_at_load(self, key, value):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import layout_of, same, small_config, weight_mode_of
+from conftest import layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of
 from fedcspack import packing
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
@@ -19,21 +19,13 @@ from fedcspack.packing import (
     SimilarityProfile,
     cosine,
     kl_package,
+    package_kl,
     package_views,
     score_packages,
     select_topk,
 )
-from fedcspack.protocol import (
-    _client_update,
-    _server_ingest,
-    baseline_magnitude_topk,
-    effective_pack,
-)
+from fedcspack.protocol import _client_update, _server_ingest, effective_pack
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
-
-
-def spec_with_total(n):
-    return ShapeSpec((n - 1, 1), "identity")
 
 
 @st.composite
@@ -63,10 +55,25 @@ def model_pairs(draw, max_total=600):
     return FlatParams(loc.astype(np.float32), spec), FlatParams(g.astype(np.float32), spec), pack
 
 
-def assert_same_profile(got, want):
+def assert_matches_oracle(local, global_, pack, subsets):
+    """score_packages gives the oracle's overall and per-package cosines,
+    and package_kl the oracle's KL at each ascending package subset, bit
+    for bit."""
+    layout = layout_of(local, pack)
+    got = score_packages(local, global_, layout)
+    want = oracle.score_packages(local, global_, pack)
     assert same(got.overall, want.overall)
     assert same(got.per_package_cos, want.per_package_cos)
-    assert same(got.per_package_kl, want.per_package_kl)
+    for packages in subsets:
+        assert same(package_kl(local, global_, layout, packages), want.per_package_kl[packages])
+
+
+def subsets_of(j_count, rng):
+    """Every package, a random quarter with the last package, a random
+    quarter without it, the last package alone, and no package."""
+    quarter = np.flatnonzero(rng.random(j_count - 1) < 0.25)
+    last = np.array([j_count - 1])
+    return [np.arange(j_count), np.append(quarter, last), quarter, last, np.zeros(0, np.intp)]
 
 
 class TestCosineKL:
@@ -89,31 +96,32 @@ class TestCosineKL:
 
 class TestScorePackages:
     @settings(max_examples=150, deadline=None)
-    @given(model_pairs(), st.sampled_from([1, 7, 64, packing.SCORE_BLOCK]))
-    def test_matches_oracle(self, pair, block):
+    @given(model_pairs(), st.sampled_from([1, 7, 64, packing.SCORE_BLOCK]), st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, pair, block, seed):
         local, global_, pack = pair
+        subsets = subsets_of(-(-len(local.values) // pack), np.random.default_rng(seed))
         with mock.patch.object(packing, "SCORE_BLOCK", block):
-            got = score_packages(local, global_, layout_of(local, pack))
-        assert_same_profile(got, oracle.score_packages(local, global_, pack))
+            assert_matches_oracle(local, global_, pack, subsets)
 
-    @pytest.mark.parametrize("pack", [1, 128, 1000, 9000, 68_362, 100_000])
+    # 68,362 = 2 * 7 * 19 * 257: packs 1, 257 and 68,362 divide d, the
+    # others leave a short tail; 100,000 > d is one short package
+    @pytest.mark.parametrize("pack", [1, 128, 257, 1000, 9000, 68_362, 100_000])
     def test_wide_model(self, pack):
-        # MLP 256-256-10 (d = 68,362): long rows, a short tail, many blocks
+        # MLP 256-256-10 (d = 68,362): long rows, many blocks
         spec = ShapeSpec([256, 256, 10])
         global_ = init_params(spec, seed=3)
         rng = np.random.default_rng(pack)
         local = FlatParams(global_.values + rng.normal(scale=0.01, size=spec.total_params), spec)
-        assert_same_profile(
-            score_packages(local, global_, layout_of(local, pack)),
-            oracle.score_packages(local, global_, pack),
-        )
+        subsets = subsets_of(-(-spec.total_params // pack), rng)
+        subsets.append(select_topk(score_packages(local, global_, layout_of(local, pack)), 0.25))
+        assert_matches_oracle(local, global_, pack, subsets)
 
     def test_zero_norm_package_scores_zero_cosine(self):
         local = FlatParams(np.array([0, 0, 1, 2, 3], dtype=np.float32), spec_with_total(5))
         global_ = FlatParams(np.array([1, 2, 0, 0, 3], dtype=np.float32), spec_with_total(5))
         got = score_packages(local, global_, layout_of(local, 2))
         assert list(got.per_package_cos) == [0.0, 0.0, 1.0]
-        assert_same_profile(got, oracle.score_packages(local, global_, 2))
+        assert_matches_oracle(local, global_, 2, subsets_of(3, np.random.default_rng(0)))
 
 
 COSINES = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
@@ -128,7 +136,7 @@ class TestSelectTopk:
     )
     def test_ties_match_oracle(self, cos, overall, cap_ratio):
         cos = np.array(cos)
-        prof = SimilarityProfile(overall, cos, np.zeros_like(cos))
+        prof = SimilarityProfile(overall, cos)
         assert same(select_topk(prof, cap_ratio), oracle.select_topk(prof, cap_ratio))
 
     @settings(max_examples=60, deadline=None)
@@ -165,7 +173,7 @@ class TestMagnitudeTopk:
         local, global_ = tie_heavy_pair(np.random.default_rng(seed), spec_with_total(d))
         for k in range(1, d + 1):
             fraction = (k - 0.5) / d  # ceil(fraction * d) == k
-            got = baseline_magnitude_topk(local, global_, fraction)
+            got = topk_kept(local, global_, fraction)
             assert len(got) == k
             assert same(got, oracle.magnitude_topk(local, global_, fraction))
 

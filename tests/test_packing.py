@@ -5,32 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layout_of, small_config
+from conftest import layout_of, params_of, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ShapeError
-from fedcspack.model import FlatParams, ShapeSpec, init_params
+from fedcspack.model import ShapeSpec, init_params
 from fedcspack.packing import (
     EPS_W,
     SimilarityProfile,
     cosine,
     kl_package,
     mask_weights,
+    package_kl,
     package_views,
     score_packages,
     select_topk,
 )
 from fedcspack.partition import Dataset, Partition
 from fedcspack.protocol import _client_update, evaluate
-
-
-def spec_with_total(n):
-    # (n-1, 1) layer has n-1 weights + 1 bias = n params
-    return ShapeSpec((n - 1, 1), "identity")
-
-
-def params_of(values):
-    values = np.asarray(values, dtype=np.float32)
-    return FlatParams(values, spec_with_total(len(values)))
 
 
 class TestPackageViews:
@@ -78,6 +69,7 @@ class TestPackageViews:
         dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
         kernels = {
             "score_packages": lambda: score_packages(a, a, layout),
+            "package_kl": lambda: package_kl(a, a, layout, np.arange(3)),
             "aggregate": lambda: aggregate(server, [], layout, "dual"),
             "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
             "evaluate": lambda: evaluate(server, [a], partition, dataset, layout),
@@ -156,7 +148,8 @@ class TestScorePackages:
         prof = score_packages(p, p, layout_of(p, 4))
         assert prof.overall == pytest.approx(1.0)
         assert np.allclose(prof.per_package_cos, 1.0)
-        assert np.allclose(prof.per_package_kl, 0.0, atol=1e-12)
+        kl = package_kl(p, p, layout_of(p, 4), np.arange(prof.num_packages))
+        assert np.allclose(kl, 0.0, atol=1e-12)
 
     def test_single_package_degeneracy(self):
         rng = np.random.default_rng(4)
@@ -177,7 +170,7 @@ class TestScorePackages:
 class TestSelectTopk:
     def profile(self, overall, cos):
         cos = np.array(cos, dtype=float)
-        return SimilarityProfile(overall=overall, per_package_cos=cos, per_package_kl=np.zeros_like(cos))
+        return SimilarityProfile(overall=overall, per_package_cos=cos)
 
     def test_empty_candidates_fallback(self):
         prof = self.profile(0.9, [0.9, 0.9, 0.9])

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_selection_constant_weights, idx_blobs, small_config, weight_mode_of
+from conftest import (
+    full_selection_constant_weights,
+    idx_blobs,
+    params_of,
+    small_config,
+    topk_kept,
+    weight_mode_of,
+)
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
 from fedcspack import protocol
@@ -20,48 +27,46 @@ from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolV
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
-from fedcspack.protocol import baseline_magnitude_topk, effective_pack, evaluate, run
+from fedcspack.protocol import effective_pack, evaluate, run
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, encode_update
 
 BROADCAST_ID = 0xFFFFFFFF
 
 
-def spec_with_total(n):
-    return ShapeSpec((n - 1, 1), "identity")
-
-
 class TestMagnitudeTopk:
+    """The coordinates a magnitude Top-k client sends."""
+
     def test_full_fraction_is_dense(self):
         rng = np.random.default_rng(1)
-        g = FlatParams(rng.normal(size=10).astype(np.float32), spec_with_total(10))
-        loc = FlatParams(rng.normal(size=10).astype(np.float32), spec_with_total(10))
-        kept = baseline_magnitude_topk(loc, g, 1.0)
+        g = params_of(rng.normal(size=10))
+        loc = params_of(rng.normal(size=10))
+        kept = topk_kept(loc, g, 1.0)
         assert np.array_equal(kept, np.arange(10))
 
     def test_argmax_magnitude(self):
-        g = FlatParams(np.zeros(3, dtype=np.float32), spec_with_total(3))
-        loc = FlatParams(np.array([0.1, -5.0, 0.2], dtype=np.float32), spec_with_total(3))
-        kept = baseline_magnitude_topk(loc, g, 1 / 3)
+        g = params_of(np.zeros(3))
+        loc = params_of([0.1, -5.0, 0.2])
+        kept = topk_kept(loc, g, 1 / 3)
         assert list(kept) == [1]
 
     def test_full_sort_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             d = 100
-            g = FlatParams(rng.normal(size=d).astype(np.float32), spec_with_total(d))
-            loc = FlatParams(rng.normal(size=d).astype(np.float32), spec_with_total(d))
+            g = params_of(rng.normal(size=d))
+            loc = params_of(rng.normal(size=d))
             frac = float(rng.uniform(0.05, 0.9))
-            kept = baseline_magnitude_topk(loc, g, frac)
+            kept = topk_kept(loc, g, frac)
             delta = np.abs(loc.values.astype(np.float64) - g.values.astype(np.float64))
             k = math.ceil(frac * d)
             expected = sorted(sorted(range(d), key=lambda i: (-delta[i], i))[:k])
             assert list(kept) == expected
 
     def test_tie_prefers_lower_index(self):
-        g = FlatParams(np.zeros(4, dtype=np.float32), spec_with_total(4))
-        loc = FlatParams(np.array([1.0, 1.0, 1.0, 1.0], dtype=np.float32), spec_with_total(4))
-        kept = baseline_magnitude_topk(loc, g, 0.5)
+        g = params_of(np.zeros(4))
+        loc = params_of(np.ones(4))
+        kept = topk_kept(loc, g, 0.5)
         assert list(kept) == [0, 1]
 
 
