@@ -56,22 +56,17 @@ def aggregate(
     accepted (`protocol._server_ingest` is the one place that rejects).
 
     A package's mask weight is `mask_weights` of its transmitted theta and
-    beta under `weight_mode`; with weight_mode None (the baselines) every
-    package weighs 1.0 whatever theta and beta say, so the combination is
-    the plain mean over senders.  Per package the applied step is the
-    mask-weight normalized combination of client payloads.  Folding is
-    fixed to ascending client id so float sums are order-independent of
-    the caller.
+    beta under `weight_mode`; under None (the baselines) every package
+    weighs 1.0, so the combination is the plain mean over senders.  Per
+    package the applied step is the mask-weight normalized combination of
+    client payloads.  Folding is fixed to ascending client id so float
+    sums are order-independent of the caller.
     """
     total_params = server.global_params.shape.total_params
     layout.check(total_params)
 
     updates = sorted(updates, key=lambda u: u.client_id)
-    weights = [
-        np.ones(len(u.packages)) if weight_mode is None
-        else mask_weights(u.theta.astype(np.float64), u.beta.astype(np.float64), weight_mode)
-        for u in updates
-    ]
+    weights = [mask_weights(u.theta, u.beta, weight_mode) for u in updates]
     totals = np.zeros(layout.num_packages)
     for u, w in zip(updates, weights):
         expected = layout.lengths[u.packages].sum()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,14 +36,12 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("blobs", "idx"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "idx":
-            for name in ("images", "labels"):
-                path = getattr(self, name)
-                if not isinstance(path, str) or not path:
-                    raise ConfigError(f"dataset.{name} must be a non-empty path, got {path!r}")
-        require_real("dataset.spread", self.spread)
-        if self.kind == "blobs" and not (math.isfinite(self.spread) and self.spread > 0):
-            raise ConfigError("spread must be finite and > 0")
+        for name in ("images", "labels"):
+            path = getattr(self, name)
+            if not isinstance(path, str) or (self.kind == "idx" and not path):
+                need = "a non-empty path" if self.kind == "idx" else "a path string"
+                raise ConfigError(f"dataset.{name} must be {need}, got {path!r}")
+        require_real("dataset.spread", self.spread, "(0, inf)")
         for name in ("num_classes", "dim", "samples_per_class"):
             require_int(name, getattr(self, name), 1)
         require_int("dataset.seed", self.seed, 0)
@@ -76,25 +73,17 @@ class RunConfig:
         for name in ("rounds", "clients", "pack", "local_epochs", "batch_size"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
-        for name in ("cpr", "lr", "cap_ratio", "prox_mu", "topk_fraction"):
-            require_real(name, getattr(self, name))
-        if not 0 < self.cpr <= 1:
-            raise ConfigError("cpr must be in (0, 1]")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError("lr must be finite and > 0")
-        if not 0 < self.cap_ratio <= 1:
-            raise ConfigError("cap_ratio must be in (0, 1]")
+        require_real("cpr", self.cpr, "(0, 1]")
+        require_real("lr", self.lr, "(0, inf)")
+        require_real("cap_ratio", self.cap_ratio, "(0, 1]")
+        require_real("prox_mu", self.prox_mu, "[0, inf)")
+        require_real("topk_fraction", self.topk_fraction, "(0, 1]")
         if self.payload not in PAYLOADS:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
-        # checked for every method, so that run.json holds only valid JSON
-        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
-            raise ConfigError("prox_mu must be finite and >= 0")
         if self.method == "fedprox" and self.prox_mu <= 0:
             raise ConfigError("fedprox requires prox_mu > 0")
-        if not 0 < self.topk_fraction <= 1:
-            raise ConfigError("topk_fraction must be in (0, 1]")
         if self.clients != self.partition.num_clients:
             raise ConfigError(
                 f"clients ({self.clients}) != partition.num_clients "
@@ -117,12 +106,16 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _json_object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    return doc
+
+
 def _section(doc: dict, key: str) -> dict:
     if key not in doc:
         raise ConfigError(f"config.{key} is required")
-    if not isinstance(doc[key], dict):
-        raise ConfigError(f"config.{key} must be a JSON object, got {doc[key]!r}")
-    return doc[key]
+    return _json_object(doc[key], f"config.{key}")
 
 
 def _build(cls, doc: dict, where: str):
@@ -136,9 +129,7 @@ def _build(cls, doc: dict, where: str):
 
 
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {doc!r}")
-    kwargs = dict(doc)
+    kwargs = dict(_json_object(doc, "config"))
     kwargs["partition"] = _build(PartitionSpec, _section(doc, "partition"), "partition")
     kwargs["model"] = _build(ShapeSpec, _section(doc, "model"), "model")
     kwargs["dataset"] = _build(DatasetSpec, _section(doc, "dataset"), "dataset")
@@ -154,7 +145,7 @@ def _parse_value(text: str) -> Any:
 
 def apply_overrides(doc: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
     """Apply `key=value` overrides (dotted keys reach nested sections)."""
-    doc = json.loads(json.dumps(doc))
+    doc = json.loads(json.dumps(_json_object(doc, "config")))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

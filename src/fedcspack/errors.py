@@ -1,6 +1,7 @@
 """Exception types shared across the simulator."""
 
 import numbers
+import sys
 
 
 class ShapeError(ValueError):
@@ -48,8 +49,14 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}")
 
 
-def require_real(name: str, value) -> None:
+def require_real(name: str, value, interval: str) -> None:
     """Raise ConfigError unless `value` is a real number (a bool is not
-    one); range and finiteness are the caller's checks."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    one) in `interval`, written "(0, 1]", "[0, inf)" and so on.  NaN, ±inf
+    and numbers beyond the float range are in no interval."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        abs(value) <= sys.float_info.max
+        and (low <= value if interval[0] == "[" else low < value)
+        and (value <= high if interval[-1] == "]" else value < high)
+    ):
+        raise ConfigError(f"{name} must be a real number in {interval}, got {value!r}")

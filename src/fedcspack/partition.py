@@ -8,7 +8,6 @@ deterministic per seed and produce an exact, disjoint cover of the rows.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,12 +52,8 @@ class PartitionSpec:
         require_int("num_clients", self.num_clients, 1)
         require_int("partition.seed", self.seed, 0)
         require_int("shards_per_client", self.shards_per_client, 1)
-        require_real("partition.alpha", self.alpha)
-        require_real("partition.test_fraction", self.test_fraction)
-        if self.law == "dirichlet" and not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError("alpha must be finite and > 0")
-        if not 0 < self.test_fraction < 1:
-            raise ConfigError("test_fraction must be in (0, 1)")
+        require_real("partition.alpha", self.alpha, "(0, inf)")
+        require_real("partition.test_fraction", self.test_fraction, "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,7 @@ def synth_blobs(
     """Gaussian blobs: one unit-norm random center per class, isotropic noise."""
     if min(num_classes, dim, samples_per_class) < 1:
         raise ConfigError("counts must be >= 1")
-    if not (math.isfinite(spread) and spread > 0):
-        raise ConfigError("spread must be finite and > 0")
+    require_real("spread", spread, "(0, inf)")
     rng = np.random.default_rng(seed)
     # standard_normal(shape) makes the same draws as normal(size=shape),
     # which returns 0.0 + 1.0 * z: the two differ only at z = -0.0, a sign

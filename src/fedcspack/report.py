@@ -95,7 +95,7 @@ def write_run_json(config: RunConfig, metrics: list[RoundMetrics], path: str | P
         "rounds": [dataclasses.asdict(m) for m in metrics],
     }
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        json.dump(doc, f, indent=2, allow_nan=False)
 
 
 def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_dir: str | Path) -> list[Path]:

@@ -88,6 +88,8 @@ class TestConfig:
             ("topk_fraction", float("nan")),
             ("topk_fraction", -3),
             ("prox_mu", -1),
+            # finite, but beyond the float range
+            ("lr", 10**400),
         ],
     )
     def test_out_of_range_rejected_at_load(self, key, value):
@@ -104,6 +106,12 @@ class TestConfig:
             (["method=fedprox", "prox_mu=NaN"], "prox_mu"),
             (["partition.alpha=NaN"], "alpha"),
             (["dataset.spread=NaN"], "spread"),
+            # ranges hold for every partition law and dataset kind
+            (["partition.law=pathological", "partition.alpha=NaN"], "alpha"),
+            (["partition.law=pathological", "partition.alpha=-Infinity"], "alpha"),
+            (['dataset={"kind": "idx", "images": "i.idx", "labels": "l.idx"}',
+              "dataset.spread=NaN"], "spread"),
+            (["dataset.images=NaN"], "images"),
         ],
     )
     def test_non_finite_rejected_at_load(self, overrides, field):
@@ -183,6 +191,11 @@ class TestConfig:
                 "dataset.images must be a non-empty path",
             ),
             (("model", "widths"), [16, 8, 5], "dataset dim 12 != model input 16"),
+            (
+                ("partition", "test_fraction"),
+                1,
+                "partition.test_fraction must be a real number in (0, 1), got 1",
+            ),
         ],
     )
     def test_bad_section_fails_at_load(self, path, value, message):
@@ -197,6 +210,14 @@ class TestConfig:
     def test_document_must_be_an_object(self):
         with pytest.raises(ConfigError, match="config must be a JSON object"):
             config_from_dict([base_doc()])
+
+    def test_override_of_a_document_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([base_doc()]))
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            main(["run", "--config", str(path), "--override", "rounds=2",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_more_blob_classes_than_model_outputs(self):
         doc = apply_overrides(base_doc(), ["dataset.num_classes=12"])
@@ -232,6 +253,11 @@ class TestConfig:
             apply_overrides(base_doc(), ["nope.deep=1"])
 
 
+def reject_constant(name):
+    """json's parse_constant hook: run.json holds no NaN or Infinity."""
+    raise AssertionError(f"run.json holds {name}")
+
+
 class TestRunCommand:
     def test_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -253,7 +279,7 @@ class TestRunCommand:
             "violations",
         ]
         assert len(rows) == 4
-        doc = json.loads((out / "run.json").read_text())
+        doc = json.loads((out / "run.json").read_text(), parse_constant=reject_constant)
         assert doc["config"]["model"] == {"widths": [12, 16, 5], "activation": "relu"}
         assert config_from_dict(doc["config"]) == config_from_dict(base_doc())
         assert len(doc["rounds"]) == 3
@@ -341,6 +367,18 @@ class TestSweep:
         out = tmp_path / "sweep"
         with pytest.raises(ConfigError, match=message):
             main(["sweep", "--config", str(config_path), "--grid", grid, "--out", str(out)])
+        assert not out.exists()
+
+    def test_non_path_labels_fail_before_any_cell_runs(self, tmp_path):
+        """A blobs dataset whose labels are a JSON object fails at load,
+        before any dataset is built: --out is not made."""
+        doc = base_doc()
+        doc["dataset"]["labels"] = {"path": "labels.idx"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="dataset.labels must be a path string"):
+            main(["sweep", "--config", str(path), "--grid", "cpr=0.5,1.0", "--out", str(out)])
         assert not out.exists()
 
     def test_repeated_grid_key_rejected(self, config_path, tmp_path):

@@ -220,6 +220,22 @@ class TestBuildMask:
         with pytest.raises(ValueError, match="weight_mode"):
             mask_weights(cos, kl, "both")
 
+    def test_baselines_weigh_every_package_one(self):
+        cos = np.array([-1.0, 0.5, np.nan, np.inf], dtype=np.float32)
+        kl = np.array([3.0, -np.inf, 0.0, np.nan], dtype=np.float32)
+        w = mask_weights(cos, kl, None)
+        assert w.dtype == np.float64 and (w == 1.0).all()
+
+    @pytest.mark.parametrize("mode", [None, "dual", "cos_only", "kl_only"])
+    def test_float32_terms_widened_to_float64(self, mode, rng):
+        """float32 theta and beta, as they arrive off the wire, weigh as
+        their float64 widening does, bit for bit."""
+        cos = rng.uniform(-1, 1, 257).astype(np.float32)
+        kl = rng.exponential(0.3, 257).astype(np.float32)
+        got = mask_weights(cos, kl, mode)
+        want = mask_weights(cos.astype(np.float64), kl.astype(np.float64), mode)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=10), st.sampled_from(["dual", "cos_only", "kl_only"]))
     def test_selected_weights_positive(self, cos, mode):
         cos = np.array(cos)
