@@ -89,15 +89,18 @@ class RunConfig:
                 f"clients ({self.clients}) != partition.num_clients "
                 f"({self.partition.num_clients})"
             )
-        if self.dataset.kind == "blobs" and self.dataset.num_classes > self.model.num_classes:
-            raise ConfigError(
-                f"dataset.num_classes ({self.dataset.num_classes}) > model outputs "
-                f"({self.model.num_classes})"
-            )
-        if self.dataset.kind == "blobs" and self.dataset.dim != self.model.input_dim:
-            raise ConfigError(
-                f"dataset dim {self.dataset.dim} != model input {self.model.input_dim}"
-            )
+        if self.dataset.kind == "blobs":  # an IDX file's shape is known once it is read
+            check_fits(self.model, self.dataset.dim, self.dataset.num_classes)
+
+
+def check_fits(model: ShapeSpec, dim: int, num_classes: int) -> None:
+    """Raise ConfigError unless rows `dim` wide labelled with `num_classes`
+    classes fit `model`: its input width is `dim` and it has at least
+    `num_classes` outputs."""
+    if dim != model.input_dim:
+        raise ConfigError(f"dataset dim {dim} != model input {model.input_dim}")
+    if num_classes > model.num_classes:
+        raise ConfigError(f"dataset num_classes {num_classes} > model outputs {model.num_classes}")
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:

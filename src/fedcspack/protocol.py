@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
-from .config import DatasetSpec, RunConfig
-from .errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
+from .config import DatasetSpec, RunConfig, check_fits
+from .errors import DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
 from .packing import PackageLayout, least_k, package_kl, package_views, score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
@@ -68,14 +68,7 @@ def checked_partition(config: RunConfig, dataset: Dataset) -> Partition:
     fits the model; raises ConfigError for a row width other than the
     model's input width, more classes than the model has outputs, or a
     partition the data cannot fill."""
-    if dataset.features.shape[1] != config.model.input_dim:
-        raise ConfigError(
-            f"dataset dim {dataset.features.shape[1]} != model input {config.model.input_dim}"
-        )
-    if dataset.num_classes > config.model.num_classes:
-        raise ConfigError(
-            f"dataset classes {dataset.num_classes} > model outputs {config.model.num_classes}"
-        )
+    check_fits(config.model, dataset.features.shape[1], dataset.num_classes)
     return make_partition(dataset, config.partition)
 
 

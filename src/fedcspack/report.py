@@ -15,17 +15,7 @@ from pathlib import Path
 from .config import RunConfig, config_to_dict
 from .protocol import RoundMetrics
 
-METRICS_HEADER = [
-    "round",
-    "method",
-    "global_acc",
-    "personalized_acc",
-    "bytes_up",
-    "bytes_down",
-    "wall_ms",
-    "participants",
-    "violations",
-]
+METRICS_HEADER = [f.name for f in dataclasses.fields(RoundMetrics)]
 
 
 @dataclass(frozen=True)
@@ -53,29 +43,11 @@ def summarize(metrics: list[RoundMetrics], dense_bytes_per_round: int) -> RunSum
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def metrics_rows(metrics: list[RoundMetrics]) -> list[list[str]]:
-    rows = []
-    for m in metrics:
-        rows.append(
-            [
-                str(m.round),
-                m.method,
-                _fmt(m.global_acc),
-                _fmt(m.personalized_acc),
-                str(m.bytes_up),
-                str(m.bytes_down),
-                _fmt(m.wall_ms),
-                ";".join(str(p) for p in m.participants),
-                str(m.violations),
-            ]
-        )
-    return rows
+    """One row per round, every field as `str` gives it (participants
+    joined by `;`)."""
+    return [[";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in dataclasses.astuple(m)]
+            for m in metrics]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -109,14 +81,14 @@ def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_di
     _write_csv(
         acc,
         ["round", "global_acc", "personalized_acc"],
-        [[m.round, _fmt(m.global_acc), _fmt(m.personalized_acc)] for m in metrics],
+        [[m.round, m.global_acc, m.personalized_acc] for m in metrics],
     )
     _write_csv(
         traffic,
         ["round", "bytes_up", "bytes_down"],
         [[m.round, m.bytes_up, m.bytes_down] for m in metrics],
     )
-    _write_csv(clients, ["client", "accuracy"], [[i, _fmt(a)] for i, a in enumerate(per_client_acc)])
+    _write_csv(clients, ["client", "accuracy"], enumerate(per_client_acc))
     return [acc, traffic, clients]
 
 

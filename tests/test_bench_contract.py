@@ -69,6 +69,9 @@ def test_traced_run_and_decoded_updates(tmp_path):
     assert tracer.packages_scored > 0 and len(tracer.valid_share) == 2
     names = {span[0] for span in tracer.spans}
     assert {"protocol.evaluate", "aggregation.aggregate", "report.per_client_accuracy"} <= names
+    # run's writer looks its report names up in cli's namespace, where they are traced
+    assert {"report.write_metrics_csv", "report.write_run_json", "report.summarize",
+            "report.emit_series"} <= names
 
     decoded = [wire.decode_update(blob) for blob in blobs]
     assert all(len(blob) == u.encoded_length() for blob, u in zip(blobs, decoded))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import idx_blobs
-from fedcspack import cli
+from fedcspack import cli, protocol
 from fedcspack.cli import main
 from fedcspack.config import apply_overrides, config_from_dict, config_to_dict
 from fedcspack.errors import ConfigError
@@ -301,6 +301,20 @@ class TestRunCommand:
         doc = json.loads((out / "run.json").read_text())
         assert doc["config"]["method"] == "fedavg"
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "method=fedavg"]])
+    def test_out_naming_a_file_fails_before_any_round(self, config_path, tmp_path, monkeypatch, command):
+        """--out is made before the rounds run, so naming a file costs no
+        training."""
+        def no_training(*args, **kwargs):
+            raise RuntimeError("local_train called")
+
+        monkeypatch.setattr(protocol, "local_train", no_training)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        with pytest.raises(OSError):
+            main([*command, "--config", str(config_path), "--out", str(out)])
+        assert out.read_text() == "not a directory"
+
 
 class TestPartitionReport:
     def test_prints_histograms(self, config_path, capsys):
@@ -411,6 +425,23 @@ class TestSweep:
             main(["run", "--config", str(config_path), "--override", f"method={method}",
                   "--out", str(alone)])
             assert deterministic_metrics(out / f"cell_{cell:03d}") == deterministic_metrics(alone)
+
+    def test_one_cell_writes_what_run_writes(self, config_path, tmp_path):
+        """A sweep cell's metrics.csv and run.json come from the writer
+        `run` uses: the same bytes, apart from wall_ms values."""
+        main(["sweep", "--config", str(config_path), "--grid", "method=fedcspack",
+              "--out", str(tmp_path / "sweep")])
+        main(["run", "--config", str(config_path), "--out", str(tmp_path / "alone")])
+        assert without_wall_ms(tmp_path / "sweep" / "cell_000") == without_wall_ms(tmp_path / "alone")
+
+
+def without_wall_ms(out_dir: Path) -> tuple[list[list[bytes]], bytes]:
+    """metrics.csv split into fields, wall_ms column dropped, and run.json
+    with each wall_ms value dropped, both read as bytes."""
+    lines = [line.split(b",") for line in (out_dir / "metrics.csv").read_bytes().split(b"\r\n")]
+    wall = lines[0].index(b"wall_ms")
+    run_json = re.sub(rb'"wall_ms": [^,\n]*', b'"wall_ms"', (out_dir / "run.json").read_bytes())
+    return [line[:wall] + line[wall + 1 :] for line in lines], run_json
 
 
 def deterministic_metrics(out_dir: Path) -> list[list[str]]:
