@@ -10,14 +10,15 @@ of the wide model (fedcspack-wide), one round's aggregation of 10 client
 updates in those two shapes under fedcspack's weighting and the
 baselines' and of the dense updates that fedavg and fedprox fold (wide
 and IDX models), the server's ingest of one client's blob in those
-shapes, package scoring, one fedcspack client's update (scoring,
-selection, the chosen packages' KL and the payload gather at the
-fedcspack-wide cap of 0.25) and selective pull on the wide model, and the
-set-up kernels: the Dirichlet partition of topk-desk and fedcspack-wide,
-the pathological partition of fedprox-idx, the blobs of fedcspack-wide
-and the wide model's initial parameters.  The last benchmark times a
-whole topk-desk set-up through the command line, from `main`'s argv to
-the return of `init_params`.
+shapes, package scoring, the KL of the 134 packages that one fedcspack
+client sends (the cap-0.25 selection, the short tail package among them),
+one fedcspack client's update (scoring, selection, the chosen packages'
+KL and the payload gather at the fedcspack-wide cap of 0.25) and
+selective pull on the wide model, and the set-up kernels: the Dirichlet
+partition of topk-desk and fedcspack-wide, the pathological partition of
+fedprox-idx, the blobs of fedcspack-wide and the wide model's initial
+parameters.  The last benchmark times a whole topk-desk set-up through
+the command line, from `main`'s argv to the return of `init_params`.
 """
 
 import json
@@ -29,7 +30,7 @@ from fedcspack import cli, protocol
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.config import config_from_dict
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
-from fedcspack.packing import package_views, score_packages
+from fedcspack.packing import package_kl, package_views, score_packages, select_topk
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
@@ -170,6 +171,17 @@ def test_score_packages_wide(benchmark):
     layout = package_views(WIDE.total_params, 128)
     profile = benchmark(score_packages, local, global_, layout)
     assert profile.num_packages == 535
+
+
+def test_package_kl_wide(benchmark):
+    """The beta of the packages one fedcspack-wide client sends: the
+    cap-0.25 selection, the 10-element tail package among them."""
+    local, global_ = wide_pair()
+    layout = package_views(WIDE.total_params, 128)
+    chosen = select_topk(score_packages(local, global_, layout), 0.25)
+    assert len(chosen) == 134 and chosen[-1] == layout.num_packages - 1
+    beta = benchmark(package_kl, local, global_, layout, chosen)
+    assert len(beta) == 134
 
 
 def test_client_update_wide(benchmark):

@@ -121,8 +121,10 @@ def _simplex_rows(v: np.ndarray) -> np.ndarray:
 
 def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """KL distance of every row pair of two float64 blocks, which it
-    overwrites.  A sum over a contiguous row is the same pairwise sum as a
-    1-D `.sum()`, so a row's value does not depend on the block either."""
+    overwrites.  Raw weights can be negative, so both rows go through a
+    stabilized softmax first; flooring both alike keeps KL(v, v) exactly 0.
+    A sum over a contiguous row is the same pairwise sum as a 1-D `.sum()`,
+    so a row's value does not depend on the block either."""
     p = _simplex_rows(a)
     q = _simplex_rows(b)
     np.divide(p, q, out=q)
@@ -132,33 +134,11 @@ def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), keeping -0.0
 
 
-def _row_pair(v: np.ndarray, other: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    v = np.asarray(v)
-    other = np.asarray(other)
-    if v.shape != other.shape or v.ndim != 1 or len(v) < 1:
-        raise ShapeError(f"{what} shapes {v.shape} vs {other.shape}")
-    return v.astype(np.float64)[None], other.astype(np.float64)[None]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with float64 accumulation; 0 on zero norm."""
-    return float(_cosine_rows(*_row_pair(a, b, "cosine"))[0])
-
-
-def kl_package(local: np.ndarray, global_: np.ndarray) -> float:
-    """KL distance between the two package slices mapped to the simplex.
-
-    Raw weights can be negative, so both slices are pushed through a
-    stabilized softmax first; both distributions are floored at EPS_Q and
-    renormalized (symmetric flooring keeps KL(v, v) exactly 0).
-    """
-    return float(_kl_rows(*_row_pair(local, global_, "kl"))[0])
-
-
 def _score_rows(kernel, local: FlatParams, global_: FlatParams, layout, packages) -> np.ndarray:
     """kernel(a, b) of each of the ascending, distinct `packages` of `local`
     and of `global_`: full packages in float64 blocks of rows of `split`, a
-    short tail package on its own, since padding it would regroup its sums."""
+    short tail package as a one-row block of its own, since padding it would
+    regroup its sums."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
     layout.check(local.shape.total_params)
@@ -172,15 +152,17 @@ def _score_rows(kernel, local: FlatParams, global_: FlatParams, layout, packages
         a = local_rows[rows].astype(np.float64)
         out[r0 : r0 + len(rows)] = kernel(a, global_rows[rows].astype(np.float64))
     if len(full) < len(packages):
-        out[-1] = kernel(*_row_pair(local_tail, global_tail, "tail"))[0]
+        a, b = (tail.astype(np.float64)[None] for tail in (local_tail, global_tail))
+        out[-1] = kernel(a, b)[0]
     return out
 
 
 def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
-    """Cosine of the whole of `local` and of each of its packages against
-    the global counterpart."""
+    """Cosine of the whole of `local`, one row of d elements, and of each of
+    its packages against the global counterpart."""
     cos = _score_rows(_cosine_rows, local, global_, layout, np.arange(layout.num_packages))
-    return SimilarityProfile(overall=cosine(local.values, global_.values), per_package_cos=cos)
+    whole = [v.astype(np.float64)[None] for v in (local.values, global_.values)]
+    return SimilarityProfile(overall=float(_cosine_rows(*whole)[0]), per_package_cos=cos)
 
 
 def package_kl(local: FlatParams, global_: FlatParams, layout: PackageLayout, packages) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from fedcspack import protocol
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import FlatParams, ShapeSpec
-from fedcspack.packing import package_views
+from fedcspack.packing import package_kl, package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, save_idx, synth_blobs
 
 
@@ -33,6 +33,25 @@ def params_of(values):
 def layout_of(params, pack):
     """The layout of `params`' model at package size `pack`."""
     return package_views(params.shape.total_params, pack)
+
+
+def cosine_of(a, b):
+    """score_packages' cosine of the vectors a and b, taken as the float32
+    parameters of one-package models.  The package is a short tail (pack >
+    d), so the tail row and the whole-model row score the same pair and
+    must agree bit for bit."""
+    local, global_ = params_of(a), params_of(b)
+    profile = score_packages(local, global_, layout_of(local, len(local.values) + 1))
+    assert same(profile.per_package_cos, np.array([profile.overall]))
+    return profile.overall
+
+
+def kl_of(a, b):
+    """package_kl of the vectors a and b, taken as the float32 parameters of
+    one-package models whose package is a short tail (pack > d)."""
+    local, global_ = params_of(a), params_of(b)
+    layout = layout_of(local, len(local.values) + 1)
+    return float(package_kl(local, global_, layout, np.arange(1))[0])
 
 
 def small_config(**overrides):

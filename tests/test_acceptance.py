@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import full_selection_constant_weights, small_config
+from conftest import cosine_of, full_selection_constant_weights, kl_of, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.cli import main as cli_main
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import Batch, FlatParams, ShapeSpec, forward_loss, gradient, init_params
-from fedcspack.packing import cosine, kl_package, package_views
+from fedcspack.packing import package_views
 from fedcspack.partition import PartitionSpec, label_histogram, make_partition, synth_blobs
 from fedcspack.protocol import run
 from fedcspack.report import summarize
@@ -337,7 +337,8 @@ def test_cpr_robustness_harness(tmp_path):
 
 def test_kl_cosine_unit_identities():
     """cos(v,v)=1, orthogonal cos=0, KL(p,p)=0, KL>=0 over fixtures plus 500
-    random vectors."""
+    random vectors, each pair scored by score_packages/package_kl as the
+    parameters of one-package models."""
     ok = True
     fixtures = [
         np.array([1.0, 0.0]),
@@ -347,21 +348,21 @@ def test_kl_cosine_unit_identities():
         np.array([0.5, 0.5, 0.5, 0.5]),
     ]
     for v in fixtures:
-        ok = ok and cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-        ok = ok and kl_package(v, v) == pytest.approx(0.0, abs=1e-12)
-    ok = ok and cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        ok = ok and cosine_of(v, v) == pytest.approx(1.0, abs=1e-12)
+        ok = ok and kl_of(v, v) == pytest.approx(0.0, abs=1e-12)
+    ok = ok and cosine_of(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     rng = np.random.default_rng(404)
     for _ in range(500):
         n = int(rng.integers(2, 16))
         a = rng.normal(size=n) * float(rng.uniform(0.1, 10))
         b = rng.normal(size=n) * float(rng.uniform(0.1, 10))
-        if not (abs(cosine(a, a) - 1.0) < 1e-12):
+        if not (abs(cosine_of(a, a) - 1.0) < 1e-12):
             ok = False
-        if kl_package(a, a) > 1e-12:
+        if kl_of(a, a) > 1e-12:
             ok = False
-        if kl_package(a, b) < 0:
+        if kl_of(a, b) < 0:
             ok = False
-        if not (-1.0 <= cosine(a, b) <= 1.0):
+        if not (-1.0 <= cosine_of(a, b) <= 1.0):
             ok = False
     report("kl/cosine unit identities (fixtures + 500 random)", ok)

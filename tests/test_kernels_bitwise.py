@@ -17,8 +17,6 @@ from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
     SimilarityProfile,
-    cosine,
-    kl_package,
     package_kl,
     package_views,
     score_packages,
@@ -74,24 +72,6 @@ def subsets_of(j_count, rng):
     quarter = np.flatnonzero(rng.random(j_count - 1) < 0.25)
     last = np.array([j_count - 1])
     return [np.arange(j_count), np.append(quarter, last), quarter, last, np.zeros(0, np.intp)]
-
-
-class TestCosineKL:
-    @settings(max_examples=150, deadline=None)
-    @given(model_pairs(max_total=300))
-    def test_match_oracle(self, pair):
-        local, global_, _ = pair
-        a, b = local.values, global_.values
-        assert same(cosine(a, b), oracle.cosine(a, b))
-        assert same(kl_package(a, b), oracle.kl_package(a, b))
-        assert same(cosine(a, np.zeros_like(b)), 0.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 128, 9000, 68_362])
-    def test_float64_inputs(self, n):
-        rng = np.random.default_rng(n)
-        a, b = rng.normal(size=n), rng.normal(size=n)
-        assert same(cosine(a, b), oracle.cosine(a, b))
-        assert same(kl_package(a, b), oracle.kl_package(a, b))
 
 
 class TestScorePackages:

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layout_of, params_of, small_config
+from conftest import cosine_of, kl_of, layout_of, params_of, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ShapeError
 from fedcspack.model import ShapeSpec, init_params
 from fedcspack.packing import (
     EPS_W,
     SimilarityProfile,
-    cosine,
-    kl_package,
     mask_weights,
     package_kl,
     package_views,
@@ -83,24 +81,24 @@ class TestPackageViews:
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_of(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_of(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_hand_value(self):
         # 32 / (sqrt(14) * sqrt(77))
         expected = 32.0 / (math.sqrt(14) * math.sqrt(77))
-        got = cosine(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
+        got = cosine_of(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.974631846, abs=1e-9)
 
     def test_zero_norm_is_zero(self):
-        assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+        assert cosine_of(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine(np.zeros(3), np.zeros(4))
+        with pytest.raises(ShapeError, match="local/global shape mismatch"):
+            cosine_of(np.zeros(3), np.zeros(4))
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16),
@@ -108,29 +106,23 @@ class TestCosine:
     )
     def test_bounded(self, a, b):
         n = min(len(a), len(b))
-        c = cosine(np.array(a[:n]), np.array(b[:n]))
+        c = cosine_of(np.array(a[:n]), np.array(b[:n]))
         assert -1.0 <= c <= 1.0
 
 
 class TestKL:
     def test_identical_is_zero(self):
         v = np.array([0.5, -2.0, 1.0])
-        assert kl_package(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert kl_of(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_both_zero_is_zero(self):
-        assert kl_package(np.zeros(2), np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+        assert kl_of(np.zeros(2), np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_high_precision_oracle(self):
-        # p = softmax([1,0]), q = softmax([0,1]); KL computed with mpmath
-        import mpmath
-
-        mpmath.mp.dps = 50
-        e = mpmath.e
-        p = [e / (1 + e), 1 / (1 + e)]
-        q = [1 / (1 + e), e / (1 + e)]
-        expected = float(sum(pi * mpmath.log(pi / qi) for pi, qi in zip(p, q)))
-        got = kl_package(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert got == pytest.approx(expected, abs=1e-9)
+        # p = softmax([1, 0]), q = softmax([0, 1]): with s = 1/(1 + e),
+        # KL = (e s) log e + s log(1/e) = (e - 1)/(e + 1) = tanh(1/2) exactly
+        got = kl_of(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert got == pytest.approx(math.tanh(0.5), abs=1e-9)
 
     @given(
         st.lists(st.floats(-50, 50), min_size=2, max_size=12),
@@ -138,7 +130,7 @@ class TestKL:
     )
     def test_nonnegative(self, a, b):
         n = min(len(a), len(b))
-        assert kl_package(np.array(a[:n]), np.array(b[:n])) >= 0.0
+        assert kl_of(np.array(a[:n]), np.array(b[:n])) >= 0.0
 
 
 class TestScorePackages:
