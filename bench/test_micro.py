@@ -13,11 +13,13 @@ and IDX models), the server's ingest of one client's blob in those
 shapes, package scoring, the KL of the 134 packages that one fedcspack
 client sends (the cap-0.25 selection, the short tail package among them),
 one fedcspack client's update (scoring, selection, the chosen packages'
-KL and the payload gather at the fedcspack-wide cap of 0.25) and
-selective pull on the wide model, and the set-up kernels: the Dirichlet
-partition of topk-desk and fedcspack-wide, the pathological partition of
-fedprox-idx, the blobs of fedcspack-wide and the wide model's initial
-parameters.  The last benchmark times a whole topk-desk set-up through
+KL and the payload gather at the fedcspack-wide cap of 0.25), one
+magnitude Top-k client's update (the float64 delta, its ranking and the
+payload gather) at the topk-desk shape (d = 2,762, fraction 0.1) and on
+the wide model (fraction 0.05), selective pull on the wide model, and
+the set-up kernels: the Dirichlet partition of topk-desk and
+fedcspack-wide, the pathological partition of fedprox-idx, the blobs of
+fedcspack-wide and the wide model's initial parameters.  The last benchmark times a whole topk-desk set-up through
 the command line, from `main`'s argv to the return of `init_params`.
 """
 
@@ -113,10 +115,10 @@ def test_decode_update(benchmark, shape, pack, count):
     assert len(decoded.packages) == count and len(decoded.payload) == len(update.payload)
 
 
-def wide_pair():
-    global_ = init_params(WIDE, 0)
+def model_pair(shape: ShapeSpec):
+    global_ = init_params(shape, 0)
     rng = np.random.default_rng(1)
-    local = FlatParams(global_.values + rng.normal(scale=0.01, size=WIDE.total_params), WIDE)
+    local = FlatParams(global_.values + rng.normal(scale=0.01, size=shape.total_params), shape)
     return local, global_
 
 
@@ -167,7 +169,7 @@ def test_server_ingest(benchmark, shape, pack, count):
 
 
 def test_score_packages_wide(benchmark):
-    local, global_ = wide_pair()
+    local, global_ = model_pair(WIDE)
     layout = package_views(WIDE.total_params, 128)
     profile = benchmark(score_packages, local, global_, layout)
     assert profile.num_packages == 535
@@ -176,7 +178,7 @@ def test_score_packages_wide(benchmark):
 def test_package_kl_wide(benchmark):
     """The beta of the packages one fedcspack-wide client sends: the
     cap-0.25 selection, the 10-element tail package among them."""
-    local, global_ = wide_pair()
+    local, global_ = model_pair(WIDE)
     layout = package_views(WIDE.total_params, 128)
     chosen = select_topk(score_packages(local, global_, layout), 0.25)
     assert len(chosen) == 134 and chosen[-1] == layout.num_packages - 1
@@ -184,20 +186,40 @@ def test_package_kl_wide(benchmark):
     assert len(beta) == 134
 
 
-def test_client_update_wide(benchmark):
-    local, global_ = wide_pair()
-    config = config_from_dict({
-        **TOPK_DESK, "method": "fedcspack", "cap_ratio": 0.25,
-        "model": {"widths": [256, 256, 10], "activation": "relu"},
-        "dataset": {**TOPK_DESK["dataset"], "dim": 256},
+def client_config(shape: ShapeSpec, **overrides):
+    """The topk-desk config with `overrides`, on a model of `shape`."""
+    return config_from_dict({
+        **TOPK_DESK, **overrides,
+        "model": {"widths": list(shape.widths), "activation": "relu"},
+        "dataset": {**TOPK_DESK["dataset"], "dim": shape.input_dim},
     })
+
+
+def test_client_update_wide(benchmark):
+    local, global_ = model_pair(WIDE)
+    config = client_config(WIDE, method="fedcspack", cap_ratio=0.25)
     layout = package_views(WIDE.total_params, 128)
     update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
     assert len(update.packages) == 134  # ceil(0.25 * 535): the cap binds
 
 
+@pytest.mark.parametrize(
+    "shape, fraction, kept",
+    [
+        pytest.param(DESK, 0.1, 277, id="topk-desk-d2762-0.1"),
+        pytest.param(WIDE, 0.05, 3419, id="wide-d68362-0.05"),
+    ],
+)
+def test_client_update_topk(benchmark, shape, fraction, kept):
+    local, global_ = model_pair(shape)
+    config = client_config(shape, topk_fraction=fraction)
+    layout = package_views(shape.total_params, 1)
+    update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
+    assert len(update.packages) == kept  # ceil_share(fraction, d)
+
+
 def test_selective_pull_wide(benchmark):
-    local, global_ = wide_pair()
+    local, global_ = model_pair(WIDE)
     layout = package_views(WIDE.total_params, 128)
     totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
     benchmark(selective_pull, local, global_, GlobalMask(totals), layout)

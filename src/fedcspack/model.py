@@ -95,14 +95,12 @@ class Batch:
 
 def _layers(values: np.ndarray, shape: ShapeSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views of a flat vector per layer, in flatten order."""
-    layers = []
-    off = 0
+    layers, off = [], 0
     for fan_in, fan_out in shape.layer_dims:
         w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
         off += fan_in * fan_out
-        b = values[off : off + fan_out]
+        layers.append((w, values[off : off + fan_out]))
         off += fan_out
-        layers.append((w, b))
     return layers
 
 
@@ -110,11 +108,8 @@ def init_params(shape: ShapeSpec, seed: int) -> FlatParams:
     """Seeded Gaussian init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
     values = np.zeros(shape.total_params, dtype=np.float32)
-    start = 0
-    for fan_in, fan_out in shape.layer_dims:
-        stop = start + fan_in * fan_out
-        values[start:stop] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=fan_in * fan_out)
-        start = stop + fan_out
+    for w, _ in _layers(values, shape):
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
     return FlatParams(values, shape)
 
 
@@ -184,46 +179,12 @@ def gradient(
     return out
 
 
-def _sgd_step(
-    w: np.ndarray,
-    w32: np.ndarray,
-    g: np.ndarray,
-    batch: Batch,
-    shape: ShapeSpec,
-    lr: float,
-    prox: tuple[float, np.ndarray, np.ndarray] | None = None,
-) -> None:
-    """One SGD step in place on the float64 weights `w`, which hold float32
-    values; `w32` receives the same weights as float32 and `g` is scratch.
-
-    `prox` is (mu, anchor values, float64 scratch vector) for the proximal
-    term; float32 anchor values widen exactly, so they need no float64 copy.
-    """
-    gradient(w, batch, shape, out=g)
-    if prox is not None:
-        mu, anchor, scratch = prox
-        np.subtract(w, anchor, out=scratch)
-        scratch *= mu
-        g += scratch
-    if not np.isfinite(g).all():
-        raise NumericError(f"non-finite gradient in layer {_offending_layer(shape, g)}")
-    g *= lr
-    w -= g
-    # float32 round-trip per step keeps training bit-reproducible
-    w32[...] = w
-    w[...] = w32
-    if not np.isfinite(w32).all():
-        raise NumericError("non-finite parameter values")
-
-
 def _offending_layer(shape: ShapeSpec, flat: np.ndarray) -> int:
-    bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-    off = 0
-    for k, (i, o) in enumerate(shape.layer_dims):
-        off += i * o + o
-        if bad < off:
+    """The first layer whose weight or bias view holds a non-finite value;
+    layers are contiguous, so it holds the first non-finite element."""
+    for k, (w, b) in enumerate(_layers(flat, shape)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             return k
-    return len(shape.layer_dims) - 1
 
 
 def local_train(
@@ -239,8 +200,10 @@ def local_train(
 
     With prox_mu > 0 a proximal pull toward the start model `params`
     (mu/2 * ||w - params||^2) is added to each minibatch objective.  The
-    full-size buffers (float64 weights, gradient, float32 weights, proximal
-    scratch) are allocated once per call and updated in place by every step.
+    full-size buffers are allocated once per call and updated in place by
+    every step: float64 weights `w` holding float32 values, the gradient
+    `g`, float32 weights `w32` and, with prox_mu > 0 only, a proximal
+    scratch (float32 start values widen exactly: no float64 copy needed).
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -249,15 +212,28 @@ def local_train(
     if len(data) == 0:
         raise EmptyDataError("client has no data")
 
+    shape = params.shape
     w = params.values.astype(np.float64)
     w32 = np.empty_like(params.values)
     g = np.empty_like(w)
-    prox = (prox_mu, params.values, np.empty_like(w)) if prox_mu > 0 else None
+    scratch = np.empty_like(w) if prox_mu > 0 else None
     n = len(data)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            mb = Batch(data.features[idx], data.labels[idx])
-            _sgd_step(w, w32, g, mb, params.shape, lr, prox)
-    return FlatParams(w32, params.shape)
+            gradient(w, Batch(data.features[idx], data.labels[idx]), shape, out=g)
+            if scratch is not None:
+                np.subtract(w, params.values, out=scratch)
+                scratch *= prox_mu
+                g += scratch
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient in layer {_offending_layer(shape, g)}")
+            g *= lr
+            w -= g
+            # float32 round-trip per step keeps training bit-reproducible
+            w32[...] = w
+            w[...] = w32
+            if not np.isfinite(w32).all():
+                raise NumericError("non-finite parameter values")
+    return FlatParams(w32, shape)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,11 +177,17 @@ def least_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(keys, kind="stable")[:k])
 
 
+def ceil_share(fraction: float, n: int) -> int:
+    """ceil(fraction * n) for the decimal `fraction` prints as: 0.07 of 100
+    is 7, where the float product 7.000000000000001 would round up to 8."""
+    return math.ceil(Fraction(str(fraction)) * n)
+
+
 def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
     """Pick the shared packages: those less similar than the overall cosine,
-    keeping at most ceil(cap_ratio * J), least-similar first (lower index on
-    ties).  Never empty: if no package is below the threshold, share the
-    single least similar one.  Returns the indices ascending, as sent.
+    at most the ceil_share(cap_ratio, J) least similar (lower index on ties).
+    Never empty: if no package is below the threshold, share the single
+    least similar one.  Returns the indices ascending, as sent.
     """
     if not 0 < cap_ratio <= 1:
         raise ValueError("cap_ratio must be in (0, 1]")
@@ -188,7 +195,7 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarra
     candidates = np.flatnonzero(cos < profile.overall)
     if len(candidates) == 0:
         return least_k(cos, 1)
-    k = min(len(candidates), math.ceil(cap_ratio * profile.num_packages))
+    k = min(len(candidates), ceil_share(cap_ratio, profile.num_packages))
     return candidates[least_k(cos[candidates], k)]
 
 

@@ -9,7 +9,6 @@ how the server weighs them.  Everything is deterministic per config seed.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +18,9 @@ from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from .config import DatasetSpec, RunConfig, check_fits
 from .errors import DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
-from .packing import PackageLayout, least_k, package_kl, package_views, score_packages, select_topk
+from .packing import (
+    PackageLayout, ceil_share, least_k, package_kl, package_views, score_packages, select_topk
+)
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
 from .wire import PackedUpdate, decode_update, encode_update
 
@@ -74,9 +75,7 @@ def checked_partition(config: RunConfig, dataset: Dataset) -> Partition:
 
 def effective_pack(config: RunConfig) -> int:
     # magnitude top-k sparsifies at coordinate granularity
-    if config.method == "magnitude_topk":
-        return 1
-    return config.pack
+    return 1 if config.method == "magnitude_topk" else config.pack
 
 
 def _client_update(
@@ -96,11 +95,11 @@ def _client_update(
         beta = package_kl(trained, global_snapshot, layout, chosen)
     else:
         if config.method == "magnitude_topk":
-            # the ceil(fraction * d) largest |delta|, ranked in float64, where
-            # distinct magnitudes can share a float32; float32(a64 - b64) ==
-            # a32 - b32, so the delta gathered below carries these values
-            delta = trained.values.astype(np.float64) - global_snapshot.values.astype(np.float64)
-            chosen = least_k(-np.abs(delta), math.ceil(config.topk_fraction * len(delta)))
+            # the ceil_share(fraction, d) largest |delta|, ranked in float64,
+            # where distinct magnitudes can share a float32; float32(a64 - b64)
+            # == a32 - b32, so the delta gathered below carries these values
+            delta = np.subtract(trained.values, global_snapshot.values, dtype=np.float64)
+            chosen = least_k(-np.abs(delta), ceil_share(config.topk_fraction, len(delta)))
         else:  # fedavg / fedprox: dense delta, every package
             chosen = np.arange(layout.num_packages)
         theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))
@@ -210,7 +209,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     # start from the one initial model
     locals_ = [server.global_params] * config.clients
 
-    sample_size = math.ceil(config.cpr * config.clients)
+    sample_size = ceil_share(config.cpr, config.clients)
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
         t0 = time.perf_counter()

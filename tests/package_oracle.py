@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
@@ -74,13 +75,21 @@ def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> ScoredP
     return ScoredProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)
 
 
+def ceil_share(fraction, n: int) -> int:
+    """The number of items that `fraction` of n covers, rounded up: the
+    product taken in decimal on the digits `fraction` prints as, so a share
+    the config writes as 0.07 of 100 is 7 whatever float64 says."""
+    product = Decimal(str(fraction)) * n
+    return int(product.to_integral_value(rounding=ROUND_CEILING))
+
+
 def magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:
-    """The ceil(fraction * d) largest |delta| coordinates, ties to the lower
-    index, in ascending order: one full lexsort of the float64 delta."""
+    """The ceil_share(fraction, d) largest |delta| coordinates, ties to the
+    lower index, in ascending order: one full lexsort of the float64 delta."""
     delta = local.values.astype(np.float64) - global_.values.astype(np.float64)
     d = len(delta)
     order = np.lexsort((np.arange(d), -np.abs(delta)))
-    return np.sort(order[: math.ceil(fraction * d)])
+    return np.sort(order[: ceil_share(fraction, d)])
 
 
 def package_size(config) -> int:
@@ -95,7 +104,7 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarra
     candidates = [j for j in range(j_count) if cos[j] < profile.overall]
     if not candidates:
         return np.array([min(range(j_count), key=lambda j: (cos[j], j))], dtype=np.intp)
-    k = min(len(candidates), math.ceil(cap_ratio * j_count))
+    k = min(len(candidates), ceil_share(cap_ratio, j_count))
     candidates.sort(key=lambda j: (cos[j], j))
     return np.array(sorted(candidates[:k]), dtype=np.intp)
 

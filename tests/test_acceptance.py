@@ -4,12 +4,12 @@ pass/fail line (run with `pytest -s tests/test_acceptance.py` to see them).
 
 import csv
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
+import package_oracle as oracle
 from conftest import cosine_of, full_selection_constant_weights, kl_of, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.cli import main as cli_main
@@ -304,8 +304,8 @@ def test_dual_weight_ablation_harness(tmp_path):
 
 
 def test_cpr_robustness_harness(tmp_path):
-    """cpr sweep completes; every round samples exactly ceil(cpr*N) distinct
-    clients; metrics files exist for all cells."""
+    """cpr sweep completes; every round samples exactly ceil_share(cpr, N)
+    distinct clients; metrics files exist for all cells."""
     config_path = write_config(tmp_path, rounds=8)
     out = tmp_path / "cpr"
     code = cli_main(
@@ -326,13 +326,13 @@ def test_cpr_robustness_harness(tmp_path):
     for row in rows:
         cell = out / row["cell"]
         ok = ok and (cell / "metrics.csv").exists() and (cell / "run.json").exists()
-        expect = math.ceil(float(row["cpr"]) * 10)
+        expect = oracle.ceil_share(float(row["cpr"]), 10)
         with open(cell / "metrics.csv") as f:
             for record in csv.DictReader(f):
                 members = record["participants"].split(";")
                 if len(members) != expect or len(set(members)) != expect:
                     ok = False
-    report("cpr robustness harness (|S_t| = ceil(cpr*N), all cells emitted)", ok)
+    report("cpr robustness harness (|S_t| = ceil_share(cpr, N), all cells emitted)", ok)
 
 
 def test_kl_cosine_unit_identities():

@@ -14,6 +14,7 @@ import model_oracle as oracle
 from fedcspack.errors import NumericError
 from fedcspack.model import (
     Batch,
+    FlatParams,
     ShapeSpec,
     forward_loss,
     gradient,
@@ -154,6 +155,30 @@ def test_nan_gradient_names_its_layer():
     got = outcome(local_train, params, data, rng=np.random.default_rng(0), **kwargs)
     want = outcome(oracle.local_train, params, data, rng=np.random.default_rng(0), **kwargs)
     assert got == want == "non-finite gradient in layer 0"
+
+
+def boundary_positions(shape: ShapeSpec) -> list[tuple[int, int]]:
+    """(layer, flat index) of the first and last weight and the first and
+    last bias of every layer, read off the oracle's layer walk."""
+    index = FlatParams(np.arange(shape.total_params, dtype=np.float32), shape)
+    return [
+        (k, int(view[i]))
+        for k, (w, b) in enumerate(oracle.unflatten(index))
+        for view in (w.ravel(), b)
+        for i in (0, -1)
+    ]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("widths", [[5, 4, 3], [9, 1, 1, 2]], ids=str)
+def test_offending_layer_at_every_boundary(widths, bad):
+    shape = ShapeSpec(widths)
+    for k, pos in boundary_positions(shape):
+        flat = np.zeros(shape.total_params)
+        flat[pos] = bad
+        # a later non-finite value does not move the report
+        flat[-1] = bad
+        assert model._offending_layer(shape, flat) == oracle._offending_layer(shape, flat) == k
 
 
 @pytest.mark.parametrize("prox_mu, vectors", [(0.0, 3), (0.01, 4)])

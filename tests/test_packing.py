@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import package_oracle as oracle
 from conftest import cosine_of, kl_of, layout_of, params_of, small_config
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ShapeError
@@ -12,6 +13,7 @@ from fedcspack.model import ShapeSpec, init_params
 from fedcspack.packing import (
     EPS_W,
     SimilarityProfile,
+    ceil_share,
     mask_weights,
     package_kl,
     package_views,
@@ -159,6 +161,35 @@ class TestScorePackages:
         assert prof.num_packages == 3
 
 
+class TestCeilShare:
+    """ceil_share, the one rule for "a share of n", against the oracle's
+    decimal ROUND_CEILING form."""
+
+    @pytest.mark.parametrize(
+        "fraction, n, k",
+        [
+            # float64 products just above an integer: math.ceil(f * n) is one more
+            (0.14, 50, 7),
+            (0.07, 100, 7),
+            (np.float64(0.07), 100, 7),
+            (0.55, 100, 55),
+            # the pinned configurations keep their k
+            (0.5, 10, 5),
+            (0.5, 20, 10),
+            (0.25, 22, 6),
+            (0.25, 535, 134),
+            (0.1, 2762, 277),
+            (1.0, 22, 22),
+        ],
+    )
+    def test_decimal_product(self, fraction, n, k):
+        assert ceil_share(fraction, n) == oracle.ceil_share(fraction, n) == k
+
+    @given(st.floats(1e-6, 1.0), st.integers(1, 10**6))
+    def test_matches_oracle(self, fraction, n):
+        assert ceil_share(fraction, n) == oracle.ceil_share(fraction, n)
+
+
 class TestSelectTopk:
     def profile(self, overall, cos):
         cos = np.array(cos, dtype=float)
@@ -181,6 +212,12 @@ class TestSelectTopk:
         prof = self.profile(0.9, [0.5, 0.5, 0.5])
         assert select_topk(prof, 1 / 3).tolist() == [0]
 
+    @pytest.mark.parametrize("cap_ratio", [0.07, np.float64(0.07)], ids=["float", "float64"])
+    def test_cap_is_the_decimal_share(self, cap_ratio):
+        # 0.07 * 100 is 7.000000000000001 in float64: the cap is 7, not 8
+        prof = self.profile(1.0, np.linspace(-1.0, 0.5, 100))
+        assert select_topk(prof, cap_ratio).tolist() == list(range(7))
+
     @given(
         st.lists(st.floats(-1, 1), min_size=1, max_size=12),
         st.floats(0.05, 1.0),
@@ -188,7 +225,7 @@ class TestSelectTopk:
     def test_cardinality_bounds(self, cos, cap_ratio):
         prof = self.profile(0.0, cos)
         sel = select_topk(prof, cap_ratio)
-        assert 1 <= len(sel) <= math.ceil(cap_ratio * len(cos))
+        assert 1 <= len(sel) <= oracle.ceil_share(cap_ratio, len(cos))
         assert sel.dtype == np.intp and (np.diff(sel) > 0).all()
 
 

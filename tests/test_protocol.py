@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import struct
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import package_oracle as oracle
 from conftest import (
     full_selection_constant_weights,
     idx_blobs,
@@ -59,7 +59,7 @@ class TestMagnitudeTopk:
             frac = float(rng.uniform(0.05, 0.9))
             kept = topk_kept(loc, g, frac)
             delta = np.abs(loc.values.astype(np.float64) - g.values.astype(np.float64))
-            k = math.ceil(frac * d)
+            k = oracle.ceil_share(frac, d)
             expected = sorted(sorted(range(d), key=lambda i: (-delta[i], i))[:k])
             assert list(kept) == expected
 
@@ -68,6 +68,12 @@ class TestMagnitudeTopk:
         loc = params_of(np.ones(4))
         kept = topk_kept(loc, g, 0.5)
         assert list(kept) == [0, 1]
+
+    @pytest.mark.parametrize("fraction", [0.55, np.float64(0.55)], ids=["float", "float64"])
+    def test_fraction_is_the_decimal_share(self, fraction):
+        # 0.55 * 100 is 55.00000000000001 in float64: 55 coordinates, not 56
+        loc = params_of(np.random.default_rng(3).normal(size=100))
+        assert len(topk_kept(loc, params_of(np.zeros(100)), fraction)) == 55
 
 
 class TestRunLoop:
@@ -85,10 +91,15 @@ class TestRunLoop:
     def test_sampling_size_and_distinctness(self):
         config = small_config(cpr=0.6, rounds=4)
         result = run(config)
-        expect = math.ceil(0.6 * config.clients)
+        expect = oracle.ceil_share(0.6, config.clients)
         for m in result.metrics:
             assert len(m.participants) == expect
             assert len(set(m.participants)) == expect
+
+    def test_sample_size_is_the_decimal_share(self):
+        # 0.14 * 50 is 7.000000000000001 in float64: 7 clients a round, not 8
+        result = run(small_config(clients=50, cpr=0.14, rounds=2))
+        assert [len(m.participants) for m in result.metrics] == [7, 7]
 
     def test_determinism_csv(self):
         config = small_config(rounds=4)
