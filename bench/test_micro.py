@@ -16,11 +16,13 @@ one fedcspack client's update (scoring, selection, the chosen packages'
 KL and the payload gather at the fedcspack-wide cap of 0.25), one
 magnitude Top-k client's update (the float64 delta, its ranking and the
 payload gather) at the topk-desk shape (d = 2,762, fraction 0.1) and on
-the wide model (fraction 0.05), selective pull on the wide model, and
-the set-up kernels: the Dirichlet partition of topk-desk and
+the wide model (fraction 0.05), the ranking alone (`least_k` of the 3,419
+largest of the wide model's 68,362 |delta|), selective pull on the wide
+model, and the set-up kernels: the Dirichlet partition of topk-desk and
 fedcspack-wide, the pathological partition of fedprox-idx, the blobs of
-fedcspack-wide and the wide model's initial parameters.  The last benchmark times a whole topk-desk set-up through
-the command line, from `main`'s argv to the return of `init_params`.
+fedcspack-wide and the wide model's initial parameters.  The last
+benchmark times a whole topk-desk set-up through the command line, from
+`main`'s argv to the return of `init_params`.
 """
 
 import json
@@ -32,7 +34,9 @@ from fedcspack import cli, protocol
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.config import config_from_dict
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
-from fedcspack.packing import package_kl, package_views, score_packages, select_topk
+from fedcspack.packing import (
+    ceil_share, least_k, package_kl, package_views, score_packages, select_topk
+)
 from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
@@ -216,6 +220,15 @@ def test_client_update_topk(benchmark, shape, fraction, kept):
     layout = package_views(shape.total_params, 1)
     update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
     assert len(update.packages) == kept  # ceil_share(fraction, d)
+
+
+def test_least_k_wide(benchmark):
+    """The ranking inside a wide magnitude Top-k update: the 3,419 largest
+    |delta| of the wide model, as `_client_update` ranks them."""
+    local, global_ = model_pair(WIDE)
+    keys = -np.abs(np.subtract(local.values, global_.values, dtype=np.float64))
+    kept = benchmark(least_k, keys, ceil_share(0.05, len(keys)))
+    assert len(kept) == 3419
 
 
 def test_selective_pull_wide(benchmark):

@@ -9,13 +9,28 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, ShapeError, require_int, require_real
 from .model import ShapeSpec
 from .partition import PartitionSpec
 
-METHODS = ("fedcspack", "fedavg", "fedprox", "magnitude_topk")
+
+class Method(NamedTuple):
+    """Everything that sets one method apart; the round loop reads nothing else."""
+
+    sends: str  # "cosine" packages, "magnitude" coordinates or "all" packages
+    selective_pull: bool  # a client pulls only the valid global packages
+    weighted: bool  # the server folds by weight_mode, else every package weighs 1.0
+    proximal: bool  # local SGD adds the prox_mu term
+
+
+METHODS = {
+    "fedcspack": Method("cosine", selective_pull=True, weighted=True, proximal=False),
+    "fedavg": Method("all", selective_pull=False, weighted=False, proximal=False),
+    "fedprox": Method("all", selective_pull=False, weighted=False, proximal=True),
+    "magnitude_topk": Method("magnitude", selective_pull=False, weighted=False, proximal=False),
+}
 PAYLOADS = ("delta",)
 WEIGHT_MODES = ("dual", "cos_only", "kl_only")
 
@@ -82,8 +97,8 @@ class RunConfig:
             raise ConfigError(f"unknown payload mode {self.payload!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.method == "fedprox" and self.prox_mu <= 0:
-            raise ConfigError("fedprox requires prox_mu > 0")
+        if METHODS[self.method].proximal and self.prox_mu <= 0:
+            raise ConfigError(f"{self.method} requires prox_mu > 0")
         if self.clients != self.partition.num_clients:
             raise ConfigError(
                 f"clients ({self.clients}) != partition.num_clients "

@@ -173,8 +173,15 @@ def package_kl(local: FlatParams, global_: FlatParams, layout: PackageLayout, pa
 
 
 def least_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest keys (lower index on ties), ascending."""
-    return np.sort(np.argsort(keys, kind="stable")[:k])
+    """Indices of the k smallest of the NaN-free keys (lower index on ties),
+    ascending, in linear time: every key below the k-th smallest, then the
+    lowest-index keys equal to it."""
+    if not 1 <= k <= len(keys):
+        raise ValueError(f"k = {k} outside [1, {len(keys)}]")
+    kth = np.partition(keys, k - 1)[k - 1]
+    keep = keys < kth
+    keep[np.flatnonzero(keys == kth)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def ceil_share(fraction: float, n: int) -> int:

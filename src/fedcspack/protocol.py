@@ -1,9 +1,9 @@
 """The round loop: client sampling, local execution, wire exchange with
 bit-exact traffic metering, server aggregation and evaluation.
 
-All four methods (fedcspack, fedavg, fedprox, magnitude_topk) run under
-the identical loop; they differ only in which packages a client sends and
-how the server weighs them.  Everything is deterministic per config seed.
+All four methods run under the identical loop; they differ only in their
+row of `config.METHODS`, which `run` and `_client_update` read.
+Everything is deterministic per config seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
-from .config import DatasetSpec, RunConfig, check_fits
+from .config import METHODS, DatasetSpec, RunConfig, check_fits
 from .errors import DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
 from .packing import (
@@ -73,11 +73,6 @@ def checked_partition(config: RunConfig, dataset: Dataset) -> Partition:
     return make_partition(dataset, config.partition)
 
 
-def effective_pack(config: RunConfig) -> int:
-    # magnitude top-k sparsifies at coordinate granularity
-    return 1 if config.method == "magnitude_topk" else config.pack
-
-
 def _client_update(
     config: RunConfig,
     client_id: int,
@@ -86,21 +81,22 @@ def _client_update(
     global_snapshot: FlatParams,
     layout: PackageLayout,
 ) -> PackedUpdate:
-    """Build the wire update for one client: the methods differ only in the
-    packages chosen and the (theta, beta) sent with each."""
-    if config.method == "fedcspack":
+    """Build the wire update for one client: the packages its method row's
+    `sends` chooses and the (theta, beta) sent with each."""
+    sends = METHODS[config.method].sends
+    if sends == "cosine":
         profile = score_packages(trained, global_snapshot, layout)
         chosen = select_topk(profile, config.cap_ratio)
         theta = profile.per_package_cos[chosen]
         beta = package_kl(trained, global_snapshot, layout, chosen)
     else:
-        if config.method == "magnitude_topk":
+        if sends == "magnitude":
             # the ceil_share(fraction, d) largest |delta|, ranked in float64,
             # where distinct magnitudes can share a float32; float32(a64 - b64)
             # == a32 - b32, so the delta gathered below carries these values
             delta = np.subtract(trained.values, global_snapshot.values, dtype=np.float64)
             chosen = least_k(-np.abs(delta), ceil_share(config.topk_fraction, len(delta)))
-        else:  # fedavg / fedprox: dense delta, every package
+        else:  # "all": dense delta, every package
             chosen = np.arange(layout.num_packages)
         theta, beta = np.ones(len(chosen)), np.zeros(len(chosen))
     payload = layout.gather(trained.values - global_snapshot.values, chosen)
@@ -197,9 +193,11 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
         dataset = build_dataset(config.dataset)
     partition = checked_partition(config, dataset)
     d = config.model.total_params
-    layout = package_views(d, effective_pack(config))
-    # the server's one method branch: baselines weigh every package 1.0
-    weight_mode = config.weight_mode if config.method == "fedcspack" else None
+    method = METHODS[config.method]
+    # a method that sends by magnitude picks single coordinates
+    layout = package_views(d, 1 if method.sends == "magnitude" else config.pack)
+    weight_mode = config.weight_mode if method.weighted else None
+    prox_mu = config.prox_mu if method.proximal else 0.0
 
     server = ServerState(
         global_params=init_params(config.model, config.seed),
@@ -230,10 +228,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             if len(partition.train[i]) == 0:
                 log.info("round %d: client %d has no train data, skipped", t, i)
                 continue
-            if config.method == "fedcspack":
+            pulled = global_snapshot
+            if method.selective_pull:
                 pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)
-            else:
-                pulled = global_snapshot
             rows = partition.train[i]
             data = Batch(dataset.features[rows], dataset.labels[rows])
             train_rng = np.random.default_rng([config.seed, 29, t, i])
@@ -244,7 +241,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
                 lr=config.lr,
                 batch_size=config.batch_size,
                 rng=train_rng,
-                prox_mu=config.prox_mu if config.method == "fedprox" else 0.0,
+                prox_mu=prox_mu,
             )
             locals_[i] = trained
             # encoded at once: a dense update's payload is the full-size delta,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedcspack import protocol
-from fedcspack.config import DatasetSpec, RunConfig
+from fedcspack.config import METHODS, DatasetSpec, RunConfig
 from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import package_kl, package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, save_idx, synth_blobs
@@ -105,10 +105,17 @@ def idx_blobs(work, num_classes, dim, samples_per_class, seed):
     return DatasetSpec(kind="idx", images=str(images), labels=str(labels))
 
 
+def layout_for(config):
+    """The layout `run` builds for `config`: single coordinates for a method
+    that sends by magnitude, packages of config.pack for every other."""
+    pack = 1 if METHODS[config.method].sends == "magnitude" else config.pack
+    return package_views(config.model.total_params, pack)
+
+
 def weight_mode_of(config):
-    """The weighting `run` folds with: the configured mode for fedcspack,
-    None (every package 1.0) for the baselines."""
-    return config.weight_mode if config.method == "fedcspack" else None
+    """The weighting `run` folds with: the configured mode for a method
+    whose row is weighted, None (every package 1.0) for the others."""
+    return config.weight_mode if METHODS[config.method].weighted else None
 
 
 def full_selection_constant_weights(monkeypatch):

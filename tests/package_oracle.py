@@ -83,13 +83,17 @@ def ceil_share(fraction, n: int) -> int:
     return int(product.to_integral_value(rounding=ROUND_CEILING))
 
 
+def least_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest keys, ties to the lower index, ascending:
+    one full lexsort on (key, index)."""
+    return np.sort(np.lexsort((np.arange(len(keys)), keys))[:k])
+
+
 def magnitude_topk(local: FlatParams, global_: FlatParams, fraction: float) -> np.ndarray:
-    """The ceil_share(fraction, d) largest |delta| coordinates, ties to the
-    lower index, in ascending order: one full lexsort of the float64 delta."""
+    """The ceil_share(fraction, d) largest |delta| coordinates of the float64
+    delta, ties to the lower index, in ascending order."""
     delta = local.values.astype(np.float64) - global_.values.astype(np.float64)
-    d = len(delta)
-    order = np.lexsort((np.arange(d), -np.abs(delta)))
-    return np.sort(order[: ceil_share(fraction, d)])
+    return least_k(-np.abs(delta), ceil_share(fraction, len(delta)))
 
 
 def package_size(config) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fedcspack.config import DatasetSpec, RunConfig
+from fedcspack.config import METHODS, DatasetSpec, RunConfig
 from fedcspack.model import ShapeSpec
 from fedcspack.partition import PartitionSpec, make_partition, synth_blobs
 from fedcspack.protocol import run
@@ -100,6 +100,11 @@ def pin_all() -> dict:
 def test_golden_trajectory(case):
     pinned = json.loads(PINS.read_text())[case]
     assert trajectory(case) == pinned
+
+
+def test_every_method_is_pinned():
+    """A new row of the method table lands with a pinned trajectory."""
+    assert {case["method"] for case in CASES.values()} == set(METHODS)
 
 
 @pytest.mark.parametrize("case", sorted(PARTITION_CASES))

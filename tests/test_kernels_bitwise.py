@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of
+from conftest import (
+    layout_for, layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of
+)
 from fedcspack import packing
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
@@ -22,7 +24,7 @@ from fedcspack.packing import (
     score_packages,
     select_topk,
 )
-from fedcspack.protocol import _client_update, _server_ingest, effective_pack
+from fedcspack.protocol import _client_update, _server_ingest
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 
@@ -135,6 +137,30 @@ def tie_heavy_pair(rng, spec):
     """(local, global) whose delta is all ties: |delta| in {0, 0.5, 1, 1.5, 2}."""
     local, global_ = (rng.choice(TIE_VALUES, size=spec.total_params) for _ in range(2))
     return FlatParams(local, spec), FlatParams(global_, spec)
+
+
+class TestLeastK:
+    """least_k against the oracle's full lexsort, at sizes where its
+    partition and its fill of the ties at the k-th key both matter."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tie_heavy_thousands(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1_000, 6_000))
+        keys = np.round(rng.normal(size=d), int(rng.integers(0, 3)))
+        keys[rng.random(d) < 0.2] = 0.0
+        keys[rng.random(d) < 0.2] = -0.0
+        if seed % 2:
+            keys = -np.abs(keys)  # magnitude Top-k's keys: -0.0 and 0.0 tie at the top
+        if seed % 3 == 0:
+            keys = keys.astype(np.float32)
+        for k in (1, int(rng.integers(2, d)), d):
+            assert same(packing.least_k(keys, k), oracle.least_k(keys, k))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_outside_range_rejected(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            packing.least_k(np.zeros(4), k)
 
 
 class TestMagnitudeTopk:
@@ -283,7 +309,7 @@ class TestClientIngestAndFold:
         trained = FlatParams(
             global_.values + rng.normal(scale=0.05, size=config.model.total_params), config.model
         )
-        layout = package_views(config.model.total_params, effective_pack(config))
+        layout = layout_for(config)
 
         blob = encode_update(_client_update(config, 3, 2, trained, global_, layout))
         assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))

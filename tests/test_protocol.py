@@ -15,6 +15,7 @@ import package_oracle as oracle
 from conftest import (
     full_selection_constant_weights,
     idx_blobs,
+    layout_for,
     params_of,
     small_config,
     topk_kept,
@@ -27,7 +28,7 @@ from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolV
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
-from fedcspack.protocol import effective_pack, evaluate, run
+from fedcspack.protocol import evaluate, run
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, encode_update
 
@@ -348,7 +349,7 @@ class TestMalformedUpdates:
     @pytest.mark.parametrize("method, kind", FAULT_CASES)
     def test_counted_not_fatal(self, monkeypatch, method, kind):
         config = small_config(method=method, rounds=2)
-        layout = package_views(config.model.total_params, effective_pack(config))
+        layout = layout_for(config)
         honest, sent = [], []
         encode = protocol.encode_update
         if kind in BLOB_CORRUPTIONS:
@@ -456,7 +457,7 @@ class TestFaultProperty:
         with mock.patch.object(protocol, "_server_ingest", drop):
             want, want_violations = trajectory(config)
         assert len(victim) == 1
-        j_count = package_views(config.model.total_params, effective_pack(config)).num_packages
+        j_count = layout_for(config).num_packages
         corrupt = corrupted_at(protocol.encode_update, round_, victim[0], kind, j_count)
         with mock.patch.object(protocol, "encode_update", corrupt):
             got, violations = trajectory(config)
