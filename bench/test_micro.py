@@ -18,7 +18,8 @@ magnitude Top-k client's update (the float64 delta, its ranking and the
 payload gather) at the topk-desk shape (d = 2,762, fraction 0.1) and on
 the wide model (fraction 0.05), the ranking alone (`least_k` of the 3,419
 largest of the wide model's 68,362 |delta|), selective pull on the wide
-model, and the set-up kernels: the Dirichlet partition of topk-desk and
+model, one fedcspack-wide round's `evaluate` of 20 clients, and the
+set-up kernels: the Dirichlet partition of topk-desk and
 fedcspack-wide, the pathological partition of fedprox-idx, the blobs of
 fedcspack-wide and the wide model's initial parameters.  The last
 benchmark times a whole topk-desk set-up through the command line, from
@@ -172,21 +173,26 @@ def test_server_ingest(benchmark, shape, pack, count):
     assert len(ingested.packages) == count and len(ingested.payload) == len(update.payload)
 
 
+def widened_pair(shape: ShapeSpec):
+    """model_pair's two models as the float64 vectors a client scores."""
+    return tuple(p.values.astype(np.float64) for p in model_pair(shape))
+
+
 def test_score_packages_wide(benchmark):
-    local, global_ = model_pair(WIDE)
+    local64, global64 = widened_pair(WIDE)
     layout = package_views(WIDE.total_params, 128)
-    profile = benchmark(score_packages, local, global_, layout)
+    profile = benchmark(score_packages, local64, global64, layout)
     assert profile.num_packages == 535
 
 
 def test_package_kl_wide(benchmark):
     """The beta of the packages one fedcspack-wide client sends: the
     cap-0.25 selection, the 10-element tail package among them."""
-    local, global_ = model_pair(WIDE)
+    local64, global64 = widened_pair(WIDE)
     layout = package_views(WIDE.total_params, 128)
-    chosen = select_topk(score_packages(local, global_, layout), 0.25)
+    chosen = select_topk(score_packages(local64, global64, layout), 0.25)
     assert len(chosen) == 134 and chosen[-1] == layout.num_packages - 1
-    beta = benchmark(package_kl, local, global_, layout, chosen)
+    beta = benchmark(package_kl, local64, global64, layout, chosen)
     assert len(beta) == 134
 
 
@@ -200,10 +206,13 @@ def client_config(shape: ShapeSpec, **overrides):
 
 
 def test_client_update_wide(benchmark):
+    """One fedcspack-wide client's update, the trained model widened inside
+    and the global one widened once per round beforehand, as `run` does."""
     local, global_ = model_pair(WIDE)
+    global64 = global_.values.astype(np.float64)
     config = client_config(WIDE, method="fedcspack", cap_ratio=0.25)
     layout = package_views(WIDE.total_params, 128)
-    update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
+    update = benchmark(protocol._client_update, config, 3, 0, local, global_, global64, layout)
     assert len(update.packages) == 134  # ceil(0.25 * 535): the cap binds
 
 
@@ -216,9 +225,10 @@ def test_client_update_wide(benchmark):
 )
 def test_client_update_topk(benchmark, shape, fraction, kept):
     local, global_ = model_pair(shape)
+    global64 = global_.values.astype(np.float64)
     config = client_config(shape, topk_fraction=fraction)
     layout = package_views(shape.total_params, 1)
-    update = benchmark(protocol._client_update, config, 3, 0, local, global_, layout)
+    update = benchmark(protocol._client_update, config, 3, 0, local, global_, global64, layout)
     assert len(update.packages) == kept  # ceil_share(fraction, d)
 
 
@@ -236,6 +246,23 @@ def test_selective_pull_wide(benchmark):
     layout = package_views(WIDE.total_params, 128)
     totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
     benchmark(selective_pull, local, global_, GlobalMask(totals), layout)
+
+
+def test_evaluate_wide(benchmark):
+    """One fedcspack-wide round's evaluation: the pooled global forward and
+    each of 20 clients' pull and forward on its own test rows, half of the
+    global packages valid."""
+    dataset = synth_blobs(10, 256, 100, 0.1, 0)
+    spec = PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0)
+    partition = make_partition(dataset, spec)
+    local, global_ = model_pair(WIDE)
+    layout = package_views(WIDE.total_params, 128)
+    totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
+    server = ServerState(global_, GlobalMask(totals))
+    _, _, per_client = benchmark(
+        protocol.evaluate, server, [local] * 20, partition, dataset, layout
+    )
+    assert len(per_client) == 20
 
 
 @pytest.mark.parametrize(

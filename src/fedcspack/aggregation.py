@@ -83,7 +83,9 @@ def aggregate(
     for u, w in zip(updates, weights):
         scale = w / totals[u.packages]
         n = np.searchsorted(u.packages, layout.num_full)
-        rows[u.packages[:n]] += scale[:n, None] * u.payload[: n * width].reshape(n, width)
+        # every full package: add in place, with no gather and scatter
+        full = slice(None) if n == layout.num_full else u.packages[:n]
+        rows[full] += scale[:n, None] * u.payload[: n * width].reshape(n, width)
         if n < len(u.packages):
             tail += scale[n:] * u.payload[n * width :]
 

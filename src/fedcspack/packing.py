@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .model import FlatParams
 
 # Floors: KL denominator and mask weight clamp.
 EPS_Q = 1e-8
@@ -87,18 +86,13 @@ class SimilarityProfile:
         return len(self.per_package_cos)
 
 
-# Scoring works on row blocks of this many elements, so its float64
-# temporaries stay small whatever the model size.
-SCORE_BLOCK = 1 << 14
-
-
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of every row pair of two float64 (rows, n) blocks; 0 where a
     row has zero norm.
 
     Each row product is one BLAS dot, the same one a 1-D `@` or
-    `np.linalg.norm` makes, so a row's value does not depend on the block
-    it sits in.
+    `np.linalg.norm` makes, so a row's value does not depend on the other
+    rows of the block.
     """
     dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
     na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
@@ -125,7 +119,7 @@ def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     overwrites.  Raw weights can be negative, so both rows go through a
     stabilized softmax first; flooring both alike keeps KL(v, v) exactly 0.
     A sum over a contiguous row is the same pairwise sum as a 1-D `.sum()`,
-    so a row's value does not depend on the block either."""
+    so a row's value does not depend on the other rows either."""
     p = _simplex_rows(a)
     q = _simplex_rows(b)
     np.divide(p, q, out=q)
@@ -135,41 +129,39 @@ def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), keeping -0.0
 
 
-def _score_rows(kernel, local: FlatParams, global_: FlatParams, layout, packages) -> np.ndarray:
-    """kernel(a, b) of each of the ascending, distinct `packages` of `local`
-    and of `global_`: full packages in float64 blocks of rows of `split`, a
-    short tail package as a one-row block of its own, since padding it would
-    regroup its sums."""
+def _split_pair(local: np.ndarray, global_: np.ndarray, layout: PackageLayout):
+    """`layout.split` of the float64 vectors local and global_, checked."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
-    layout.check(local.shape.total_params)
-    local_rows, local_tail = layout.split(local.values)
-    global_rows, global_tail = layout.split(global_.values)
+    layout.check(len(local))
+    if local.dtype != np.float64 or global_.dtype != np.float64:
+        raise TypeError("scoring takes float64 vectors")
+    return layout.split(local), layout.split(global_)
+
+
+def score_packages(local: np.ndarray, global_: np.ndarray, layout: PackageLayout) -> SimilarityProfile:
+    """Cosine of the float64 vector `local` against `global_`: of the whole
+    model as one row, of the full packages as the row views of `split`, and
+    of a short tail as a one-row block (padding it would regroup its sums)."""
+    (local_rows, local_tail), (global_rows, global_tail) = _split_pair(local, global_, layout)
+    cos = _cosine_rows(local_rows, global_rows)
+    if len(local_tail):
+        cos = np.append(cos, _cosine_rows(local_tail[None], global_tail[None]))
+    overall = _cosine_rows(local[None], global_[None])[0]
+    return SimilarityProfile(overall=float(overall), per_package_cos=cos)
+
+
+def package_kl(local: np.ndarray, global_: np.ndarray, layout: PackageLayout, packages) -> np.ndarray:
+    """KL distance of each of the ascending, distinct `packages` of the
+    float64 vector `local` against `global_`: the beta sent with a shared
+    package.  `_kl_rows` overwrites its blocks, so it gets copies of the
+    chosen rows (and of the tail), never views of either input."""
+    (local_rows, local_tail), (global_rows, global_tail) = _split_pair(local, global_, layout)
     full = packages[packages < layout.num_full]
-    out = np.empty(len(packages))
-    step = max(1, SCORE_BLOCK // layout.pack)
-    for r0 in range(0, len(full), step):
-        rows = full[r0 : r0 + step]
-        a = local_rows[rows].astype(np.float64)
-        out[r0 : r0 + len(rows)] = kernel(a, global_rows[rows].astype(np.float64))
+    kl = _kl_rows(local_rows[full], global_rows[full])
     if len(full) < len(packages):
-        a, b = (tail.astype(np.float64)[None] for tail in (local_tail, global_tail))
-        out[-1] = kernel(a, b)[0]
-    return out
-
-
-def score_packages(local: FlatParams, global_: FlatParams, layout: PackageLayout) -> SimilarityProfile:
-    """Cosine of the whole of `local`, one row of d elements, and of each of
-    its packages against the global counterpart."""
-    cos = _score_rows(_cosine_rows, local, global_, layout, np.arange(layout.num_packages))
-    whole = [v.astype(np.float64)[None] for v in (local.values, global_.values)]
-    return SimilarityProfile(overall=float(_cosine_rows(*whole)[0]), per_package_cos=cos)
-
-
-def package_kl(local: FlatParams, global_: FlatParams, layout: PackageLayout, packages) -> np.ndarray:
-    """KL distance of each of the ascending, distinct `packages` of `local`
-    against its global counterpart: the beta sent with a shared package."""
-    return _score_rows(_kl_rows, local, global_, layout, packages)
+        kl = np.append(kl, _kl_rows(local_tail[None].copy(), global_tail[None].copy()))
+    return kl
 
 
 def least_k(keys: np.ndarray, k: int) -> np.ndarray:

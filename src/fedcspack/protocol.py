@@ -79,22 +79,25 @@ def _client_update(
     round_: int,
     trained: FlatParams,
     global_snapshot: FlatParams,
+    global64: np.ndarray,
     layout: PackageLayout,
 ) -> PackedUpdate:
     """Build the wire update for one client: the packages its method row's
-    `sends` chooses and the (theta, beta) sent with each."""
+    `sends` chooses and the (theta, beta) sent with each.  It only reads
+    `global64`, the round's global model widened to float64."""
     sends = METHODS[config.method].sends
     if sends == "cosine":
-        profile = score_packages(trained, global_snapshot, layout)
+        trained64 = trained.values.astype(np.float64)
+        profile = score_packages(trained64, global64, layout)
         chosen = select_topk(profile, config.cap_ratio)
         theta = profile.per_package_cos[chosen]
-        beta = package_kl(trained, global_snapshot, layout, chosen)
+        beta = package_kl(trained64, global64, layout, chosen)
     else:
         if sends == "magnitude":
             # the ceil_share(fraction, d) largest |delta|, ranked in float64,
             # where distinct magnitudes can share a float32; float32(a64 - b64)
             # == a32 - b32, so the delta gathered below carries these values
-            delta = np.subtract(trained.values, global_snapshot.values, dtype=np.float64)
+            delta = trained.values - global64
             chosen = least_k(-np.abs(delta), ceil_share(config.topk_fraction, len(delta)))
         else:  # "all": dense delta, every package
             chosen = np.arange(layout.num_packages)
@@ -219,6 +222,8 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
 
         global_snapshot = server.global_params
+        # widened once: every client of the round scores against it
+        global64 = global_snapshot.values.astype(np.float64)
         mask_snapshot = server.global_mask
 
         bytes_up = 0
@@ -246,7 +251,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             locals_[i] = trained
             # encoded at once: a dense update's payload is the full-size delta,
             # which should not outlive this client
-            blob = encode_update(_client_update(config, i, t, trained, global_snapshot, layout))
+            blob = encode_update(_client_update(config, i, t, trained, global_snapshot, global64, layout))
             # a blob the server rejects was still sent
             bytes_up += len(blob)
             try:

@@ -35,23 +35,30 @@ def layout_of(params, pack):
     return package_views(params.shape.total_params, pack)
 
 
+def widened(params):
+    """The float64 vector that `run` and `_client_update` score with."""
+    return params.values.astype(np.float64)
+
+
+def one_package(a, b):
+    """a and b as float64 vectors, and a layout of their length whose one
+    package is a short tail (pack > d)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a, b, package_views(len(a), len(a) + 1)
+
+
 def cosine_of(a, b):
-    """score_packages' cosine of the vectors a and b, taken as the float32
-    parameters of one-package models.  The package is a short tail (pack >
-    d), so the tail row and the whole-model row score the same pair and
-    must agree bit for bit."""
-    local, global_ = params_of(a), params_of(b)
-    profile = score_packages(local, global_, layout_of(local, len(local.values) + 1))
+    """score_packages' cosine of the float64 vectors a and b.  The one
+    package is a short tail, so the tail row and the whole-model row score
+    the same pair and must agree bit for bit."""
+    profile = score_packages(*one_package(a, b))
     assert same(profile.per_package_cos, np.array([profile.overall]))
     return profile.overall
 
 
 def kl_of(a, b):
-    """package_kl of the vectors a and b, taken as the float32 parameters of
-    one-package models whose package is a short tail (pack > d)."""
-    local, global_ = params_of(a), params_of(b)
-    layout = layout_of(local, len(local.values) + 1)
-    return float(package_kl(local, global_, layout, np.arange(1))[0])
+    """package_kl of the float64 vectors a and b, one package long."""
+    return float(package_kl(*one_package(a, b), np.arange(1))[0])
 
 
 def small_config(**overrides):
@@ -92,7 +99,8 @@ def topk_kept(local, global_, fraction):
         dataset=DatasetSpec(kind="blobs", num_classes=shape.num_classes, dim=shape.input_dim),
     )
     layout = package_views(shape.total_params, 1)
-    return protocol._client_update(config, 0, 0, local, global_, layout).packages
+    update = protocol._client_update(config, 0, 0, local, global_, widened(global_), layout)
+    return update.packages
 
 
 def idx_blobs(work, num_classes, dim, samples_per_class, seed):

@@ -3,8 +3,6 @@ loops in package_oracle.py bit for bit (not merely to a tolerance)."""
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 
 import package_oracle as oracle
 from conftest import (
-    layout_for, layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of
+    layout_for, layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of, widened
 )
 from fedcspack import packing
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
@@ -60,12 +58,14 @@ def assert_matches_oracle(local, global_, pack, subsets):
     and package_kl the oracle's KL at each ascending package subset, bit
     for bit."""
     layout = layout_of(local, pack)
-    got = score_packages(local, global_, layout)
+    local64, global64 = widened(local), widened(global_)
+    got = score_packages(local64, global64, layout)
     want = oracle.score_packages(local, global_, pack)
     assert same(got.overall, want.overall)
     assert same(got.per_package_cos, want.per_package_cos)
     for packages in subsets:
-        assert same(package_kl(local, global_, layout, packages), want.per_package_kl[packages])
+        got = package_kl(local64, global64, layout, packages)
+        assert same(got, want.per_package_kl[packages])
 
 
 def subsets_of(j_count, rng):
@@ -78,12 +78,25 @@ def subsets_of(j_count, rng):
 
 class TestScorePackages:
     @settings(max_examples=150, deadline=None)
-    @given(model_pairs(), st.sampled_from([1, 7, 64, packing.SCORE_BLOCK]), st.integers(0, 2**32 - 1))
-    def test_matches_oracle(self, pair, block, seed):
+    @given(model_pairs(), st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, pair, seed):
         local, global_, pack = pair
         subsets = subsets_of(-(-len(local.values) // pack), np.random.default_rng(seed))
-        with mock.patch.object(packing, "SCORE_BLOCK", block):
-            assert_matches_oracle(local, global_, pack, subsets)
+        assert_matches_oracle(local, global_, pack, subsets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(model_pairs(), st.integers(0, 2**32 - 1))
+    def test_inputs_unchanged(self, pair, seed):
+        """Neither kernel writes its float64 inputs, whichever packages it
+        scores: `_kl_rows` softmaxes its blocks in place, so it must only
+        ever get copies."""
+        local, global_, pack = pair
+        layout = layout_of(local, pack)
+        local64, global64 = widened(local), widened(global_)
+        score_packages(local64, global64, layout)
+        for packages in subsets_of(layout.num_packages, np.random.default_rng(seed)):
+            package_kl(local64, global64, layout, packages)
+        assert same(local64, widened(local)) and same(global64, widened(global_))
 
     # 68,362 = 2 * 7 * 19 * 257: packs 1, 257 and 68,362 divide d, the
     # others leave a short tail; 100,000 > d is one short package
@@ -95,13 +108,14 @@ class TestScorePackages:
         rng = np.random.default_rng(pack)
         local = FlatParams(global_.values + rng.normal(scale=0.01, size=spec.total_params), spec)
         subsets = subsets_of(-(-spec.total_params // pack), rng)
-        subsets.append(select_topk(score_packages(local, global_, layout_of(local, pack)), 0.25))
+        profile = score_packages(widened(local), widened(global_), layout_of(local, pack))
+        subsets.append(select_topk(profile, 0.25))
         assert_matches_oracle(local, global_, pack, subsets)
 
     def test_zero_norm_package_scores_zero_cosine(self):
         local = FlatParams(np.array([0, 0, 1, 2, 3], dtype=np.float32), spec_with_total(5))
         global_ = FlatParams(np.array([1, 2, 0, 0, 3], dtype=np.float32), spec_with_total(5))
-        got = score_packages(local, global_, layout_of(local, 2))
+        got = score_packages(widened(local), widened(global_), layout_of(local, 2))
         assert list(got.per_package_cos) == [0.0, 0.0, 1.0]
         assert_matches_oracle(local, global_, 2, subsets_of(3, np.random.default_rng(0)))
 
@@ -188,8 +202,10 @@ class TestMagnitudeTopk:
         config = small_config(method="magnitude_topk", topk_fraction=fraction)
         trained, global_ = tie_heavy_pair(np.random.default_rng(11), config.model)
         layout = package_views(config.model.total_params, 1)
-        blob = encode_update(_client_update(config, 3, 2, trained, global_, layout))
-        assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
+        update = _client_update(config, 3, 2, trained, global_, widened(global_), layout)
+        assert encode_update(update) == encode_update(
+            oracle.client_update(config, 3, 2, trained, global_)
+        )
 
 
 def package_mask(rng, j_count):
@@ -250,12 +266,14 @@ class TestAggregate:
         assert same(got.state.global_mask.totals, want.state.global_mask.totals)
 
     # MLP 256-256-10 (d = 68,362): at pack 128, 534 full packages and a
-    # 10-element tail; `rounds` stops at d = 400
+    # 10-element tail, at pack 257, 266 full packages and no tail; `rounds`
+    # stops at d = 400
     @pytest.mark.parametrize("weight_mode", ["dual", None])
     @pytest.mark.parametrize(
         "pack, share, with_tail",
         [
             pytest.param(128, 1.0, True, id="every-package"),
+            pytest.param(257, 1.0, False, id="every-package-no-tail"),
             pytest.param(128, 0.25, True, id="quarter-with-tail"),
             pytest.param(128, 0.25, False, id="quarter-without-tail"),
             pytest.param(128, 0.0, True, id="tail-only"),
@@ -311,7 +329,8 @@ class TestClientIngestAndFold:
         )
         layout = layout_for(config)
 
-        blob = encode_update(_client_update(config, 3, 2, trained, global_, layout))
+        update = _client_update(config, 3, 2, trained, global_, widened(global_), layout)
+        blob = encode_update(update)
         assert blob == encode_update(oracle.client_update(config, 3, 2, trained, global_))
 
         # the boundary returns the decoded update, unchanged

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import cosine_of, kl_of, layout_of, params_of, small_config
+from conftest import cosine_of, kl_of, layout_of, params_of, small_config, widened
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import ShapeError
 from fedcspack.model import ShapeSpec, init_params
@@ -62,14 +62,15 @@ class TestPackageViews:
 
     def test_layout_of_another_size_rejected(self, subtests):
         a = params_of(np.ones(10))
+        a64 = widened(a)
         layout = package_views(12, 4)  # 3 packages, as a layout of 10 has
         server = ServerState(a, GlobalMask.all_valid(3))
         # no test rows, so evaluate pulls nothing: its own check must fire
         partition = Partition([np.arange(2)], [np.arange(2)], [np.arange(0)])
         dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
         kernels = {
-            "score_packages": lambda: score_packages(a, a, layout),
-            "package_kl": lambda: package_kl(a, a, layout, np.arange(3)),
+            "score_packages": lambda: score_packages(a64, a64, layout),
+            "package_kl": lambda: package_kl(a64, a64, layout, np.arange(3)),
             "aggregate": lambda: aggregate(server, [], layout, "dual"),
             "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
             "evaluate": lambda: evaluate(server, [a], partition, dataset, layout),
@@ -138,26 +139,36 @@ class TestKL:
 class TestScorePackages:
     def test_identical_models(self):
         rng = np.random.default_rng(5)
-        p = params_of(rng.normal(size=15))
-        prof = score_packages(p, p, layout_of(p, 4))
+        p = rng.normal(size=15)
+        layout = package_views(15, 4)
+        prof = score_packages(p, p, layout)
         assert prof.overall == pytest.approx(1.0)
         assert np.allclose(prof.per_package_cos, 1.0)
-        kl = package_kl(p, p, layout_of(p, 4), np.arange(prof.num_packages))
+        kl = package_kl(p, p, layout, np.arange(prof.num_packages))
         assert np.allclose(kl, 0.0, atol=1e-12)
 
     def test_single_package_degeneracy(self):
         rng = np.random.default_rng(4)
-        a = params_of(rng.normal(size=10))
-        b = params_of(rng.normal(size=10))
-        prof = score_packages(a, b, layout_of(a, 100))
+        a, b = rng.normal(size=10), rng.normal(size=10)
+        prof = score_packages(a, b, package_views(10, 100))
         assert prof.num_packages == 1
         assert prof.per_package_cos[0] == prof.overall
 
+    def test_float32_rejected(self):
+        # the kernels' sums are pinned in float64: a float32 model must be
+        # widened by the caller, never scored as it is
+        a64 = np.ones(10)
+        layout = package_views(10, 4)
+        for a, b in ((a64.astype(np.float32), a64), (a64, a64.astype(np.float32))):
+            with pytest.raises(TypeError, match="float64"):
+                score_packages(a, b, layout)
+            with pytest.raises(TypeError, match="float64"):
+                package_kl(a, b, layout, np.arange(3))
+
     def test_ceiling_arithmetic(self):
         rng = np.random.default_rng(4)
-        a = params_of(rng.normal(size=10))
-        b = params_of(rng.normal(size=10))
-        prof = score_packages(a, b, layout_of(a, 4))
+        a, b = rng.normal(size=10), rng.normal(size=10)
+        prof = score_packages(a, b, package_views(10, 4))
         assert prof.num_packages == 3
 
 
@@ -274,7 +285,7 @@ class TestBuildMask:
 def dense_update(loc, g, pack):
     """The payloads a dense (fedavg) client sends, one per package."""
     layout = layout_of(loc, pack)
-    update = _client_update(small_config(method="fedavg"), 0, 0, loc, g, layout)
+    update = _client_update(small_config(method="fedavg"), 0, 0, loc, g, widened(g), layout)
     return np.split(update.payload, np.cumsum(update.lengths)[:-1])
 
 
@@ -306,10 +317,8 @@ class TestExtractDeltas:
 @given(st.floats(0.1, 10.0), st.integers(0, 2**31 - 1))
 def test_selection_scale_invariance(scale, seed):
     rng = np.random.default_rng(seed)
-    a = params_of(rng.normal(size=24))
-    b = params_of(rng.normal(size=24))
-    a2 = params_of(a.values * scale)
-    b2 = params_of(b.values * scale)
+    a, b = rng.normal(size=24), rng.normal(size=24)
+    a2, b2 = a * scale, b * scale
     layout = package_views(24, 5)
     p1 = score_packages(a, b, layout)
     p2 = score_packages(a2, b2, layout)

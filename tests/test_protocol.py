@@ -20,6 +20,7 @@ from conftest import (
     small_config,
     topk_kept,
     weight_mode_of,
+    widened,
 )
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
 from fedcspack.config import DatasetSpec
@@ -190,6 +191,26 @@ class TestRunLoop:
         assert never_sampled
         for i in never_sampled:
             assert np.array_equal(result.locals_[i].values, start.values)
+
+    @pytest.mark.parametrize("method", ["fedcspack", "magnitude_topk"])
+    def test_widened_global_never_written(self, monkeypatch, method):
+        # every client of a round scores against one float64 widening of the
+        # global model; a kernel that wrote it would skew every later client
+        rounds = {}
+        client_update = protocol._client_update
+
+        def observed(config, i, t, trained, global_snapshot, global64, layout):
+            vector, want = rounds.setdefault(t, (global64, widened(global_snapshot).tobytes()))
+            assert global64 is vector and global64.tobytes() == want
+            return client_update(config, i, t, trained, global_snapshot, global64, layout)
+
+        def after_round(t, server):
+            vector, want = rounds[t]
+            assert vector.tobytes() == want
+
+        monkeypatch.setattr(protocol, "_client_update", observed)
+        run(small_config(method=method, rounds=3), round_hook=after_round)
+        assert sorted(rounds) == [0, 1, 2]
 
 
 def drop_last_entry(decode):
@@ -381,7 +402,7 @@ class TestMalformedUpdates:
         noise = np.random.default_rng(4).normal(scale=0.05, size=config.model.total_params)
         trained = FlatParams((global_.values + noise).astype(np.float32), config.model)
         corrupt, error = CORRUPTIONS[kind]
-        update = protocol._client_update(config, 2, 0, trained, global_, layout)
+        update = protocol._client_update(config, 2, 0, trained, global_, widened(global_), layout)
         protocol._server_ingest(encode_update(update), 2, 0, layout)  # honest: accepted
         blob = encode_update(corrupt(update, layout.num_packages))
         with pytest.raises(error):
