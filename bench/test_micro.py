@@ -12,6 +12,7 @@ baselines' and of the dense updates that fedavg and fedprox fold (wide
 and IDX models), the server's ingest of one client's blob in those
 shapes, package scoring, the KL of the 134 packages that one fedcspack
 client sends (the cap-0.25 selection, the short tail package among them),
+the payload gather of those 134 packages with and without the tail,
 one fedcspack client's update (scoring, selection, the chosen packages'
 KL and the payload gather at the fedcspack-wide cap of 0.25), one
 magnitude Top-k client's update (the float64 delta, its ranking and the
@@ -194,6 +195,22 @@ def test_package_kl_wide(benchmark):
     assert len(chosen) == 134 and chosen[-1] == layout.num_packages - 1
     beta = benchmark(package_kl, local64, global64, layout, chosen)
     assert len(beta) == 134
+
+
+@pytest.mark.parametrize(
+    "with_tail", [pytest.param(False, id="134x128"), pytest.param(True, id="134x128-tail")]
+)
+def test_gather_wide(benchmark, with_tail):
+    """The payload of one fedcspack-wide client: 134 of the 535 packages (the
+    cap-0.25 selection), the 10-element tail package among them or not."""
+    layout = package_views(WIDE.total_params, 128)
+    rng = np.random.default_rng(0)
+    delta = rng.normal(scale=0.01, size=WIDE.total_params).astype(np.float32)
+    chosen = np.sort(rng.choice(layout.num_packages - 1, size=134, replace=False))
+    if with_tail:
+        chosen[-1] = layout.num_packages - 1
+    payload = benchmark(layout.gather, delta, chosen)
+    assert len(payload) == layout.lengths[chosen].sum()
 
 
 def client_config(shape: ShapeSpec, **overrides):

@@ -74,20 +74,11 @@ def aggregate(
             raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
         totals[u.packages] += w
 
-    # each client adds (w_j / total_j) * payload to the rows of its full
-    # packages and to the tail if it sent it; packages of one client never
+    # each client adds (w_j / total_j) * payload to its packages, which never
     # overlap, so every element sums its clients' terms in ascending client id
     acc = np.zeros(total_params)
-    rows, tail = layout.split(acc)
-    width = layout.pack
     for u, w in zip(updates, weights):
-        scale = w / totals[u.packages]
-        n = np.searchsorted(u.packages, layout.num_full)
-        # every full package: add in place, with no gather and scatter
-        full = slice(None) if n == layout.num_full else u.packages[:n]
-        rows[full] += scale[:n, None] * u.payload[: n * width].reshape(n, width)
-        if n < len(u.packages):
-            tail += scale[n:] * u.payload[n * width :]
+        layout.add(acc, u.packages, w / totals[u.packages], u.payload)
 
     # packages with weight: float32(float64(global) + step), in place
     new_mask = GlobalMask(totals=totals)

@@ -50,23 +50,36 @@ class PackageLayout:
         """Per-element copy of a per-package boolean mask."""
         return np.repeat(package_mask, self.pack)[: self.total_params]
 
-    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the flat vector v: the (num_full, pack) rows of its full
-        packages and its short tail package (empty when pack divides d)."""
+    def blocks(self, v: np.ndarray, packages: np.ndarray | None = None) -> list[np.ndarray]:
+        """v's packages as 2-D blocks in package order: the full packages'
+        rows as one (n, pack) block, then a short tail as a one-row block.
+        Views of every package if `packages` is None, else copies of those
+        (ascending, distinct)."""
         width = self.num_full * self.pack
-        return v[:width].reshape(self.num_full, self.pack), v[width:]
+        rows = v[:width].reshape(self.num_full, self.pack)
+        if packages is None:
+            return [rows, v[None, width:]] if width < len(v) else [rows]
+        n = packages.searchsorted(self.num_full)
+        return [rows[packages[:n]], v[None, width:].copy()] if n < len(packages) else [rows[packages]]
 
     def gather(self, v: np.ndarray, packages: np.ndarray) -> np.ndarray:
-        """The elements of the ascending, distinct `packages` of the flat
-        vector v, package after package: rows of `split`, then the tail
-        package, which can only come last.  v itself when every package is
-        chosen."""
+        """The elements of the ascending, distinct `packages` of v in one
+        array: their `blocks` joined, or v itself if every package is chosen."""
         if len(packages) == self.num_packages:
             return v
-        rows, tail = self.split(v)
-        full = packages[packages < self.num_full]
-        picked = rows[full].ravel()
-        return picked if len(full) == len(packages) else np.concatenate((picked, tail))
+        picked = self.blocks(v, packages)
+        return picked[0].ravel() if len(picked) == 1 else np.concatenate(picked, axis=None)
+
+    def add(self, v: np.ndarray, packages: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> None:
+        """In-place inverse of `gather`: add scale[i] times packages[i]'s
+        elements of `packed` to v's package packages[i]."""
+        rows, *tail = self.blocks(v)
+        n = packages.searchsorted(self.num_full)
+        # every full package: add in place, with no gather and scatter
+        full = slice(None) if n == self.num_full else packages[:n]
+        rows[full] += scale[:n, None] * packed[: n * self.pack].reshape(n, self.pack)
+        if n < len(packages):
+            tail[0] += scale[n:, None] * packed[n * self.pack :]
 
 
 def package_views(total_params: int, pack: int) -> PackageLayout:
@@ -129,24 +142,23 @@ def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(0.0 > kl, 0.0, kl)  # max(kl, 0.0), keeping -0.0
 
 
-def _split_pair(local: np.ndarray, global_: np.ndarray, layout: PackageLayout):
-    """`layout.split` of the float64 vectors local and global_, checked."""
+def _map_blocks(kernel, local: np.ndarray, global_: np.ndarray, layout: PackageLayout, packages=None):
+    """`kernel` of every row pair of the paired `layout.blocks` of the
+    float64 vectors local and global_, checked, as one array."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
     layout.check(len(local))
     if local.dtype != np.float64 or global_.dtype != np.float64:
         raise TypeError("scoring takes float64 vectors")
-    return layout.split(local), layout.split(global_)
+    pairs = zip(layout.blocks(local, packages), layout.blocks(global_, packages))
+    return np.concatenate([kernel(a, b) for a, b in pairs])
 
 
 def score_packages(local: np.ndarray, global_: np.ndarray, layout: PackageLayout) -> SimilarityProfile:
     """Cosine of the float64 vector `local` against `global_`: of the whole
-    model as one row, of the full packages as the row views of `split`, and
-    of a short tail as a one-row block (padding it would regroup its sums)."""
-    (local_rows, local_tail), (global_rows, global_tail) = _split_pair(local, global_, layout)
-    cos = _cosine_rows(local_rows, global_rows)
-    if len(local_tail):
-        cos = np.append(cos, _cosine_rows(local_tail[None], global_tail[None]))
+    model as one row and of every package over `blocks` (a short tail as
+    its own row: padding it would regroup its sums)."""
+    cos = _map_blocks(_cosine_rows, local, global_, layout)
     overall = _cosine_rows(local[None], global_[None])[0]
     return SimilarityProfile(overall=float(overall), per_package_cos=cos)
 
@@ -154,14 +166,9 @@ def score_packages(local: np.ndarray, global_: np.ndarray, layout: PackageLayout
 def package_kl(local: np.ndarray, global_: np.ndarray, layout: PackageLayout, packages) -> np.ndarray:
     """KL distance of each of the ascending, distinct `packages` of the
     float64 vector `local` against `global_`: the beta sent with a shared
-    package.  `_kl_rows` overwrites its blocks, so it gets copies of the
-    chosen rows (and of the tail), never views of either input."""
-    (local_rows, local_tail), (global_rows, global_tail) = _split_pair(local, global_, layout)
-    full = packages[packages < layout.num_full]
-    kl = _kl_rows(local_rows[full], global_rows[full])
-    if len(full) < len(packages):
-        kl = np.append(kl, _kl_rows(local_tail[None].copy(), global_tail[None].copy()))
-    return kl
+    package.  `_kl_rows` overwrites its blocks, so it gets the copies that
+    `blocks` makes of chosen packages, never views of either input."""
+    return _map_blocks(_kl_rows, local, global_, layout, packages)
 
 
 def least_k(keys: np.ndarray, k: int) -> np.ndarray:

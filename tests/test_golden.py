@@ -27,10 +27,14 @@ from fedcspack.report import METRICS_HEADER, metrics_rows
 PINS = Path(__file__).with_name("golden_trajectories.json")
 WALL_MS = METRICS_HEADER.index("wall_ms")
 
-# desk config: MLP 32-64-10 (d = 2,762), pack 128 leaves a 74-wide tail
+# desk config: MLP 32-64-10 (d = 2,762), pack 128 leaves a 74-wide tail;
+# pack 1,381 tiles d in two full packages, pack 4,096 in one short tail
 CASES = {
     "fedcspack": dict(method="fedcspack", cap_ratio=0.25),
     "fedcspack-cos_only": dict(method="fedcspack", weight_mode="cos_only"),
+    "fedcspack-kl_only": dict(method="fedcspack", weight_mode="kl_only"),
+    "fedcspack-pack1381": dict(method="fedcspack", pack=1381),
+    "fedcspack-pack4096": dict(method="fedcspack", pack=4096),
     "fedavg": dict(method="fedavg"),
     "fedprox": dict(method="fedprox", prox_mu=0.01),
     "magnitude_topk": dict(method="magnitude_topk", topk_fraction=0.1),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,17 +49,38 @@ class TestPackageViews:
     def test_layout_indexing(self):
         layout = package_views(10, 4)
         v = np.arange(10.0)
-        rows, tail = layout.split(v)
-        assert rows.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]] and tail.tolist() == [8, 9]
+        rows, tail = layout.blocks(v)
+        assert rows.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]] and tail.tolist() == [[8, 9]]
         rows[1] = -1.0  # views: a write reaches v
-        tail[1] = -2.0
+        tail[0, 1] = -2.0
         assert v.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, 8, -2]
-        rows, tail = package_views(8, 4).split(np.arange(8.0))
-        assert rows.shape == (2, 4) and len(tail) == 0
+        rows, tail = layout.blocks(v, np.array([1, 2]))
+        assert rows.tolist() == [[-1, -1, -1, -1]] and tail.tolist() == [[8, -2]]
+        rows[:] = 5.0  # copies: a write leaves v alone
+        tail[:] = 5.0
+        assert v.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, 8, -2]
+        (rows,) = layout.blocks(v, np.array([0]))
+        assert rows.tolist() == [[0, 1, 2, 3]]
+        (rows,) = package_views(8, 4).blocks(np.arange(8.0))
+        assert rows.shape == (2, 4)
         short = package_views(3, 4)
-        rows, tail = short.split(np.arange(3.0))
-        assert short.num_full == 0 and rows.shape == (0, 4) and tail.tolist() == [0, 1, 2]
+        rows, tail = short.blocks(np.arange(3.0))
+        assert short.num_full == 0 and rows.shape == (0, 4) and tail.tolist() == [[0, 1, 2]]
         assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
+
+    @pytest.mark.parametrize("total, pack", [(10, 4), (8, 4), (3, 4)])
+    def test_add_inverts_gather(self, total, pack):
+        """Adding gather(v, p) at scale 1 into zeros gives v on p's elements
+        and 0 elsewhere, for every package set p, with or without a tail."""
+        layout = package_views(total, pack)
+        v = np.arange(1.0, total + 1)
+        for k in range(1, layout.num_packages + 1):
+            for chosen in itertools.combinations(range(layout.num_packages), k):
+                packages = np.array(chosen)
+                acc = np.zeros(total)
+                layout.add(acc, packages, np.ones(k), layout.gather(v, packages))
+                on = layout.element_mask(np.isin(np.arange(layout.num_packages), packages))
+                assert acc.tolist() == np.where(on, v, 0.0).tolist(), chosen
 
     def test_layout_of_another_size_rejected(self, subtests):
         a = params_of(np.ones(10))
