@@ -21,8 +21,9 @@ the wide model (fraction 0.05), the ranking alone (`least_k` of the 3,419
 largest of the wide model's 68,362 |delta|), selective pull on the wide
 model, one fedcspack-wide round's `evaluate` of 20 clients, and the
 set-up kernels: the Dirichlet partition of topk-desk and
-fedcspack-wide, the pathological partition of fedprox-idx, the blobs of
-fedcspack-wide and the wide model's initial parameters.  The last
+fedcspack-wide, the pathological partition of fedprox-idx, the holdout
+alone on those two partitions, the blobs of fedcspack-wide and the wide
+model's initial parameters.  The last
 benchmark times a whole topk-desk set-up through the command line, from
 `main`'s argv to the return of `init_params`.
 """
@@ -39,7 +40,9 @@ from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_tra
 from fedcspack.packing import (
     ceil_share, least_k, package_kl, package_views, score_packages, select_topk
 )
-from fedcspack.partition import Dataset, PartitionSpec, make_partition, synth_blobs
+from fedcspack.partition import (
+    Dataset, PartitionSpec, _split_train_test, make_partition, synth_blobs
+)
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 
 WIDE = ShapeSpec([256, 256, 10])  # d = 68,362
@@ -282,24 +285,44 @@ def test_evaluate_wide(benchmark):
     assert len(per_client) == 20
 
 
-@pytest.mark.parametrize(
-    "rows_per_class, spec",
-    [
-        pytest.param(
-            100, PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0),
-            id="dirichlet-20x1000",
-        ),
-        pytest.param(
-            1000, PartitionSpec(law="pathological", num_clients=20, seed=5, shards_per_client=3),
-            id="pathological-20x3x10000",
-        ),
-    ],
-)
-def test_make_partition(benchmark, rows_per_class, spec):
+# (rows per class of 10, spec): the partitions of topk-desk (about 180
+# (client, label) segments) and fedprox-idx (60 segments)
+PARTITIONS = [
+    pytest.param(
+        100, PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0),
+        id="dirichlet-20x1000",
+    ),
+    pytest.param(
+        1000, PartitionSpec(law="pathological", num_clients=20, seed=5, shards_per_client=3),
+        id="pathological-20x3x10000",
+    ),
+]
+
+
+def label_only(rows_per_class: int) -> Dataset:
     labels = np.repeat(np.arange(10), rows_per_class)
-    data = Dataset(np.zeros((len(labels), 1), dtype=np.float32), labels, 10)
+    return Dataset(np.zeros((len(labels), 1), dtype=np.float32), labels, 10)
+
+
+@pytest.mark.parametrize("rows_per_class, spec", PARTITIONS)
+def test_make_partition(benchmark, rows_per_class, spec):
+    data = label_only(rows_per_class)
     partition = benchmark(make_partition, data, spec)
-    assert sum(len(rows) for rows in partition.assignment) == len(labels)
+    assert sum(len(rows) for rows in partition.assignment) == len(data)
+
+
+@pytest.mark.parametrize("rows_per_class, spec", PARTITIONS)
+def test_split_train_test(benchmark, rows_per_class, spec):
+    """The holdout alone, on the clients' rows that `make_partition`
+    hands it and a fresh generator each call."""
+    data = label_only(rows_per_class)
+    assignment = make_partition(data, spec).assignment
+    train, test = benchmark(
+        lambda: _split_train_test(
+            assignment, data.labels, spec.test_fraction, np.random.default_rng(spec.seed)
+        )
+    )
+    assert sum(len(rows) for rows in train + test) == len(data)
 
 
 def test_synth_blobs_wide(benchmark):

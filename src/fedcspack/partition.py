@@ -181,13 +181,6 @@ def _group_by_owner(rows: np.ndarray, owner: np.ndarray, num_owners: int) -> lis
     return [grouped[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _heads(sizes: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """Over groups of `sizes` laid end to end, True at the first limits[g]
-    places of each group g."""
-    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return offset < np.repeat(limits, sizes)
-
-
 def _rebalance_floor(assignment: list[np.ndarray], floor: int = 2) -> list[np.ndarray]:
     """Move single rows from the largest client until everyone holds >= floor."""
     sizes = [len(a) for a in assignment]
@@ -215,51 +208,44 @@ def _split_train_test(
     A client with two or more rows has one segment per label it holds,
     taken in (client, label) order: a stable sort leaves each segment's
     positions ascending, so shuffling it in place draws and yields what
-    `rng.permutation` of those positions would.  The first
-    floor(size * test_fraction) positions of each shuffled segment are
-    test rows.  A client whose segments all give none draws one
-    permutation of its own positions after its last segment and keeps the
-    first max(1, floor(rows * test_fraction)) of it.  floor(k * f) < k for
-    0 < f < 1, so every such client keeps a train row.
+    `rng.permutation` of those positions would.  One loop walks the
+    clients and their segments in that order: it shuffles each segment
+    and takes its first floor(size * test_fraction) positions as test
+    rows; after a client's last segment, if none gave a test row, it draws
+    one permutation of the client's positions and takes the first
+    max(1, floor(rows * test_fraction)).  floor(k * f) < k for 0 < f < 1,
+    so every client keeps a train row.
     """
     train = [np.asarray(rows) for rows in assignment]
     test = [np.array([], dtype=np.int64) for _ in assignment]
     held = [i for i, rows in enumerate(train) if len(rows) >= 2]
     if not held:
         return train, test
-    sizes = np.array([len(train[i]) for i in held])
+    sizes = [len(train[i]) for i in held]
     rows = np.concatenate([train[i] for i in held]).astype(np.int64, copy=False)
     client = np.repeat(np.arange(len(held)), sizes)
     row_labels = labels[rows]
     num_labels = int(row_labels.max()) + 1
     key = client * num_labels + row_labels
     by_segment = np.argsort(key, kind="stable")
-    seg_sizes = np.bincount(key)
-    seg_keys = np.flatnonzero(seg_sizes)
-    seg_sizes = seg_sizes[seg_keys]
-    seg_client = seg_keys // num_labels
-    seg_ends = np.cumsum(seg_sizes)
+    seg_sizes = np.bincount(key, minlength=len(held) * num_labels).reshape(len(held), num_labels)
     seg_test = np.floor(seg_sizes * test_fraction).astype(np.int64)
-    fallback = np.bincount(seg_client[seg_test > 0], minlength=len(held)) == 0
-    last = np.append(seg_client[1:] != seg_client[:-1], True)
-    fallback_size = np.where(last & fallback[seg_client], sizes[seg_client], 0)
 
-    draws = []
-    for start, end, m in zip(
-        (seg_ends - seg_sizes).tolist(), seg_ends.tolist(), fallback_size.tolist()
-    ):
-        rng.shuffle(by_segment[start:end])
-        if m:
-            draws.append(rng.permutation(m))
-
+    picked = []
+    end = 0
+    for size, segments, heads in zip(sizes, seg_sizes.tolist(), seg_test.tolist()):
+        first, found = end, len(picked)
+        for n, k in zip(segments, heads):
+            if n:
+                segment = by_segment[end : end + n]
+                end += n
+                rng.shuffle(segment)
+                if k:
+                    picked.append(segment[:k])
+        if len(picked) == found:
+            picked.append(first + rng.permutation(size)[: max(1, int(size * test_fraction))])
     is_test = np.zeros(len(rows), dtype=bool)
-    is_test[by_segment[_heads(seg_sizes, seg_test)]] = True
-    if draws:
-        fb_sizes = sizes[fallback]
-        fb_starts = (np.cumsum(sizes) - sizes)[fallback]
-        positions = np.concatenate(draws) + np.repeat(fb_starts, fb_sizes)
-        fb_test = np.maximum(1, np.floor(fb_sizes * test_fraction).astype(np.int64))
-        is_test[positions[_heads(fb_sizes, fb_test)]] = True
+    is_test[np.concatenate(picked)] = True
     groups = _group_by_owner(rows, client + len(held) * is_test, 2 * len(held))
     for h, i in enumerate(held):
         train[i], test[i] = groups[h], groups[len(held) + h]

@@ -5,6 +5,7 @@ parameters, with equal dtypes and equal bytes."""
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import partition_oracle as oracle
 from conftest import same
+from fedcspack import partition
 from fedcspack.model import ShapeSpec, init_params
 from fedcspack.partition import (
     Dataset,
@@ -34,6 +36,29 @@ def same_partition(a, b) -> bool:
         and same_lists(a.train, b.train)
         and same_lists(a.test, b.test)
     )
+
+
+def with_final_state(build, module, data, spec):
+    """build(data, spec) and the state its generator is left in: the
+    holdout draws last, so the generator is caught where `module` hands it
+    to `_split_train_test`."""
+    caught = []
+    split = module._split_train_test
+
+    def spy(assignment, labels, test_fraction, rng):
+        caught.append(rng)
+        return split(assignment, labels, test_fraction, rng)
+
+    with mock.patch.object(module, "_split_train_test", spy):
+        result = build(data, spec)
+    return result, caught[0].bit_generator.state
+
+
+def matches_oracle(data, spec, reference) -> bool:
+    """Same partition and the same draws as `reference`."""
+    got, got_state = with_final_state(make_partition, partition, data, spec)
+    want, want_state = with_final_state(reference, oracle, data, spec)
+    return same_partition(got, want) and got_state == want_state
 
 
 @st.composite
@@ -71,7 +96,7 @@ def test_dirichlet_matches_oracle(data, clients, alpha, test_fraction, seed):
         law="dirichlet", num_clients=min(clients, len(data)), seed=seed,
         alpha=alpha, test_fraction=test_fraction,
     )
-    assert same_partition(make_partition(data, spec), oracle.partition_dirichlet(data, spec))
+    assert matches_oracle(data, spec, oracle.partition_dirichlet)
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,9 +114,7 @@ def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed)
         law="pathological", num_clients=clients, seed=seed,
         shards_per_client=shards, test_fraction=test_fraction,
     )
-    assert same_partition(
-        make_partition(data, spec), oracle.partition_pathological(data, spec)
-    )
+    assert matches_oracle(data, spec, oracle.partition_pathological)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,14 +127,16 @@ def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed)
 )
 def test_split_train_test_matches_oracle(data, cuts, dtype, test_fraction, seed):
     """Arbitrary client blocks: empty, single-row, unsorted and of a
-    narrower dtype, at holdout fractions up to just below 1."""
+    narrower dtype, at holdout fractions up to just below 1.  The
+    generator must be left where the oracle leaves it, so a holdout that
+    draws more, less or otherwise fails even when its rows agree."""
     order = np.random.default_rng(seed).permutation(len(data)).astype(dtype)
     assignment = np.split(order, sorted(min(c, len(data)) for c in cuts))
-    got = _split_train_test(list(assignment), data.labels, test_fraction, np.random.default_rng(seed))
-    want = oracle._split_train_test(
-        list(assignment), data.labels, test_fraction, np.random.default_rng(seed)
-    )
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _split_train_test(list(assignment), data.labels, test_fraction, got_rng)
+    want = oracle._split_train_test(list(assignment), data.labels, test_fraction, want_rng)
     assert same_lists(got[0], want[0]) and same_lists(got[1], want[1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_rebalance_tiny_client_and_fallback():
