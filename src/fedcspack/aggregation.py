@@ -1,6 +1,6 @@
 """Server-side fusion: fold the round's client updates into the global
-mask, apply weight-normalized package deltas to the global model, and the
-client-side selective pull that adopts only the valid global packages.
+mask and a weight-normalized package step, and `selective_pull`, the one
+rule that adopts the valid global packages, for the fold and every client.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def aggregate(
     client payloads.  Folding is fixed to ascending client id so float
     sums are order-independent of the caller.
     """
-    total_params = server.global_params.shape.total_params
+    old = server.global_params
+    total_params = old.shape.total_params
     layout.check(total_params)
 
     updates = sorted(updates, key=lambda u: u.client_id)
@@ -80,17 +81,11 @@ def aggregate(
     for u, w in zip(updates, weights):
         layout.add(acc, u.packages, w / totals[u.packages], u.payload)
 
-    # packages with weight: float32(float64(global) + step), in place
+    # float32(float64(global) + step), adopted where the new mask is valid
+    acc += old.values
     new_mask = GlobalMask(totals=totals)
-    new_values = server.global_params.values.copy()
-    acc += new_values
-    np.copyto(new_values, acc, casting="same_kind", where=layout.element_mask(new_mask.valid))
-
-    state = ServerState(
-        global_params=FlatParams(new_values, server.global_params.shape),
-        global_mask=new_mask,
-    )
-    return AggregateResult(state=state)
+    stepped = FlatParams(acc.astype(np.float32), old.shape)
+    return AggregateResult(ServerState(selective_pull(old, stepped, new_mask, layout), new_mask))
 
 
 def selective_pull(

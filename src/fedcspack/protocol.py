@@ -121,7 +121,8 @@ def _server_ingest(
     length other than its package's, a theta outside [-1, 1], a beta that
     is not finite and >= 0, or a non-finite payload value.  With finite
     theta and beta every mask weight is finite and >= EPS_W, so `aggregate`
-    folds what this returns without a check of its own.
+    folds every update this returns: its one check, a ShapeError on a
+    payload length, serves direct callers and never fires in a run.
     """
     update = decode_update(blob)
     if len(blob) != update.encoded_length():

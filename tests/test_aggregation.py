@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import layout_of, params_of
+from conftest import layout_of, params_of, same
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
-from fedcspack.errors import ProtocolViolation, ShapeError
+from fedcspack.errors import NumericError, ProtocolViolation, ShapeError
 from fedcspack.packing import mask_weights, package_views
 from fedcspack.protocol import _server_ingest
 from fedcspack.wire import PackedUpdate, encode_update
@@ -210,6 +210,21 @@ class TestAggregate:
         assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
         assert np.array_equal(result.state.global_params.values[3:], np.zeros(3, dtype=np.float32))
         assert list(result.state.global_mask.totals) == [1.0, 0.0]
+
+    def test_overflowing_step_raises(self):
+        """A finite update the server accepts, whose step takes a valid
+        package past float32 max, raises NumericError and leaves the
+        input server state as it was."""
+        big = np.finfo(np.float32).max
+        server = make_server(np.array([big, 1, 2, 3, -0.0, 5]), pack=3)
+        layout = layout_of(server.global_params, 3)
+        values, totals = server.global_params.values.copy(), server.global_mask.totals.copy()
+        blob = encode_update(packed_of(0, {0: {"payload": np.full(3, big, np.float32)}}))
+        update = _server_ingest(blob, 0, 0, layout)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+            aggregate(server, [update], layout, "dual")
+        assert same(server.global_params.values, values)
+        assert same(server.global_mask.totals, totals)
 
     def test_fedavg_equivalence_single_package(self):
         rng = np.random.default_rng(11)
