@@ -16,7 +16,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import RunConfig, apply_overrides, config_from_dict
+from .config import apply_overrides, config_from_dict
 from .partition import label_histogram
 from .protocol import RunResult, build_dataset, checked_partition, run
 from .report import (
@@ -36,12 +36,13 @@ def _load_doc(args: argparse.Namespace) -> dict:
         return apply_overrides(json.load(f), args.override)
 
 
-def write_run(config: RunConfig, result: RunResult, out: Path) -> RunSummary:
-    """Write a finished run's metrics.csv and run.json into `out`, an
-    existing directory, and return its summary: `run` and every `sweep`
-    cell go through here."""
+def write_run(result: RunResult, out: Path) -> RunSummary:
+    """Write a finished run's files into `out`, an existing directory, and
+    return its summary: `run` and every `sweep` cell go through here, so
+    each writes metrics.csv, run.json and the three plot series."""
     write_metrics_csv(result.metrics, out / "metrics.csv")
-    write_run_json(config, result.metrics, out / "run.json")
+    write_run_json(result.config, result.metrics, out / "run.json")
+    emit_series(result.metrics, per_client_accuracy(result), out)
     return summarize(result.metrics, result.dense_bytes_per_round)
 
 
@@ -49,9 +50,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = config_from_dict(_load_doc(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any round runs
-    result = run(config)
-    summary = write_run(config, result, out)
-    emit_series(result.metrics, per_client_accuracy(result), out)
+    summary = write_run(run(config), out)
     print(
         f"{summary.method}: final_global_acc={summary.final_global_acc:.4f} "
         f"personalized_acc={summary.mean_personalized_acc:.4f} "
@@ -103,7 +102,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for cell_id, (cell, config) in enumerate(zip(cells, configs)):
         name = f"cell_{cell_id:03d}"
         (out / name).mkdir(parents=True, exist_ok=True)
-        summary = write_run(config, run(config, dataset=datasets[config.dataset]), out / name)
+        summary = write_run(run(config, dataset=datasets[config.dataset]), out / name)
         rows.append({**cell, "cell": name, **dataclasses.asdict(summary)})
 
     _write_csv(out / "sweep_summary.csv", list(rows[0]), [list(row.values()) for row in rows])

@@ -103,9 +103,10 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of every row pair of two float64 (rows, n) blocks; 0 where a
     row has zero norm.
 
-    Each row product is one BLAS dot, the same one a 1-D `@` or
-    `np.linalg.norm` makes, so a row's value does not depend on the other
-    rows of the block.
+    Each row product is one BLAS dot, so a row's value does not depend on
+    the other rows.  It equals a 1-D `@` of the same values copied elsewhere
+    only under an OpenBLAS kernel whose sum ignores alignment: SkylakeX,
+    Haswell, Sandybridge or Nehalem, not Katmai (`OPENBLAS_CORETYPE=Prescott`).
     """
     dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
     na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())

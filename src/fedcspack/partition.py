@@ -8,6 +8,7 @@ deterministic per seed and produce an exact, disjoint cover of the rows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,39 +101,39 @@ def synth_blobs(
     )
 
 
-def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(buf):
-        raise IngestError(f"{path}: truncated header at offset {offset}")
-    return struct.unpack_from(">I", buf, offset)[0]
+def _read_idx(path: str | Path, magic: int, dims: int) -> tuple[np.ndarray, list[int]]:
+    """One IDX file's read-only u8 payload and its `dims` sizes, checked in
+    order: the header fits, the magic matches, the payload covers every
+    element."""
+    buf = Path(path).read_bytes()
+    header = 4 * (1 + dims)
+    if len(buf) < header:
+        raise IngestError(f"{path}: truncated header at offset {len(buf)}")
+    found, *sizes = struct.unpack_from(f">{1 + dims}I", buf)
+    if found != magic:
+        raise IngestError(f"{path}: wrong magic 0x{found:08x} at offset 0")
+    count = math.prod(sizes)
+    if len(buf) < header + count:
+        raise IngestError(f"{path}: truncated at offset {len(buf)}")
+    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=header), sizes
+
+
+def _write_idx(path: str | Path, magic: int, payload: np.ndarray) -> None:
+    """Write `payload`, a u8 array, as one IDX file: the magic, its shape
+    as u32 sizes, then its bytes."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + payload.ndim}I", magic, *payload.shape))
+        f.write(payload.tobytes())
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Load an IDX image/label pair (big-endian headers, u8 payloads)."""
     images_path = Path(images_path)
-    labels_path = Path(labels_path)
-
-    img_buf = images_path.read_bytes()
-    magic = _read_be_u32(img_buf, 0, str(images_path))
-    if magic != IDX_IMAGE_MAGIC:
-        raise IngestError(f"{images_path}: wrong magic 0x{magic:08x} at offset 0")
-    count = _read_be_u32(img_buf, 4, str(images_path))
-    rows = _read_be_u32(img_buf, 8, str(images_path))
-    cols = _read_be_u32(img_buf, 12, str(images_path))
-    expected = 16 + count * rows * cols
-    if len(img_buf) < expected:
-        raise IngestError(f"{images_path}: truncated at offset {len(img_buf)}")
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
+    pixels, (count, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     features = pixels.reshape(count, rows * cols).astype(np.float32)
     features /= 255.0
-
-    lab_buf = labels_path.read_bytes()
-    magic = _read_be_u32(lab_buf, 0, str(labels_path))
-    if magic != IDX_LABEL_MAGIC:
-        raise IngestError(f"{labels_path}: wrong magic 0x{magic:08x} at offset 0")
-    lab_count = _read_be_u32(lab_buf, 4, str(labels_path))
-    if len(lab_buf) < 8 + lab_count:
-        raise IngestError(f"{labels_path}: truncated at offset {len(lab_buf)}")
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=lab_count, offset=8).astype(np.int64)
+    raw_labels, (lab_count,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
+    labels = raw_labels.astype(np.int64)
 
     if count != lab_count:
         raise IngestError(
@@ -151,12 +152,8 @@ def save_idx(data: Dataset, images_path: str | Path, labels_path: str | Path) ->
         raise ConfigError(f"IDX labels are u8, got label {data.labels.max()}")
     n, d = data.features.shape
     pixels = np.clip(np.round(data.features * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, 1, d))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(data.labels.astype(np.uint8).tobytes())
+    _write_idx(images_path, IDX_IMAGE_MAGIC, pixels.reshape(n, 1, d))
+    _write_idx(labels_path, IDX_LABEL_MAGIC, data.labels.astype(np.uint8))
 
 
 def _largest_remainder_counts(sizes: np.ndarray, proportions: np.ndarray) -> np.ndarray:

@@ -71,10 +71,9 @@ def write_run_json(config: RunConfig, metrics: list[RoundMetrics], path: str | P
 
 
 def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_dir: str | Path) -> list[Path]:
-    """Write plot-ready series: accuracy and traffic per round plus final
-    per-client accuracy bars."""
+    """Write plot-ready series into `out_dir`, an existing directory:
+    accuracy and traffic per round plus final per-client accuracy bars."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     acc, traffic, clients = (
         out / "acc_vs_round.csv", out / "bytes_vs_round.csv", out / "per_client_acc.csv"
     )

@@ -427,12 +427,19 @@ class TestSweep:
             assert deterministic_metrics(out / f"cell_{cell:03d}") == deterministic_metrics(alone)
 
     def test_one_cell_writes_what_run_writes(self, config_path, tmp_path):
-        """A sweep cell's metrics.csv and run.json come from the writer
-        `run` uses: the same bytes, apart from wall_ms values."""
+        """A sweep cell's files come from the writer `run` uses: the same
+        five files, metrics.csv and run.json the same bytes apart from
+        wall_ms values, and per_client_acc.csv the same bytes."""
         main(["sweep", "--config", str(config_path), "--grid", "method=fedcspack",
               "--out", str(tmp_path / "sweep")])
         main(["run", "--config", str(config_path), "--out", str(tmp_path / "alone")])
-        assert without_wall_ms(tmp_path / "sweep" / "cell_000") == without_wall_ms(tmp_path / "alone")
+        cell, alone = tmp_path / "sweep" / "cell_000", tmp_path / "alone"
+        files = {"metrics.csv", "run.json", "acc_vs_round.csv", "bytes_vs_round.csv",
+                 "per_client_acc.csv"}
+        assert {p.name for p in cell.iterdir()} == {p.name for p in alone.iterdir()} == files
+        assert without_wall_ms(cell) == without_wall_ms(alone)
+        for name in ("acc_vs_round.csv", "bytes_vs_round.csv", "per_client_acc.csv"):
+            assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 def without_wall_ms(out_dir: Path) -> tuple[list[list[bytes]], bytes]:

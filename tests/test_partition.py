@@ -82,6 +82,23 @@ class TestIdx:
         with pytest.raises(IngestError, match="truncated"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("short", ["img", "lab"])
+    def test_short_header_reported_before_magic(self, tmp_path, short):
+        # the 6 bytes left hold a wrong magic, but the header is checked first
+        img, lab = self.write_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        path = {"img": img, "lab": lab}[short]
+        path.write_bytes(b"\x00\x00\x09\x99\x00\x00")
+        with pytest.raises(IngestError, match=f"{path.name}: truncated header at offset 6"):
+            load_idx(img, lab)
+
+    def test_save_writes_the_idx_layout(self, tmp_path):
+        data = Dataset(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2]], dtype=np.float32),
+                       np.array([1, 0]), 2)
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        save_idx(data, images, labels)
+        assert images.read_bytes() == struct.pack(">IIII", 0x803, 2, 1, 3) + bytes([0, 255, 128, 255, 0, 51])
+        assert labels.read_bytes() == struct.pack(">II", 0x801, 2) + bytes([1, 0])
+
     def test_save_load_roundtrip(self, tmp_path):
         data = synth_blobs(4, 6, 20, spread=0.2, seed=7)
         # squash into [0,1] so the u8 export is lossless enough to compare labels

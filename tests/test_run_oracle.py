@@ -1,6 +1,7 @@
 """A whole run equals the reference round loop in run_oracle.py, round by
 round and exactly: the global parameter bytes, the mask, both byte
 counts, violations, both accuracies and the final per-client accuracies.
+A run that fails must fail as the oracle does.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import run_oracle
 from conftest import idx_blobs, same
 from fedcspack.config import DatasetSpec, RunConfig
+from fedcspack.errors import NumericError
 from fedcspack.model import ShapeSpec
 from fedcspack.partition import PartitionSpec
 from fedcspack.protocol import run
@@ -48,10 +50,11 @@ def configs(draw):
     shards = draw(st.integers(1, 2)) if law == "pathological" else 1
     dataset = ("idx", None)
     if kind == "blobs":
+        fewest = -(-clients * shards // classes)  # rows per class to fill every shard
         dataset = ("blobs", dict(
             num_classes=classes,
             dim=dim,
-            samples_per_class=draw(st.integers(-(-clients * shards // classes), 10)),
+            samples_per_class=draw(st.integers(fewest, max(fewest, 10))),
             spread=draw(st.sampled_from([0.3, 1.0])),
             seed=draw(st.integers(0, 2**16)),
         ))
@@ -88,11 +91,24 @@ def config_of(fields, idx_spec) -> RunConfig:
     return RunConfig(**dict(fields, dataset=dataset))
 
 
+def outcome(call):
+    """What `call()` returns, or the exception it raises."""
+    try:
+        return call()
+    except Exception as error:
+        return error
+
+
 def check_run(config):
-    """Run `config` and the oracle, and compare every round exactly."""
+    """Run `config` and the oracle, and compare every round exactly; when
+    either fails, both must fail with the same error type and message."""
     servers = []
-    result = run(config, round_hook=lambda t, server: servers.append(server))
-    rounds, per_client = run_oracle.run(config)
+    result = outcome(lambda: run(config, round_hook=lambda t, server: servers.append(server)))
+    oracle = outcome(lambda: run_oracle.run(config))
+    if isinstance(result, Exception) or isinstance(oracle, Exception):
+        assert (type(result), str(result)) == (type(oracle), str(oracle))
+        return result
+    rounds, per_client = oracle
     assert len(result.metrics) == len(servers) == len(rounds) == config.rounds
     for server, got, want in zip(servers, result.metrics, rounds):
         assert server.global_params.values.tobytes() == want.global_bytes, f"round {got.round}"
@@ -118,16 +134,48 @@ FOLD_ORDER = dict(
     dataset=("blobs", dict(num_classes=3, dim=3, samples_per_class=8, spread=1.0, seed=6)),
 )
 
+# six clients of two shards each need twelve rows of the one class, more
+# than the ten the strategy once capped samples_per_class at
+SHARDS_OVER_CAP = dict(
+    FOLD_ORDER, clients=6, cpr=0.5, pack=3,
+    partition=PartitionSpec(law="pathological", num_clients=6, seed=0, shards_per_client=2),
+    model=ShapeSpec((1, 1)),
+    dataset=("blobs", dict(num_classes=1, dim=1, samples_per_class=12, spread=0.3, seed=0)),
+)
+
+# honest SGD at lr 0.5 overflows float32 in round 2: run and the oracle
+# both raise NumericError("non-finite parameter values")
+DIVERGES = dict(
+    FOLD_ORDER, clients=1, cpr=0.2, local_epochs=2, batch_size=1, pack=1, seed=3,
+    cap_ratio=0.1, topk_fraction=0.05,
+    partition=PartitionSpec(law="dirichlet", num_clients=1, seed=0, alpha=0.5),
+    model=ShapeSpec((1, 2, 3, 3), "identity"),
+    dataset=("blobs", dict(num_classes=3, dim=1, samples_per_class=1, spread=0.3, seed=1)),
+)
+
+
+# a divergent run's float32 cast overflows before it raises NumericError
+OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+
 
 class TestRunOracle:
+    @OVERFLOW
     @settings(max_examples=100, deadline=None)
     @given(fields=configs())
     @example(fields=FOLD_ORDER)
     # half the clients send half the packages: at this seed, a round scored
     # through the pre-round mask differs from round 0 on
     @example(fields=dict(FOLD_ORDER, cpr=0.5, cap_ratio=0.5, weight_mode="kl_only", seed=5))
+    @example(fields=SHARDS_OVER_CAP)
+    @example(fields=DIVERGES)
     def test_matches_oracle(self, idx_spec, fields):
         check_run(config_of(fields, idx_spec))
+
+    @OVERFLOW
+    def test_divergent_training_fails_alike(self):
+        """The divergent example fails in both loops, and fails alike."""
+        error = check_run(config_of(DIVERGES, idx_spec=None))
+        assert isinstance(error, NumericError) and str(error) == "non-finite parameter values"
 
     def test_client_without_train_rows(self):
         """Three rows for three clients: one client holds no rows, so it
