@@ -19,7 +19,8 @@ magnitude Top-k client's update (the float64 delta, its ranking and the
 payload gather) at the topk-desk shape (d = 2,762, fraction 0.1) and on
 the wide model (fraction 0.05), the ranking alone (`least_k` of the 3,419
 largest of the wide model's 68,362 |delta|), selective pull on the wide
-model, one fedcspack-wide round's `evaluate` of 20 clients, and the
+model and one round's `evaluate` of 20 clients on it, each at pack 128
+(half the packages valid) and at pack 1 (37% valid), and the
 set-up kernels: the Dirichlet partition of topk-desk and
 fedcspack-wide, the pathological partition of fedprox-idx, the holdout
 alone on those two partitions, the blobs of fedcspack-wide and the wide
@@ -261,28 +262,50 @@ def test_least_k_wide(benchmark):
     assert len(kept) == 3419
 
 
-def test_selective_pull_wide(benchmark):
+def pull_inputs(pack: int, valid_share: float):
+    """A wide local and global model, the wide layout at `pack` and a mask
+    with about `valid_share` of its packages valid."""
     local, global_ = model_pair(WIDE)
-    layout = package_views(WIDE.total_params, 128)
-    totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
-    benchmark(selective_pull, local, global_, GlobalMask(totals), layout)
+    layout = package_views(WIDE.total_params, pack)
+    totals = np.where(np.random.default_rng(2).random(layout.num_packages) < valid_share, 1.0, 0.0)
+    return local, global_, GlobalMask(totals), layout
+
+
+def test_selective_pull_wide(benchmark):
+    benchmark(selective_pull, *pull_inputs(128, 0.5))
+
+
+def test_selective_pull_wide_pack1(benchmark):
+    """Magnitude Top-k's scattered case: pack 1, 37% of the coordinates
+    valid (topk-desk reads a valid share of 0.367-0.382)."""
+    local, global_, mask, layout = pull_inputs(1, 0.37)
+    pulled = benchmark(selective_pull, local, global_, mask, layout)
+    assert np.array_equal(pulled.values, np.where(mask.valid, global_.values, local.values))
+
+
+def evaluate_wide(benchmark, pack: int, valid_share: float):
+    dataset = synth_blobs(10, 256, 100, 0.1, 0)
+    spec = PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0)
+    partition = make_partition(dataset, spec)
+    local, global_, mask, layout = pull_inputs(pack, valid_share)
+    server = ServerState(global_, mask)
+    _, _, per_client = benchmark(
+        protocol.evaluate, server, [local] * 20, partition, dataset, layout
+    )
+    assert len(per_client) == 20
 
 
 def test_evaluate_wide(benchmark):
     """One fedcspack-wide round's evaluation: the pooled global forward and
     each of 20 clients' pull and forward on its own test rows, half of the
     global packages valid."""
-    dataset = synth_blobs(10, 256, 100, 0.1, 0)
-    spec = PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0)
-    partition = make_partition(dataset, spec)
-    local, global_ = model_pair(WIDE)
-    layout = package_views(WIDE.total_params, 128)
-    totals = np.where(np.random.default_rng(2).random(layout.num_packages) < 0.5, 1.0, 0.0)
-    server = ServerState(global_, GlobalMask(totals))
-    _, _, per_client = benchmark(
-        protocol.evaluate, server, [local] * 20, partition, dataset, layout
-    )
-    assert len(per_client) == 20
+    evaluate_wide(benchmark, 128, 0.5)
+
+
+def test_evaluate_wide_pack1(benchmark):
+    """The same evaluation at pack 1 with 37% of the coordinates valid, the
+    scattered case a magnitude Top-k round evaluates."""
+    evaluate_wide(benchmark, 1, 0.37)
 
 
 # (rows per class of 10, spec): the partitions of topk-desk (about 180

@@ -118,28 +118,18 @@ def check_fits(model: ShapeSpec, dim: int, num_classes: int) -> None:
         raise ConfigError(f"dataset num_classes {num_classes} > model outputs {model.num_classes}")
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
 def _json_object(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     return doc
 
 
-def _section(doc: dict, key: str) -> dict:
-    if key not in doc:
-        raise ConfigError(f"config.{key} is required")
-    return _json_object(doc[key], f"config.{key}")
-
-
-def _build(cls, doc: dict, where: str):
-    """cls(**doc), with unknown keys, missing fields and shape errors as
-    ConfigError."""
-    _check_keys(doc, {f.name for f in dataclasses.fields(cls)}, where)
+def _build(cls, doc, where: str):
+    """cls(**doc), with a `doc` that is not a JSON object, unknown keys,
+    missing fields and shape errors as ConfigError naming `where`."""
+    unknown = set(_json_object(doc, where)) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     try:
         return cls(**doc)
     except (TypeError, ShapeError) as exc:
@@ -148,9 +138,10 @@ def _build(cls, doc: dict, where: str):
 
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     kwargs = dict(_json_object(doc, "config"))
-    kwargs["partition"] = _build(PartitionSpec, _section(doc, "partition"), "partition")
-    kwargs["model"] = _build(ShapeSpec, _section(doc, "model"), "model")
-    kwargs["dataset"] = _build(DatasetSpec, _section(doc, "dataset"), "dataset")
+    for section, cls in (("partition", PartitionSpec), ("model", ShapeSpec), ("dataset", DatasetSpec)):
+        if section not in kwargs:
+            raise ConfigError(f"config.{section} is required")
+        kwargs[section] = _build(cls, kwargs[section], f"config.{section}")
     return _build(RunConfig, kwargs, "config")
 
 

@@ -43,11 +43,11 @@ def summarize(metrics: list[RoundMetrics], dense_bytes_per_round: int) -> RunSum
     )
 
 
-def metrics_rows(metrics: list[RoundMetrics]) -> list[list[str]]:
-    """One row per round, every field as `str` gives it (participants
-    joined by `;`)."""
-    return [[";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in dataclasses.astuple(m)]
-            for m in metrics]
+def metrics_rows(metrics: list[RoundMetrics], columns: list[str] = METRICS_HEADER) -> list[list[str]]:
+    """One row per round of the named fields, each as `str` gives it
+    (participants joined by `;`)."""
+    return [[";".join(map(str, v)) if isinstance(v, tuple) else str(v)
+             for v in (getattr(m, c) for c in columns)] for m in metrics]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -70,25 +70,19 @@ def write_run_json(config: RunConfig, metrics: list[RoundMetrics], path: str | P
         json.dump(doc, f, indent=2, allow_nan=False)
 
 
-def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_dir: str | Path) -> list[Path]:
-    """Write plot-ready series into `out_dir`, an existing directory:
-    accuracy and traffic per round plus final per-client accuracy bars."""
+ROUND_SERIES = {
+    "acc_vs_round.csv": ["round", "global_acc", "personalized_acc"],
+    "bytes_vs_round.csv": ["round", "bytes_up", "bytes_down"],
+}
+
+
+def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_dir: str | Path) -> None:
+    """Write plot-ready series into `out_dir`, an existing directory: the
+    ROUND_SERIES column views of metrics.csv and final per-client accuracy bars."""
     out = Path(out_dir)
-    acc, traffic, clients = (
-        out / "acc_vs_round.csv", out / "bytes_vs_round.csv", out / "per_client_acc.csv"
-    )
-    _write_csv(
-        acc,
-        ["round", "global_acc", "personalized_acc"],
-        [[m.round, m.global_acc, m.personalized_acc] for m in metrics],
-    )
-    _write_csv(
-        traffic,
-        ["round", "bytes_up", "bytes_down"],
-        [[m.round, m.bytes_up, m.bytes_down] for m in metrics],
-    )
-    _write_csv(clients, ["client", "accuracy"], enumerate(per_client_acc))
-    return [acc, traffic, clients]
+    for name, columns in ROUND_SERIES.items():
+        _write_csv(out / name, columns, metrics_rows(metrics, columns))
+    _write_csv(out / "per_client_acc.csv", ["client", "accuracy"], enumerate(per_client_acc))
 
 
 def per_client_accuracy(result) -> list[float]:

@@ -66,7 +66,14 @@ class TestConfig:
     def test_unknown_nested_key(self):
         doc = base_doc()
         doc["partition"]["bogus"] = 1
-        with pytest.raises(ConfigError, match="unknown keys in partition"):
+        with pytest.raises(ConfigError, match=re.escape("unknown keys in config.partition")):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["partition", "model", "dataset"])
+    def test_missing_section(self, section):
+        doc = base_doc()
+        del doc[section]
+        with pytest.raises(ConfigError, match=re.escape(f"config.{section} is required")):
             config_from_dict(doc)
 
     def test_clients_partition_mismatch(self):

@@ -75,26 +75,45 @@ def test_summary_recomputable_from_csv(tmp_path):
     assert sum(int(r["bytes_up"]) for r in rows) == s.total_bytes_up
 
 
+# the per-round series files and the metrics.csv columns each one holds
+ROUND_COLUMNS = {
+    "acc_vs_round.csv": ["round", "global_acc", "personalized_acc"],
+    "bytes_vs_round.csv": ["round", "bytes_up", "bytes_down"],
+}
+SERIES_FILES = {*ROUND_COLUMNS, "per_client_acc.csv"}
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_emit_series_shapes(tmp_path):
     config = small_config(rounds=3)
     result = run(config)
-    files = emit_series(result.metrics, per_client_accuracy(result), tmp_path)
-    assert {f.name for f in files} == {
-        "acc_vs_round.csv",
-        "bytes_vs_round.csv",
-        "per_client_acc.csv",
-    }
-    with open(tmp_path / "acc_vs_round.csv") as f:
-        assert len(list(csv.reader(f))) == 4  # header + 3 rounds
-    with open(tmp_path / "per_client_acc.csv") as f:
-        assert len(list(csv.reader(f))) == 1 + config.clients
+    assert emit_series(result.metrics, per_client_accuracy(result), tmp_path) is None
+    assert {f.name for f in tmp_path.iterdir()} == SERIES_FILES
+    assert len(read_csv(tmp_path / "acc_vs_round.csv")) == 4  # header + 3 rounds
+    assert len(read_csv(tmp_path / "per_client_acc.csv")) == 1 + config.clients
 
 
 def test_emit_series_empty_metrics(tmp_path):
-    files = emit_series([], [], tmp_path)
-    for f in files:
-        with open(f) as fh:
-            assert len(list(csv.reader(fh))) == 1  # headers only
+    emit_series([], [], tmp_path)
+    assert {f.name for f in tmp_path.iterdir()} == SERIES_FILES
+    for name, columns in ROUND_COLUMNS.items():
+        assert read_csv(tmp_path / name) == [columns]  # header only
+    assert read_csv(tmp_path / "per_client_acc.csv") == [["client", "accuracy"]]
+
+
+def test_round_series_are_column_views_of_metrics_csv(tmp_path):
+    result = run(small_config(method="fedcspack", cap_ratio=0.5, rounds=3))
+    write_metrics_csv(result.metrics, tmp_path / "metrics.csv")
+    emit_series(result.metrics, per_client_accuracy(result), tmp_path)
+    header, *rows = read_csv(tmp_path / "metrics.csv")
+    assert len(rows) == 3
+    for name, columns in ROUND_COLUMNS.items():
+        picks = [header.index(c) for c in columns]
+        assert read_csv(tmp_path / name) == [columns] + [[row[i] for i in picks] for row in rows]
 
 
 @pytest.mark.parametrize("method", ["fedcspack", "magnitude_topk"])
