@@ -149,7 +149,7 @@ def model_pair(shape: ShapeSpec):
 def test_aggregate(benchmark, shape, pack, per_client, weight_mode):
     layout = package_views(shape.total_params, pack)
     rng = np.random.default_rng(0)
-    server = ServerState(init_params(shape, 0), GlobalMask.all_valid(layout.num_packages))
+    server = ServerState(init_params(shape, 0), GlobalMask(np.ones(layout.num_packages)))
     updates = []
     for cid in range(10):
         packages = np.sort(rng.choice(layout.num_packages, size=per_client, replace=False))

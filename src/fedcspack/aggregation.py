@@ -29,11 +29,6 @@ class GlobalMask:
     def valid(self) -> np.ndarray:
         return self.totals > 0
 
-    @classmethod
-    def all_valid(cls, num_packages: int) -> "GlobalMask":
-        # round-0 bootstrap: every client fully adopts the broadcast model
-        return cls(totals=np.ones(num_packages))
-
 
 @dataclass
 class ServerState:
@@ -94,7 +89,8 @@ def selective_pull(
     global_mask: GlobalMask,
     layout: PackageLayout,
 ) -> FlatParams:
-    """Adopt global packages at valid mask positions, keep local elsewhere."""
+    """Adopt global packages at valid mask positions, keep local elsewhere:
+    `global_` itself if every package is valid, `local` itself if none is."""
     if local.shape != global_.shape:
         raise ShapeError("local/global shape mismatch")
     layout.check(local.shape.total_params)
@@ -102,5 +98,12 @@ def selective_pull(
         raise ShapeError(
             f"mask length {len(global_mask.totals)} != package count {layout.num_packages}"
         )
-    adopt = layout.element_mask(global_mask.valid)
+    valid = global_mask.valid
+    count = np.count_nonzero(valid)
+    # nothing writes a FlatParams' values in place, so an input may be returned
+    if count == len(valid):
+        return global_
+    if count == 0:
+        return local
+    adopt = layout.element_mask(valid)
     return FlatParams(np.where(adopt, global_.values, local.values), local.shape)

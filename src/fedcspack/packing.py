@@ -47,7 +47,10 @@ class PackageLayout:
             raise ShapeError(f"layout of {self.total_params} params used for {total_params}")
 
     def element_mask(self, package_mask: np.ndarray) -> np.ndarray:
-        """Per-element copy of a per-package boolean mask."""
+        """Per-element form of a per-package boolean mask: the mask itself
+        at pack 1, else a copy widened to the elements."""
+        if self.pack == 1:
+            return package_mask
         return np.repeat(package_mask, self.pack)[: self.total_params]
 
     def blocks(self, v: np.ndarray, packages: np.ndarray | None = None) -> list[np.ndarray]:

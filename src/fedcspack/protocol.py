@@ -203,9 +203,10 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     weight_mode = config.weight_mode if method.weighted else None
     prox_mu = config.prox_mu if method.proximal else 0.0
 
+    # the mask a fold of no updates leaves, with no package valid: every local
+    # model starts as the initial model, so round 0's pulls return it anyway
     server = ServerState(
-        global_params=init_params(config.model, config.seed),
-        global_mask=GlobalMask.all_valid(layout.num_packages),
+        init_params(config.model, config.seed), GlobalMask(np.zeros(layout.num_packages))
     )
     # nothing writes a FlatParams' values in place, so every client may
     # start from the one initial model

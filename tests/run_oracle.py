@@ -120,7 +120,10 @@ def run(config) -> tuple[list[OracleRound], list[float]]:
     prox_mu = config.prox_mu if config.method == "fedprox" else 0.0
 
     init = partition_oracle.init_params(config.model, config.seed)
-    server = ServerState(init, GlobalMask.all_valid(-(-d // pack)))
+    # all valid, where the program starts with none valid: every local model
+    # starts as init, so a round-0 pull gives init under either mask, and the
+    # run-oracle tests check that the start mask decides nothing
+    server = ServerState(init, GlobalMask(np.ones(-(-d // pack))))
     locals_ = [init] * config.clients
     size = package_oracle.ceil_share(config.cpr, config.clients)
     rounds = []

@@ -105,7 +105,7 @@ def test_aggregation_brute_force_oracle():
         spec = ShapeSpec((d - 1, 1), "identity")
         server = ServerState(
             FlatParams(rng.normal(size=d).astype(np.float32), spec),
-            GlobalMask.all_valid(j_count + 1),
+            GlobalMask(np.ones(j_count + 1)),
         )
         updates = []
         for cid in range(int(rng.integers(1, 6))):

@@ -102,7 +102,7 @@ class TestFoldMasks:
 def make_server(values, pack):
     params = params_of(values)
     j_count = package_views(len(values), pack).num_packages
-    return ServerState(params, GlobalMask.all_valid(j_count))
+    return ServerState(params, GlobalMask(np.ones(j_count)))
 
 
 class TestAggregate:
@@ -244,15 +244,15 @@ class TestSelectivePull:
         rng = np.random.default_rng(1)
         local = params_of(rng.normal(size=9))
         global_ = params_of(rng.normal(size=9))
-        out = selective_pull(local, global_, GlobalMask.all_valid(3), layout_of(local, 3))
-        assert np.array_equal(out.values, global_.values)
+        out = selective_pull(local, global_, GlobalMask(np.ones(3)), layout_of(local, 3))
+        assert out is global_
 
     def test_none_valid_keeps_local(self):
         rng = np.random.default_rng(2)
         local = params_of(rng.normal(size=9))
         global_ = params_of(rng.normal(size=9))
         out = selective_pull(local, global_, GlobalMask(np.zeros(3)), layout_of(local, 3))
-        assert np.array_equal(out.values, local.values)
+        assert out is local
 
     def test_partial_pull(self):
         rng = np.random.default_rng(3)
@@ -262,3 +262,28 @@ class TestSelectivePull:
         out = selective_pull(local, global_, mask, layout_of(local, 3))
         assert np.array_equal(out.values[0:3], global_.values[0:3])
         assert np.array_equal(out.values[3:9], local.values[3:9])
+
+    def test_shape_mismatch(self):
+        local = params_of(np.zeros(9))
+        other = params_of(np.zeros(8))
+        with pytest.raises(ShapeError, match="local/global shape mismatch"):
+            selective_pull(local, other, GlobalMask(np.ones(3)), layout_of(local, 3))
+
+    def test_mask_length_mismatch(self):
+        local = params_of(np.zeros(9))
+        with pytest.raises(ShapeError, match="mask length 2 != package count 3"):
+            selective_pull(local, local, GlobalMask(np.ones(2)), layout_of(local, 3))
+
+    @pytest.mark.parametrize("pack", [1, 2, 4])
+    def test_mixed_mask_gives_where_bytes(self, pack):
+        """A mask neither all nor none valid builds a new model, byte for
+        byte np.where of the element mask, at pack 1 as at wider packs."""
+        rng = np.random.default_rng(4)
+        local = params_of(rng.normal(size=9))
+        global_ = params_of(rng.normal(size=9))
+        layout = layout_of(local, pack)
+        valid = np.arange(layout.num_packages) % 2 == 1
+        out = selective_pull(local, global_, GlobalMask(valid.astype(float)), layout)
+        adopt = np.repeat(valid, pack)[:9]
+        assert out is not local and out is not global_
+        assert out.values.tobytes() == np.where(adopt, global_.values, local.values).tobytes()

@@ -203,6 +203,11 @@ class TestConfig:
                 1,
                 "partition.test_fraction must be a real number in (0, 1), got 1",
             ),
+            (("dataset", "kind"), "csv", "unknown dataset kind 'csv'"),
+            (("partition", "law"), "iid", "unknown partition law 'iid'"),
+            (("method",), "fedsgd", "unknown method 'fedsgd'"),
+            (("weight_mode",), "triple", "unknown weight_mode 'triple'"),
+            (("method",), "fedprox", "fedprox requires prox_mu > 0"),
         ],
     )
     def test_bad_section_fails_at_load(self, path, value, message):
@@ -258,6 +263,10 @@ class TestConfig:
     def test_bad_override_path(self):
         with pytest.raises(ConfigError, match="not found"):
             apply_overrides(base_doc(), ["nope.deep=1"])
+
+    def test_override_without_equals(self):
+        with pytest.raises(ConfigError, match=re.escape("override 'rounds' is not key=value")):
+            apply_overrides(base_doc(), ["rounds"])
 
 
 def reject_constant(name):
@@ -408,6 +417,12 @@ class TestSweep:
         with pytest.raises(SystemExit, match="'method' is given twice"):
             main(["sweep", "--config", str(config_path), "--grid", "method=fedavg,fedprox",
                   "--grid", "method=magnitude_topk", "--out", str(out)])
+        assert not out.exists()
+
+    def test_grid_without_equals_rejected(self, config_path, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit, match=re.escape("--grid 'method' is not key=v1,v2,...")):
+            main(["sweep", "--config", str(config_path), "--grid", "method", "--out", str(out)])
         assert not out.exists()
 
     def test_datasets_built_once_per_command(self, config_path, tmp_path, monkeypatch):

@@ -233,7 +233,7 @@ def rounds(draw):
     j_count = -(-d // pack)
     values = rng.normal(size=d).astype(np.float32)
     values[rng.random(d) < 0.1] = -0.0
-    server = ServerState(FlatParams(values, spec_with_total(d)), GlobalMask.all_valid(j_count))
+    server = ServerState(FlatParams(values, spec_with_total(d)), GlobalMask(np.ones(j_count)))
     updates = []
     num_clients = draw(st.integers(0, 8))
     for cid in rng.permutation(3 * num_clients)[:num_clients]:
@@ -284,7 +284,7 @@ class TestAggregate:
     def test_wide_model(self, pack, share, with_tail, weight_mode):
         spec = ShapeSpec([256, 256, 10])
         layout = package_views(spec.total_params, pack)
-        server = ServerState(init_params(spec, seed=4), GlobalMask.all_valid(layout.num_packages))
+        server = ServerState(init_params(spec, seed=4), GlobalMask(np.ones(layout.num_packages)))
         rng = np.random.default_rng(pack)
         updates = []
         for cid in (5, 0, 3):
@@ -341,7 +341,7 @@ class TestClientIngestAndFold:
             assert same(getattr(got, field), getattr(want, field))
 
         # folded under the run's weighting of this method
-        server = ServerState(global_, GlobalMask.all_valid(layout.num_packages))
+        server = ServerState(global_, GlobalMask(np.ones(layout.num_packages)))
         folded = aggregate(server, [got], layout, weight_mode_of(config)).state
         want = oracle.aggregate(server, [want], layout.pack, weight_mode_of(config)).state
         assert same(folded.global_params.values, want.global_params.values)

@@ -197,6 +197,37 @@ def test_local_train_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize(
+    "features, labels, message",
+    [
+        (np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64), "features must be 2-D"),
+        (np.zeros((3, 2), dtype=np.float32), np.zeros(2, dtype=np.int64),
+         "features/labels row count mismatch"),
+    ],
+)
+def test_bad_batch_rejected(features, labels, message):
+    with pytest.raises(ShapeError, match=message):
+        Batch(features, labels)
+
+
+def test_forward_loss_empty_batch():
+    params = init_params(ShapeSpec([3, 2]), seed=1)
+    empty = Batch(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ShapeError, match="empty batch"):
+        forward_loss(params, empty)
+
+
+@pytest.mark.parametrize(
+    "epochs, prox_mu, message",
+    [(0, 0.0, "epochs must be >= 1"), (1, -0.1, "prox_mu must be >= 0")],
+)
+def test_local_train_bad_arguments(epochs, prox_mu, message):
+    params = init_params(ShapeSpec([3, 2]), seed=1)
+    batch = random_batch(np.random.default_rng(0), 4, 3, 2)
+    with pytest.raises(ValueError, match=message):
+        local_train(params, batch, epochs, 0.1, 4, np.random.default_rng(0), prox_mu=prox_mu)
+
+
 def test_local_train_empty_data():
     spec = ShapeSpec([3, 2])
     params = init_params(spec, seed=1)

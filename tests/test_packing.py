@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,11 +83,19 @@ class TestPackageViews:
                 on = layout.element_mask(np.isin(np.arange(layout.num_packages), packages))
                 assert acc.tolist() == np.where(on, v, 0.0).tolist(), chosen
 
+    @pytest.mark.parametrize(
+        "total, pack, message",
+        [(10, 0, "pack must be >= 1"), (0, 4, "total_params must be >= 1")],
+    )
+    def test_bad_geometry_rejected(self, total, pack, message):
+        with pytest.raises(ValueError, match=message):
+            package_views(total, pack)
+
     def test_layout_of_another_size_rejected(self, subtests):
         a = params_of(np.ones(10))
         a64 = widened(a)
         layout = package_views(12, 4)  # 3 packages, as a layout of 10 has
-        server = ServerState(a, GlobalMask.all_valid(3))
+        server = ServerState(a, GlobalMask(np.ones(3)))
         # no test rows, so evaluate pulls nothing: its own check must fire
         partition = Partition([np.arange(2)], [np.arange(2)], [np.arange(0)])
         dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
@@ -240,6 +249,11 @@ class TestSelectTopk:
         prof = self.profile(0.9, [0.95, 0.5, 0.8, 0.92])
         assert select_topk(prof, 0.3).tolist() == [1, 2]  # cap = ceil(1.2) = 2
         assert select_topk(prof, 0.25).tolist() == [1]
+
+    @pytest.mark.parametrize("cap_ratio", [0.0, -0.5, 1.5])
+    def test_cap_ratio_outside_unit_interval_rejected(self, cap_ratio):
+        with pytest.raises(ValueError, match=re.escape("cap_ratio must be in (0, 1]")):
+            select_topk(self.profile(0.9, [0.5, 0.95]), cap_ratio)
 
     def test_tie_prefers_lower_index(self):
         prof = self.profile(0.9, [0.5, 0.5, 0.5])

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -21,6 +22,22 @@ def assert_exact_cover(partition, n_rows):
     assert len(np.unique(all_rows)) == n_rows
     for tr, te in zip(partition.train, partition.test):
         assert len(np.intersect1d(tr, te)) == 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2),
+         "features/labels row count mismatch"),
+        (lambda: Dataset(np.zeros((2, 2)), np.array([0, 2]), 2), "label out of range"),
+        (lambda: Dataset(np.zeros((2, 2)), np.array([-1, 0]), 2), "label out of range"),
+        (lambda: synth_blobs(0, 4, 10, 0.3, 0), "counts must be >= 1"),
+        (lambda: synth_blobs(2, 4, 0, 0.3, 0), "counts must be >= 1"),
+    ],
+)
+def test_bad_dataset_rejected(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
 
 
 class TestSynthBlobs:

@@ -390,7 +390,7 @@ class TestMalformedUpdates:
         start = init_params(config.model, config.seed)
         others = [protocol._server_ingest(blob, cid, 0, layout) for cid, blob in honest]
         assert len(others) == len(sent) - 1 == len(result.metrics[0].participants) - 1
-        server = ServerState(start, GlobalMask.all_valid(layout.num_packages))
+        server = ServerState(start, GlobalMask(np.ones(layout.num_packages)))
         want = aggregate(server, others, layout, weight_mode_of(config)).state.global_params.values
         assert np.array_equal(globals_[0], want)
 
@@ -560,7 +560,7 @@ class TestEvaluate:
         # untrained uniform model scores near chance on balanced classes
         spec = config.model
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
-        server = ServerState(zero, GlobalMask.all_valid(1))
+        server = ServerState(zero, GlobalMask(np.ones(1)))
         locals_ = [zero] * config.clients
         global_acc, _, _ = evaluate(
             server, locals_, result.partition, result.dataset,
