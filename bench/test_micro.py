@@ -128,7 +128,8 @@ def test_decode_update(benchmark, shape, pack, count):
 def model_pair(shape: ShapeSpec):
     global_ = init_params(shape, 0)
     rng = np.random.default_rng(1)
-    local = FlatParams(global_.values + rng.normal(scale=0.01, size=shape.total_params), shape)
+    noise = rng.normal(scale=0.01, size=shape.total_params)
+    local = FlatParams((global_.values + noise).astype(np.float32), shape)
     return local, global_
 
 

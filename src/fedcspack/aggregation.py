@@ -30,7 +30,7 @@ class GlobalMask:
         return self.totals > 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerState:
     global_params: FlatParams
     global_mask: GlobalMask
@@ -100,7 +100,7 @@ def selective_pull(
         )
     valid = global_mask.valid
     count = np.count_nonzero(valid)
-    # nothing writes a FlatParams' values in place, so an input may be returned
+    # FlatParams values are read-only, so an input may be returned
     if count == len(valid):
         return global_
     if count == 0:

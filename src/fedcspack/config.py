@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         for name in ("rounds", "clients", "pack", "local_epochs", "batch_size"):
             require_int(name, getattr(self, name), 1)
+        if self.pack > 2**32 - 1:  # the wire writes pack into a u32 header field
+            raise ConfigError(f"pack must be <= {2**32 - 1}, got {self.pack}")
         require_int("seed", self.seed, 0)
         require_real("cpr", self.cpr, "(0, 1]")
         require_real("lr", self.lr, "(0, inf)")

@@ -60,20 +60,19 @@ class ShapeSpec:
 
 @dataclass(frozen=True)
 class FlatParams:
-    """One-dimensional float32 parameter vector plus its shape."""
+    """One-dimensional float32 parameter vector plus its shape.  It holds the
+    array it is given, not a copy, and makes it read-only, so holders share it."""
 
     values: np.ndarray
     shape: ShapeSpec
 
     def __post_init__(self):
-        if self.values.ndim != 1 or len(self.values) != self.shape.total_params:
-            raise ShapeError(
-                f"expected {self.shape.total_params} params, got {self.values.shape}"
-            )
-        if self.values.dtype != np.float32:
-            object.__setattr__(self, "values", self.values.astype(np.float32))
-        if not np.all(np.isfinite(self.values)):
+        v, d = self.values, self.shape.total_params
+        if v.dtype != np.float32 or v.shape != (d,):
+            raise ShapeError(f"expected {d} float32 params, got {v.dtype} of shape {v.shape}")
+        if not np.all(np.isfinite(v)):
             raise NumericError("non-finite parameter values")
+        v.flags.writeable = False
 
 
 @dataclass(frozen=True)

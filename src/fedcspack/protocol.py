@@ -83,8 +83,7 @@ def _client_update(
     layout: PackageLayout,
 ) -> PackedUpdate:
     """Build the wire update for one client: the packages its method row's
-    `sends` chooses and the (theta, beta) sent with each.  It only reads
-    `global64`, the round's global model widened to float64."""
+    `sends` chooses and their (theta, beta), against `global64`, the round's float64 global."""
     sends = METHODS[config.method].sends
     if sends == "cosine":
         trained64 = trained.values.astype(np.float64)
@@ -208,8 +207,7 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     server = ServerState(
         init_params(config.model, config.seed), GlobalMask(np.zeros(layout.num_packages))
     )
-    # nothing writes a FlatParams' values in place, so every client may
-    # start from the one initial model
+    # FlatParams values are read-only, so every client may start from the one initial model
     locals_ = [server.global_params] * config.clients
 
     sample_size = ceil_share(config.cpr, config.clients)
@@ -224,8 +222,9 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
             raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
 
         global_snapshot = server.global_params
-        # widened once: every client of the round scores against it
+        # widened once and read-only: every client of the round scores against it
         global64 = global_snapshot.values.astype(np.float64)
+        global64.flags.writeable = False
         mask_snapshot = server.global_mask
 
         bytes_up = 0

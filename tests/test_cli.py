@@ -97,6 +97,8 @@ class TestConfig:
             ("prox_mu", -1),
             # finite, but beyond the float range
             ("lr", 10**400),
+            # the wire writes pack into a u32 header field
+            ("pack", 2**32),
         ],
     )
     def test_out_of_range_rejected_at_load(self, key, value):

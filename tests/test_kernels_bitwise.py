@@ -106,7 +106,8 @@ class TestScorePackages:
         spec = ShapeSpec([256, 256, 10])
         global_ = init_params(spec, seed=3)
         rng = np.random.default_rng(pack)
-        local = FlatParams(global_.values + rng.normal(scale=0.01, size=spec.total_params), spec)
+        noise = rng.normal(scale=0.01, size=spec.total_params)
+        local = FlatParams((global_.values + noise).astype(np.float32), spec)
         subsets = subsets_of(-(-spec.total_params // pack), rng)
         profile = score_packages(widened(local), widened(global_), layout_of(local, pack))
         subsets.append(select_topk(profile, 0.25))
@@ -324,9 +325,8 @@ class TestClientIngestAndFold:
         config = small_config(pack=pack, **case)
         rng = np.random.default_rng(seed)
         global_ = init_params(config.model, seed=seed % 1000)
-        trained = FlatParams(
-            global_.values + rng.normal(scale=0.05, size=config.model.total_params), config.model
-        )
+        noise = rng.normal(scale=0.05, size=config.model.total_params)
+        trained = FlatParams((global_.values + noise).astype(np.float32), config.model)
         layout = layout_for(config)
 
         update = _client_update(config, 3, 2, trained, global_, widened(global_), layout)

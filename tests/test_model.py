@@ -40,6 +40,16 @@ def test_flat_params_length_checked():
     spec = ShapeSpec([4, 2])
     with pytest.raises(ShapeError):
         FlatParams(np.zeros(7, dtype=np.float32), spec)
+    # float32 only: another dtype of the right length is refused, not cast
+    for dtype in (np.float64, np.float16):
+        with pytest.raises(ShapeError, match=np.dtype(dtype).name):
+            FlatParams(np.zeros(spec.total_params, dtype=dtype), spec)
+    # the array is held, not copied, and read-only
+    values = np.zeros(spec.total_params, dtype=np.float32)
+    params = FlatParams(values, spec)
+    assert params.values is values
+    with pytest.raises(ValueError, match="read-only"):
+        params.values[0] = 1.0
 
 
 def test_zero_weights_give_uniform_softmax_loss():

@@ -192,6 +192,13 @@ class TestRunLoop:
         for i in never_sampled:
             assert np.array_equal(result.locals_[i].values, start.values)
 
+        # the rule is the type's: shared values are read-only, and the server
+        # state is replaced each round, never changed
+        for params in [*result.locals_, result.server.global_params]:
+            assert not params.values.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.server.global_params = start
+
     @pytest.mark.parametrize("method", ["fedcspack", "magnitude_topk"])
     def test_widened_global_never_written(self, monkeypatch, method):
         # every client of a round scores against one float64 widening of the
@@ -202,6 +209,7 @@ class TestRunLoop:
         def observed(config, i, t, trained, global_snapshot, global64, layout):
             vector, want = rounds.setdefault(t, (global64, widened(global_snapshot).tobytes()))
             assert global64 is vector and global64.tobytes() == want
+            assert not global64.flags.writeable
             return client_update(config, i, t, trained, global_snapshot, global64, layout)
 
         def after_round(t, server):
