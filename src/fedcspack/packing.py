@@ -20,11 +20,10 @@ EPS_W = 1e-6
 
 
 class PackageLayout:
-    """The package geometry of one flat model, built once per run.
-
-    Package j covers [offsets[j], offsets[j] + lengths[j]); every package
-    holds `pack` elements except a possibly shorter last one.
-    """
+    """The package geometry of one flat model, built once per run: a list of
+    segments (first package, first element, rows, width) that tiles it in order,
+    `rows` packages of `width` elements each.  A `pack` tiling has two at most:
+    the pack-wide packages, then a shorter last one."""
 
     def __init__(self, total_params: int, pack: int):
         if pack < 1:
@@ -33,13 +32,13 @@ class PackageLayout:
             raise ValueError("total_params must be >= 1")
         self.total_params = total_params
         self.pack = pack
-        self.offsets = np.arange(0, total_params, pack)
-        self.lengths = np.minimum(pack, total_params - self.offsets)
-        self.num_packages = len(self.offsets)
-        # packages of exactly `pack` elements: all but a short tail
-        self.num_full = total_params // pack
-        self.offsets.setflags(write=False)
+        full, rest = divmod(total_params, pack)
+        self.segments = [s for s in [(0, 0, full, pack), (full, full * pack, 1, rest)] if s[2] * s[3]]
+        first, _, rows, width = np.array(self.segments).T
+        self.lengths = np.repeat(width, rows)
         self.lengths.setflags(write=False)
+        self.num_packages = len(self.lengths)
+        self._ends = first + rows  # one past each segment's last package
 
     def check(self, total_params: int) -> None:
         """Raise ShapeError unless this layout tiles total_params elements."""
@@ -47,23 +46,25 @@ class PackageLayout:
             raise ShapeError(f"layout of {self.total_params} params used for {total_params}")
 
     def element_mask(self, package_mask: np.ndarray) -> np.ndarray:
-        """Per-element form of a per-package boolean mask: the mask itself
-        at pack 1, else a copy widened to the elements."""
+        """Per-element copy of a per-package boolean mask; the mask itself at pack 1."""
         if self.pack == 1:
             return package_mask
-        return np.repeat(package_mask, self.pack)[: self.total_params]
+        return np.repeat(package_mask, self.lengths)
+
+    def _shares(self, views: list[np.ndarray], packages: np.ndarray) -> list[tuple]:
+        """(segment, its view, lo, hi) for each segment that holds packages[lo:hi], lo < hi."""
+        cuts = [0, *packages.searchsorted(self._ends).tolist()]
+        return [share for share in zip(self.segments, views, cuts, cuts[1:]) if share[2] < share[3]]
 
     def blocks(self, v: np.ndarray, packages: np.ndarray | None = None) -> list[np.ndarray]:
-        """v's packages as 2-D blocks in package order: the full packages'
-        rows as one (n, pack) block, then a short tail as a one-row block.
-        Views of every package if `packages` is None, else copies of those
-        (ascending, distinct)."""
-        width = self.num_full * self.pack
-        rows = v[:width].reshape(self.num_full, self.pack)
+        """v's packages as 2-D blocks in package order: a (rows, width) view of
+        each segment if `packages` is None, else copies of those (ascending,
+        distinct), one block per segment that holds some (one empty if none)."""
+        views = [v[at : at + rows * width].reshape(rows, width) for _, at, rows, width in self.segments]
         if packages is None:
-            return [rows, v[None, width:]] if width < len(v) else [rows]
-        n = packages.searchsorted(self.num_full)
-        return [rows[packages[:n]], v[None, width:].copy()] if n < len(packages) else [rows[packages]]
+            return views
+        picked = [rows[packages[lo:hi] - j] for (j, *_), rows, lo, hi in self._shares(views, packages)]
+        return picked or [views[0][:0]]
 
     def gather(self, v: np.ndarray, packages: np.ndarray) -> np.ndarray:
         """The elements of the ascending, distinct `packages` of v in one
@@ -74,15 +75,13 @@ class PackageLayout:
         return picked[0].ravel() if len(picked) == 1 else np.concatenate(picked, axis=None)
 
     def add(self, v: np.ndarray, packages: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> None:
-        """In-place inverse of `gather`: add scale[i] times packages[i]'s
-        elements of `packed` to v's package packages[i]."""
-        rows, *tail = self.blocks(v)
-        n = packages.searchsorted(self.num_full)
-        # every full package: add in place, with no gather and scatter
-        full = slice(None) if n == self.num_full else packages[:n]
-        rows[full] += scale[:n, None] * packed[: n * self.pack].reshape(n, self.pack)
-        if n < len(packages):
-            tail[0] += scale[n:, None] * packed[n * self.pack :]
+        """In-place inverse of `gather`: add scale[i] times packages[i]'s packed elements to v."""
+        at = 0
+        for (first, _, rows, width), view, lo, hi in self._shares(self.blocks(v), packages):
+            # a whole segment: add in place, with no gather and scatter
+            chosen = slice(None) if hi - lo == rows else packages[lo:hi] - first
+            view[chosen] += scale[lo:hi, None] * packed[at : at + (hi - lo) * width].reshape(-1, width)
+            at += (hi - lo) * width
 
 
 def package_views(total_params: int, pack: int) -> PackageLayout:

@@ -46,13 +46,14 @@ def scalar_reference(global_values, pack, updates):
     for u in updates:
         for j, w in zip(u.packages, u.beta):
             totals[j] += float(w)
+    starts = np.cumsum(layout.lengths) - layout.lengths
     out = [float(v) for v in global_values]
     for u in sorted(updates, key=lambda u: u.client_id):
         read = 0
         for j, w in zip(u.packages, u.beta):
             coef = float(w) / totals[j]
             for k in range(int(layout.lengths[j])):
-                out[int(layout.offsets[j]) + k] += coef * float(u.payload[read])
+                out[int(starts[j]) + k] += coef * float(u.payload[read])
                 read += 1
     return np.array(out)
 

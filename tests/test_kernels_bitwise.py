@@ -286,11 +286,12 @@ class TestAggregate:
         spec = ShapeSpec([256, 256, 10])
         layout = package_views(spec.total_params, pack)
         server = ServerState(init_params(spec, seed=4), GlobalMask(np.ones(layout.num_packages)))
+        num_full = spec.total_params // pack
         rng = np.random.default_rng(pack)
         updates = []
         for cid in (5, 0, 3):
-            full = rng.permutation(layout.num_full)[: round(share * layout.num_full)]
-            tail = [layout.num_full] if with_tail else []
+            full = rng.permutation(num_full)[: round(share * num_full)]
+            tail = [num_full] if with_tail else []
             chosen = np.concatenate((np.sort(full), tail)).astype(np.intp)
             lengths = layout.lengths[chosen]
             payload = rng.normal(scale=0.01, size=lengths.sum()).astype(np.float32)

@@ -1,6 +1,6 @@
 """Packages map to elements in one place: `PackageLayout`.  No module in the
-package but `packing.py` reads a layout's `num_full` or `split`, so the rule
-"full pack-wide rows, then a short tail" is written once (`blocks`, `add`,
+package but `packing.py` reads a layout's `segments`, so the rule "each
+segment is a run of equal-length packages" is written once (`blocks`, `add`,
 `gather` and `element_mask`)."""
 
 import ast
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fedcspack"
-PRIVATE = {"num_full", "split"}
+PRIVATE = {"segments"}
 
 
 def layout_names(tree: ast.AST) -> set[str]:
@@ -31,7 +31,7 @@ def layout_names(tree: ast.AST) -> set[str]:
 
 
 def layout_reads(tree: ast.AST) -> list[int]:
-    """Lines that read `num_full` or `split` of a layout."""
+    """Lines that read `segments` of a layout."""
     names = layout_names(tree)
     return [
         node.lineno
@@ -50,16 +50,17 @@ def layout_reads(tree: ast.AST) -> list[int]:
 )
 def test_no_package_map_outside_the_layout(path):
     lines = layout_reads(ast.parse(path.read_text(), filename=str(path)))
-    assert not lines, f"{path.name}: reads a layout's num_full or split at lines {lines}"
+    assert not lines, f"{path.name}: reads a layout's segments at lines {lines}"
 
 
 @pytest.mark.parametrize(
     "source, reads",
     [
-        ("def f(layout: PackageLayout, v):\n    rows, tail = layout.split(v)", 1),
-        ("layout = package_views(10, 4)\nn = layout.num_full", 1),
-        ("def f(layout: PackageLayout):\n    return layout.num_full * layout.pack", 1),
+        ("def f(layout: PackageLayout, v):\n    rows, tail = layout.segments", 1),
+        ("layout = package_views(10, 4)\nn = layout.num_packages - len(layout.segments)", 1),
+        ("def f(layout: PackageLayout):\n    return layout.segments[0][2] * layout.pack", 1),
         ('parts = "a.b".split(".")\nchunks = np.split(x, 3)', 0),
+        ("segments = route.segments\nfor s in segments: pass", 0),
     ],
 )
 def test_check_sees_a_layout_read(source, reads):

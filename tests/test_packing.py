@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
@@ -26,12 +26,29 @@ from fedcspack.partition import Dataset, Partition
 from fedcspack.protocol import _client_update, evaluate
 
 
+@st.composite
+def package_maps(draw):
+    """A (total, pack) geometry and an ascending package set of its layout:
+    none, every package, the last one alone, or a random set."""
+    total, pack = draw(st.integers(1, 300)), draw(st.integers(1, 64))
+    count = -(-total // pack)
+    kind = draw(st.sampled_from(["empty", "all", "last", "random"]))
+    if kind == "random":
+        chosen = sorted(draw(st.sets(st.integers(0, count - 1))))
+    else:
+        chosen = {"empty": [], "all": range(count), "last": [count - 1]}[kind]
+    return total, pack, tuple(chosen)
+
+
 class TestPackageViews:
     def test_exact_tiling(self):
         layout = package_views(10, 4)
         assert layout.num_packages == 3
-        assert list(layout.offsets) == [0, 4, 8]
+        assert list(np.cumsum(layout.lengths) - layout.lengths) == [0, 4, 8]
         assert list(layout.lengths) == [4, 4, 2]
+        assert layout.segments == [(0, 0, 2, 4), (2, 8, 1, 2)]
+        assert package_views(8, 4).segments == [(0, 0, 2, 4)]
+        assert package_views(3, 4).segments == [(0, 0, 1, 3)]
 
     def test_single_package(self):
         layout = package_views(7, 100)
@@ -41,13 +58,16 @@ class TestPackageViews:
     def test_partition_property(self, total, pack):
         layout = package_views(total, pack)
         covered = []
-        for j, (offset, length) in enumerate(zip(layout.offsets, layout.lengths)):
-            assert offset == j * pack
+        starts = np.cumsum(layout.lengths) - layout.lengths
+        for j, (start, length) in enumerate(zip(starts, layout.lengths)):
+            assert start == j * pack
             assert 1 <= length <= pack
-            covered.extend(range(offset, offset + length))
+            covered.extend(range(start, start + length))
         assert covered == list(range(total))
 
     def test_layout_indexing(self):
+        """`blocks(v)` gives a view of v per segment, `blocks(v, packages)` a
+        copy of the chosen packages per segment that holds some."""
         layout = package_views(10, 4)
         v = np.arange(10.0)
         rows, tail = layout.blocks(v)
@@ -60,13 +80,17 @@ class TestPackageViews:
         rows[:] = 5.0  # copies: a write leaves v alone
         tail[:] = 5.0
         assert v.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, 8, -2]
+        # a segment that holds no chosen package gives no block
         (rows,) = layout.blocks(v, np.array([0]))
         assert rows.tolist() == [[0, 1, 2, 3]]
+        (tail,) = layout.blocks(v, np.array([2]))
+        assert tail.tolist() == [[8, -2]]
+        (none,) = layout.blocks(v, np.zeros(0, np.intp))
+        assert none.shape == (0, 4)
         (rows,) = package_views(8, 4).blocks(np.arange(8.0))
         assert rows.shape == (2, 4)
-        short = package_views(3, 4)
-        rows, tail = short.blocks(np.arange(3.0))
-        assert short.num_full == 0 and rows.shape == (0, 4) and tail.tolist() == [[0, 1, 2]]
+        (tail,) = package_views(3, 4).blocks(np.arange(3.0))
+        assert tail.tolist() == [[0, 1, 2]]
         assert list(layout.element_mask(np.array([False, True, True]))) == [False] * 4 + [True] * 6
 
     @pytest.mark.parametrize("total, pack", [(10, 4), (8, 4), (3, 4)])
@@ -82,6 +106,48 @@ class TestPackageViews:
                 layout.add(acc, packages, np.ones(k), layout.gather(v, packages))
                 on = layout.element_mask(np.isin(np.arange(layout.num_packages), packages))
                 assert acc.tolist() == np.where(on, v, 0.0).tolist(), chosen
+
+    @settings(max_examples=300)
+    @given(package_maps())
+    @example((10, 4, ()))
+    @example((10, 4, (0,)))
+    @example((10, 4, (2,)))
+    @example((10, 4, (1, 2)))
+    @example((10, 4, (0, 1, 2)))
+    @example((8, 4, (1,)))
+    @example((8, 4, (0, 1)))
+    @example((3, 4, (0,)))
+    def test_package_map(self, geometry):
+        """`gather` takes the chosen packages' slices of the cumulative
+        lengths, `add` is its inverse at any scale, `element_mask` widens a
+        mask by the lengths, and the views of `blocks(v)` cover v in order."""
+        total, pack, chosen = geometry
+        layout = package_views(total, pack)
+        lengths = layout.lengths
+        count = -(-total // pack)
+        assert lengths.tolist() == [min(pack, total - j * pack) for j in range(count)]
+        ends = np.cumsum(lengths)
+        v = np.arange(1.0, total + 1)
+        packages = np.array(chosen, dtype=np.intp)
+        slices = [v[ends[j] - lengths[j] : ends[j]] for j in chosen]
+        gathered = layout.gather(v, packages)
+        assert gathered.tolist() == np.concatenate([v[:0], *slices]).tolist()
+
+        scale = np.arange(2.0, len(chosen) + 2)
+        acc = np.zeros(total)
+        layout.add(acc, packages, scale, gathered)
+        want = np.zeros(total)
+        for j, k in zip(chosen, scale):
+            want[ends[j] - lengths[j] : ends[j]] = k * v[ends[j] - lengths[j] : ends[j]]
+        assert acc.tolist() == want.tolist()
+
+        mask = np.isin(np.arange(count), packages)
+        assert layout.element_mask(mask).tolist() == np.repeat(mask, lengths).tolist()
+
+        views = layout.blocks(v)
+        assert all(np.shares_memory(block, v) for block in views)
+        assert [len(row) for block in views for row in block] == lengths.tolist()
+        assert np.concatenate(views, axis=None).tolist() == v.tolist()
 
     @pytest.mark.parametrize(
         "total, pack, message",

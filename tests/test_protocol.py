@@ -98,6 +98,34 @@ class TestRunLoop:
             assert len(m.participants) == expect
             assert len(set(m.participants)) == expect
 
+    def test_repeated_client_in_sample_raises(self, monkeypatch):
+        # the round's sampling stream, [seed, 17, t], made to draw its first
+        # client twice; every other stream is numpy's own
+        config = small_config(rounds=2)
+        default_rng = np.random.default_rng
+
+        class Repeating:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                drawn = self.rng.choice(*args, **kwargs)
+                drawn[-1] = drawn[0]
+                return drawn
+
+        def sampling_repeats(seed=None):
+            if isinstance(seed, list) and seed[:2] == [config.seed, 17]:
+                return Repeating(seed)
+            return default_rng(seed)
+
+        size = oracle.ceil_share(config.cpr, config.clients)
+        drawn = default_rng([config.seed, 17, 0]).choice(config.clients, size=size, replace=False)
+        drawn[-1] = drawn[0]
+        monkeypatch.setattr(protocol.np.random, "default_rng", sampling_repeats)
+        with pytest.raises(InvariantError) as raised:
+            run(config)
+        assert str(raised.value) == f"round 0: sampled clients {sorted(drawn.tolist())} are not distinct"
+
     def test_sample_size_is_the_decimal_share(self):
         # 0.14 * 50 is 7.000000000000001 in float64: 7 clients a round, not 8
         result = run(small_config(clients=50, cpr=0.14, rounds=2))
