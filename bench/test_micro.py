@@ -24,9 +24,12 @@ model and one round's `evaluate` of 20 clients on it, each at pack 128
 set-up kernels: the Dirichlet partition of topk-desk and
 fedcspack-wide, the pathological partition of fedprox-idx, the holdout
 alone on those two partitions, the blobs of fedcspack-wide and the wide
-model's initial parameters.  The last
-benchmark times a whole topk-desk set-up through the command line, from
-`main`'s argv to the return of `init_params`.
+model's initial parameters.  `test_round_step` times one whole round
+(`protocol.round_step`) of each of the four methods at desk (32-64-10)
+and wide (256-256-10) scale from a fixed mid-run state: the ms/round
+baseline of a change to the round.  The last benchmark times a whole
+topk-desk set-up through the command line, from `main`'s argv to the
+return of `init_params`.
 """
 
 import json
@@ -369,6 +372,32 @@ TOPK_DESK = {
     "dataset": {"kind": "blobs", "num_classes": 10, "dim": 32,
                 "samples_per_class": 100, "spread": 0.2, "seed": 3},
 }
+
+
+# desk as in topk-desk; wide with fedcspack-wide's training (1 epoch,
+# batch 16) and cap (0.25)
+ROUND_SCALES = {
+    "desk": (DESK, {}),
+    "wide": (WIDE, dict(local_epochs=1, batch_size=16, cap_ratio=0.25)),
+}
+
+
+@pytest.mark.parametrize("scale", ROUND_SCALES)
+@pytest.mark.parametrize("method", ["fedcspack", "fedavg", "fedprox", "magnitude_topk"])
+def test_round_step(benchmark, method, scale):
+    """One whole round, t = 2 after two rounds folded: sampling, pulls,
+    training, updates, ingest, the fold, broadcast metering and evaluation.
+    Each call starts from the same state, with a fresh copy of the local
+    models."""
+    shape, overrides = ROUND_SCALES[scale]
+    config = client_config(shape, method=method, prox_mu=0.01, **overrides)
+    setup, server, locals_ = protocol.setup_run(config)
+    for t in range(2):
+        server, _, _ = protocol.round_step(setup, server, locals_, t)
+    _, metrics, _ = benchmark.pedantic(
+        protocol.round_step, setup=lambda: ((setup, server, list(locals_), 2), {}), rounds=10
+    )
+    assert len(metrics.participants) == 10
 
 
 class SetupDone(Exception):

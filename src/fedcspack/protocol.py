@@ -1,9 +1,13 @@
-"""The round loop: client sampling, local execution, wire exchange with
+"""The round protocol: client sampling, local execution, wire exchange with
 bit-exact traffic metering, server aggregation and evaluation.
 
-All four methods run under the identical loop; they differ only in their
-row of `config.METHODS`, which `run` and `_client_update` read.
-Everything is deterministic per config seed.
+`setup_run` fixes the dataset, partition and package layout and returns the
+state before round 0; `round_step` carries that state through one round, and
+`run` folds it over the rounds.  The state is the server, the clients' local
+models and t alone: every random stream is keyed by (seed, tag, t[, i]), so a
+run resumed from a copy of the state equals a whole one.  The four methods
+differ only in their row of `config.METHODS`, which `setup_run`, `round_step`
+and `_client_update` read.
 """
 
 from __future__ import annotations
@@ -186,22 +190,27 @@ def evaluate(
     return global_acc, (num / den if den else 0.0), per_client
 
 
-def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> RunResult:
-    """Execute the full simulation; deterministic per config seed.
+@dataclass(frozen=True)
+class RunSetup:
+    """What a run fixes before round 0; a round only reads it."""
 
-    round_hook(t, server), when given, is called after each aggregation
-    with the post-round server state (read-only observer).
-    """
+    config: RunConfig
+    dataset: Dataset
+    partition: Partition
+    layout: PackageLayout
+
+
+def setup_run(
+    config: RunConfig, dataset: Dataset | None = None
+) -> tuple[RunSetup, ServerState, list[FlatParams]]:
+    """The run's set-up and its state before round 0: the server and every
+    client's local model."""
     if dataset is None:
         dataset = build_dataset(config.dataset)
     partition = checked_partition(config, dataset)
-    d = config.model.total_params
-    method = METHODS[config.method]
     # a method that sends by magnitude picks single coordinates
-    layout = package_views(d, 1 if method.sends == "magnitude" else config.pack)
-    weight_mode = config.weight_mode if method.weighted else None
-    prox_mu = config.prox_mu if method.proximal else 0.0
-
+    pack = 1 if METHODS[config.method].sends == "magnitude" else config.pack
+    layout = package_views(config.model.total_params, pack)
     # the mask a fold of no updates leaves, with no package valid: every local
     # model starts as the initial model, so round 0's pulls return it anyway
     server = ServerState(
@@ -209,93 +218,97 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     )
     # FlatParams values are read-only, so every client may start from the one initial model
     locals_ = [server.global_params] * config.clients
+    return RunSetup(config, dataset, partition, layout), server, locals_
 
+
+def round_step(
+    setup: RunSetup, server: ServerState, locals_: list[FlatParams], t: int, round_hook=None
+) -> tuple[ServerState, RoundMetrics, list[float]]:
+    """Round t from the state (`server`, `locals_`): the post-round server,
+    the round's metrics and the per-client accuracies.  A sampled client
+    that trains replaces its entry of `locals_` in place; every other entry
+    keeps its object.
+
+    round_hook(t, server), when given, is called after the aggregation
+    with the post-round server state (read-only observer).
+    """
+    config, dataset, partition, layout = setup.config, setup.dataset, setup.partition, setup.layout
+    method = METHODS[config.method]
+    weight_mode = config.weight_mode if method.weighted else None
+    prox_mu = config.prox_mu if method.proximal else 0.0
     sample_size = ceil_share(config.cpr, config.clients)
+
+    t0 = time.perf_counter()
+    sample_rng = np.random.default_rng([config.seed, 17, t])
+    sampled = sorted(sample_rng.choice(config.clients, size=sample_size, replace=False).tolist())
+    if len(set(sampled)) != sample_size:
+        raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
+
+    global_snapshot = server.global_params
+    # widened once and read-only: every client of the round scores against it
+    global64 = global_snapshot.values.astype(np.float64)
+    global64.flags.writeable = False
+    mask_snapshot = server.global_mask
+
+    bytes_up, rejected, updates = 0, 0, []
+    for i in sampled:
+        if len(partition.train[i]) == 0:
+            log.info("round %d: client %d has no train data, skipped", t, i)
+            continue
+        pulled = global_snapshot
+        if method.selective_pull:
+            pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)
+        rows = partition.train[i]
+        data = Batch(dataset.features[rows], dataset.labels[rows])
+        train_rng = np.random.default_rng([config.seed, 29, t, i])
+        trained = local_train(
+            pulled, data, epochs=config.local_epochs, lr=config.lr,
+            batch_size=config.batch_size, rng=train_rng, prox_mu=prox_mu,
+        )
+        locals_[i] = trained
+        # encoded at once: a dense update's payload is the full-size delta,
+        # which should not outlive this client
+        blob = encode_update(_client_update(config, i, t, trained, global_snapshot, global64, layout))
+        # a blob the server rejects was still sent
+        bytes_up += len(blob)
+        try:
+            updates.append(_server_ingest(blob, i, t, layout))
+        except (DecodeError, ProtocolViolation) as exc:
+            log.info("round %d: update from client %d rejected: %s", t, i, exc)
+            rejected += 1
+    server = aggregate(server, updates, layout, weight_mode).state
+
+    # dense broadcast of the new global model, metered through the codec
+    # as one full-vector entry per recipient
+    d, values = config.model.total_params, server.global_params.values
+    broadcast = PackedUpdate(
+        0xFFFFFFFF, t, d, np.zeros(1, np.intp), np.ones(1), np.zeros(1), np.array([d]), values
+    )
+    bytes_down = len(encode_update(broadcast)) * len(sampled)
+
+    if round_hook is not None:
+        round_hook(t, server)
+
+    global_acc, personalized_acc, per_client_acc = evaluate(
+        server, locals_, partition, dataset, layout
+    )
+    metrics = RoundMetrics(
+        round=t, method=config.method, global_acc=global_acc, personalized_acc=personalized_acc,
+        bytes_up=bytes_up, bytes_down=bytes_down, wall_ms=(time.perf_counter() - t0) * 1000.0,
+        participants=tuple(sampled), violations=rejected,
+    )
+    return server, metrics, per_client_acc
+
+
+def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> RunResult:
+    """Execute the full simulation, a fold of `round_step` over the rounds;
+    deterministic per config seed.  `round_hook` is `round_step`'s."""
+    setup, server, locals_ = setup_run(config, dataset)
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
-        t0 = time.perf_counter()
-        sample_rng = np.random.default_rng([config.seed, 17, t])
-        sampled = sorted(
-            sample_rng.choice(config.clients, size=sample_size, replace=False).tolist()
-        )
-        if len(set(sampled)) != sample_size:
-            raise InvariantError(f"round {t}: sampled clients {sampled} are not distinct")
-
-        global_snapshot = server.global_params
-        # widened once and read-only: every client of the round scores against it
-        global64 = global_snapshot.values.astype(np.float64)
-        global64.flags.writeable = False
-        mask_snapshot = server.global_mask
-
-        bytes_up = 0
-        updates = []
-        rejected = 0
-        for i in sampled:
-            if len(partition.train[i]) == 0:
-                log.info("round %d: client %d has no train data, skipped", t, i)
-                continue
-            pulled = global_snapshot
-            if method.selective_pull:
-                pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)
-            rows = partition.train[i]
-            data = Batch(dataset.features[rows], dataset.labels[rows])
-            train_rng = np.random.default_rng([config.seed, 29, t, i])
-            trained = local_train(
-                pulled,
-                data,
-                epochs=config.local_epochs,
-                lr=config.lr,
-                batch_size=config.batch_size,
-                rng=train_rng,
-                prox_mu=prox_mu,
-            )
-            locals_[i] = trained
-            # encoded at once: a dense update's payload is the full-size delta,
-            # which should not outlive this client
-            blob = encode_update(_client_update(config, i, t, trained, global_snapshot, global64, layout))
-            # a blob the server rejects was still sent
-            bytes_up += len(blob)
-            try:
-                updates.append(_server_ingest(blob, i, t, layout))
-            except (DecodeError, ProtocolViolation) as exc:
-                log.info("round %d: update from client %d rejected: %s", t, i, exc)
-                rejected += 1
-        server = aggregate(server, updates, layout, weight_mode).state
-
-        # dense broadcast of the new global model, metered through the codec
-        # as one full-vector entry per recipient
-        values = server.global_params.values
-        broadcast = PackedUpdate(
-            0xFFFFFFFF, t, d, np.zeros(1, np.intp), np.ones(1), np.zeros(1), np.array([d]), values
-        )
-        bytes_down = len(encode_update(broadcast)) * len(sampled)
-
-        if round_hook is not None:
-            round_hook(t, server)
-
-        global_acc, personalized_acc, per_client_acc = evaluate(
-            server, locals_, partition, dataset, layout
-        )
-        metrics.append(
-            RoundMetrics(
-                round=t,
-                method=config.method,
-                global_acc=global_acc,
-                personalized_acc=personalized_acc,
-                bytes_up=bytes_up,
-                bytes_down=bytes_down,
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-                participants=tuple(sampled),
-                violations=rejected,
-            )
-        )
+        server, row, per_client_acc = round_step(setup, server, locals_, t, round_hook)
+        metrics.append(row)
+    dense_bytes = config.model.total_params * 4 * ceil_share(config.cpr, config.clients)
     return RunResult(
-        config=config,
-        metrics=metrics,
-        server=server,
-        locals_=locals_,
-        partition=partition,
-        dataset=dataset,
-        dense_bytes_per_round=d * 4 * sample_size,
-        per_client_acc=per_client_acc,
+        config, metrics, server, locals_, setup.partition, setup.dataset, dense_bytes, per_client_acc
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedcspack import protocol
+from fedcspack.aggregation import GlobalMask, ServerState
 from fedcspack.config import METHODS, DatasetSpec, RunConfig
 from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import package_kl, package_views, score_packages
@@ -111,6 +112,17 @@ def idx_blobs(work, num_classes, dim, samples_per_class, seed):
     images, labels = work / "images.idx", work / "labels.idx"
     save_idx(Dataset(features, blobs.labels, num_classes), images, labels)
     return DatasetSpec(kind="idx", images=str(images), labels=str(labels))
+
+
+def copied_state(server, locals_):
+    """The state between rounds, every array of it copied: a fresh server
+    and a fresh local model for each client, sharing nothing with the
+    originals or with one another."""
+    def fresh(params):
+        return FlatParams(params.values.copy(), params.shape)
+
+    mask = GlobalMask(server.global_mask.totals.copy())
+    return ServerState(fresh(server.global_params), mask), [fresh(m) for m in locals_]
 
 
 def layout_for(config):

@@ -46,13 +46,19 @@ def test_traced_names_resolve():
 
 
 def test_traced_run_and_decoded_updates(tmp_path):
-    """One small `fedcspack run` under the tracer, with the client and
-    broadcast blobs captured at protocol.encode_update as the harness does."""
+    """One small `fedcspack run` of the fedcspack method under the tracer,
+    with the client and broadcast blobs captured at protocol.encode_update
+    and a traced round hook passed to `run`, as the harness does."""
     spans = load_spans()
+    config = small_config(rounds=2)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config_to_dict(small_config(rounds=2))))
+    config_path.write_text(json.dumps(config_to_dict(config)))
     tracer = spans.Tracer()
     blobs = []
+    round_hook = tracer.wrap("bench.round_hook", lambda t, server: None)
+
+    def observe_run(run):
+        return lambda config, *args, **kwargs: run(config, *args, round_hook=round_hook, **kwargs)
 
     def capture(encode_update):
         def observed(update):
@@ -61,11 +67,27 @@ def test_traced_run_and_decoded_updates(tmp_path):
             return blob
         return observed
 
-    replacements = tracer.replacements(MODULES) + [(protocol, "encode_update", capture)]
+    replacements = tracer.replacements(MODULES) + [
+        (cli, "run", observe_run), (protocol, "encode_update", capture)
+    ]
     with spans.patched(replacements):
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
 
     assert tracer.round == spans.REPORT
+    totals = tracer.layer_totals()
+    assert totals["rounds"] == config.rounds
+
+    def spans_of(name, t):
+        return [(start, end) for n, start, end, _, r in tracer.spans if (n, r) == (name, t)]
+
+    # the hook fires once a round, between that round's fold and its evaluation
+    for t in range(config.rounds):
+        (fold,), (hook,), (scored,) = (
+            spans_of(name, t)
+            for name in ("aggregation.aggregate", "bench.round_hook", "protocol.evaluate")
+        )
+        assert fold[1] <= hook[0] and hook[1] <= scored[0], f"round {t}"
+
     assert tracer.packages_scored > 0 and len(tracer.valid_share) == 2
     names = {span[0] for span in tracer.spans}
     assert {"protocol.evaluate", "aggregation.aggregate", "report.per_client_accuracy"} <= names
@@ -77,6 +99,9 @@ def test_traced_run_and_decoded_updates(tmp_path):
     assert all(len(blob) == u.encoded_length() for blob, u in zip(blobs, decoded))
     broadcasts = [u for u in decoded if u.client_id == BROADCAST_ID]
     assert len(broadcasts) == 2 and len(decoded) > 2
+    # every fedcspack client pulls before it trains, inside run's round loop
+    pulls = totals["loop"]["aggregation.selective_pull.client"][2]
+    assert pulls == len(decoded) - len(broadcasts)
     for u in decoded:
         assert len(u.entries) >= 1
         assert np.asarray(u.entries[0].payload, dtype="<f4").ndim == 1

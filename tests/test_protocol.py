@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import package_oracle as oracle
 from conftest import (
+    copied_state,
     full_selection_constant_weights,
     idx_blobs,
     layout_for,
@@ -29,7 +30,7 @@ from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolV
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
-from fedcspack.protocol import evaluate, run
+from fedcspack.protocol import evaluate, round_step, run, setup_run
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, encode_update
 
@@ -247,6 +248,33 @@ class TestRunLoop:
         monkeypatch.setattr(protocol, "_client_update", observed)
         run(small_config(method=method, rounds=3), round_hook=after_round)
         assert sorted(rounds) == [0, 1, 2]
+
+
+class TestRoundStep:
+    def test_repeatable_and_untouched_clients_aliased(self):
+        # two clients of eight a round: after round 0 six still hold the
+        # initial model, which they share as one read-only object
+        config = small_config(cpr=0.25)
+        setup, server, locals_ = setup_run(config)
+        initial = server.global_params
+        server, _, _ = round_step(setup, server, locals_, 0)
+        untouched = [i for i, m in enumerate(locals_) if m is initial]
+        assert len(untouched) == config.clients - 2
+        assert not initial.values.flags.writeable
+
+        outcomes = []
+        for _ in range(2):
+            start, models = copied_state(server, locals_)
+            before = list(models)
+            after, metrics, per_client = round_step(setup, start, models, 1)
+            kept = [i for i in range(config.clients) if i not in metrics.participants]
+            assert all(models[i] is before[i] for i in kept)
+            outcomes.append((
+                after.global_params.values.tobytes(), after.global_mask.totals.tobytes(),
+                dataclasses.replace(metrics, wall_ms=0.0), per_client,
+                [m.values.tobytes() for m in models],
+            ))
+        assert outcomes[0] == outcomes[1]
 
 
 def drop_last_entry(decode):

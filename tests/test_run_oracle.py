@@ -2,21 +2,27 @@
 round and exactly: the global parameter bytes, the mask, both byte
 counts, violations, both accuracies and the final per-client accuracies.
 A run that fails must fail as the oracle does.
+
+A run resumed after any round from a copy of its state, on a set-up built
+anew, equals the whole run: the state between rounds is the server, the
+local models and t, and nothing else.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import run_oracle
-from conftest import idx_blobs, same
+from conftest import copied_state, idx_blobs, same
 from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.errors import NumericError
 from fedcspack.model import ShapeSpec
 from fedcspack.partition import PartitionSpec
-from fedcspack.protocol import run
+from fedcspack.protocol import round_step, run, setup_run
 
 # the IDX pair every idx case reads: 3 classes of 8 rows, 4 features
 IDX = dict(num_classes=3, dim=4, samples_per_class=8, seed=5)
@@ -189,3 +195,56 @@ class TestRunOracle:
         )
         result = check_run(config_of(fields, idx_spec=None))
         assert min(len(rows) for rows in result.partition.train) == 0
+
+
+@st.composite
+def resumes(draw):
+    """A tiny run's fields and the round k, 0 to rounds, it resumes at."""
+    fields = draw(configs())
+    return fields, draw(st.integers(0, fields["rounds"]))
+
+
+def resumed(config, k):
+    """Rounds 0..k-1 folded from one set-up, then the state copied into
+    fresh arrays and rounds k..R-1 folded from a second set-up built anew:
+    the server after each round, the metrics rows, the final local models
+    and the last per-client accuracies."""
+    setup, server, locals_ = setup_run(config)
+    servers, rows, per_client = [], [], None
+    for t in range(config.rounds):
+        if t == k:
+            setup = setup_run(config)[0]
+            server, locals_ = copied_state(server, locals_)
+        server, row, per_client = round_step(setup, server, locals_, t)
+        servers.append(server)
+        rows.append(row)
+    return servers, rows, locals_, per_client
+
+
+class TestResume:
+    @OVERFLOW
+    @settings(max_examples=100, deadline=None)
+    @given(case=resumes())
+    @example(case=(FOLD_ORDER, 1))
+    # round 2 diverges, so the resumed half raises
+    @example(case=(DIVERGES, 2))
+    def test_resumed_run_equals_whole(self, idx_spec, case):
+        fields, k = case
+        config = config_of(fields, idx_spec)
+        servers = []
+        whole = outcome(lambda: run(config, round_hook=lambda t, server: servers.append(server)))
+        parts = outcome(lambda: resumed(config, k))
+        if isinstance(whole, Exception) or isinstance(parts, Exception):
+            assert (type(parts), str(parts)) == (type(whole), str(whole))
+            return
+        got_servers, rows, locals_, per_client = parts
+        assert len(got_servers) == len(servers) == config.rounds
+        for t, (got, want) in enumerate(zip(got_servers, servers)):
+            assert got.global_params.values.tobytes() == want.global_params.values.tobytes(), t
+            assert same(got.global_mask.totals, want.global_mask.totals), t
+        # wall_ms is the one column a clock writes
+        assert [replace(r, wall_ms=0.0) for r in rows] == [
+            replace(r, wall_ms=0.0) for r in whole.metrics
+        ]
+        assert [m.values.tobytes() for m in locals_] == [m.values.tobytes() for m in whole.locals_]
+        assert per_client == whole.per_client_acc
