@@ -43,7 +43,7 @@ def write_run(result: RunResult, out: Path) -> RunSummary:
     write_metrics_csv(result.metrics, out / "metrics.csv")
     write_run_json(result.config, result.metrics, out / "run.json")
     emit_series(result.metrics, per_client_accuracy(result), out)
-    return summarize(result.metrics, result.dense_bytes_per_round)
+    return summarize(result.metrics, result.config.model.total_params)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -51,19 +51,26 @@ class PackageLayout:
             return package_mask
         return np.repeat(package_mask, self.lengths)
 
-    def _shares(self, views: list[np.ndarray], packages: np.ndarray) -> list[tuple]:
-        """(segment, its view, lo, hi) for each segment that holds packages[lo:hi], lo < hi."""
+    def _shares(self, views: list[np.ndarray], packages: np.ndarray):
+        """(view, lo, hi, rows) for each segment view that holds packages[lo:hi], lo < hi:
+        `rows` is slice(None) for the whole segment, else their indices re-based to it."""
         cuts = [0, *packages.searchsorted(self._ends).tolist()]
-        return [share for share in zip(self.segments, views, cuts, cuts[1:]) if share[2] < share[3]]
+        for (first, _, rows, _), view, lo, hi in zip(self.segments, views, cuts, cuts[1:]):
+            if hi - lo == rows:
+                yield view, lo, hi, slice(None)
+            elif lo < hi:
+                yield view, lo, hi, packages[lo:hi] - first if first else packages[lo:hi]
 
     def blocks(self, v: np.ndarray, packages: np.ndarray | None = None) -> list[np.ndarray]:
         """v's packages as 2-D blocks in package order: a (rows, width) view of
         each segment if `packages` is None, else copies of those (ascending,
-        distinct), one block per segment that holds some (one empty if none)."""
+        distinct), one block per segment that holds some (one empty if none);
+        a wholly chosen segment is copied by slice, the others by index."""
         views = [v[at : at + rows * width].reshape(rows, width) for _, at, rows, width in self.segments]
         if packages is None:
             return views
-        picked = [rows[packages[lo:hi] - j] for (j, *_), rows, lo, hi in self._shares(views, packages)]
+        shares = self._shares(views, packages)
+        picked = [view.copy() if isinstance(rows, slice) else view[rows] for view, _, _, rows in shares]
         return picked or [views[0][:0]]
 
     def gather(self, v: np.ndarray, packages: np.ndarray) -> np.ndarray:
@@ -77,11 +84,11 @@ class PackageLayout:
     def add(self, v: np.ndarray, packages: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> None:
         """In-place inverse of `gather`: add scale[i] times packages[i]'s packed elements to v."""
         at = 0
-        for (first, _, rows, width), view, lo, hi in self._shares(self.blocks(v), packages):
-            # a whole segment: add in place, with no gather and scatter
-            chosen = slice(None) if hi - lo == rows else packages[lo:hi] - first
-            view[chosen] += scale[lo:hi, None] * packed[at : at + (hi - lo) * width].reshape(-1, width)
-            at += (hi - lo) * width
+        for view, lo, hi, rows in self._shares(self.blocks(v), packages):
+            # a whole segment's slice adds in place, with no gather and scatter
+            n = (hi - lo) * view.shape[1]
+            view[rows] += scale[lo:hi, None] * packed[at : at + n].reshape(hi - lo, -1)
+            at += n
 
 
 def package_views(total_params: int, pack: int) -> PackageLayout:

@@ -52,7 +52,6 @@ class RunResult:
     locals_: list[FlatParams]
     partition: Partition
     dataset: Dataset
-    dense_bytes_per_round: int
     per_client_acc: list[float]
 
 
@@ -308,7 +307,4 @@ def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> R
     for t in range(config.rounds):
         server, row, per_client_acc = round_step(setup, server, locals_, t, round_hook)
         metrics.append(row)
-    dense_bytes = config.model.total_params * 4 * ceil_share(config.cpr, config.clients)
-    return RunResult(
-        config, metrics, server, locals_, setup.partition, setup.dataset, dense_bytes, per_client_acc
-    )
+    return RunResult(config, metrics, server, locals_, setup.partition, setup.dataset, per_client_acc)

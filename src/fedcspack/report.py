@@ -28,11 +28,12 @@ class RunSummary:
     compression_vs_dense: float
 
 
-def summarize(metrics: list[RoundMetrics], dense_bytes_per_round: int) -> RunSummary:
+def summarize(metrics: list[RoundMetrics], total_params: int) -> RunSummary:
+    """The run's rows reduced; the dense baseline is 4·d bytes per participant per round."""
     if not metrics:
         raise ValueError("metrics must be non-empty")
     total_up = sum(m.bytes_up for m in metrics)
-    dense_total = len(metrics) * dense_bytes_per_round
+    dense_total = 4 * total_params * sum(len(m.participants) for m in metrics)
     return RunSummary(
         method=metrics[0].method,
         final_global_acc=metrics[-1].global_acc,

@@ -126,10 +126,8 @@ def copied_state(server, locals_):
 
 
 def layout_for(config):
-    """The layout `run` builds for `config`: single coordinates for a method
-    that sends by magnitude, packages of config.pack for every other."""
-    pack = 1 if METHODS[config.method].sends == "magnitude" else config.pack
-    return package_views(config.model.total_params, pack)
+    """The layout `setup_run` builds for `config`, the one every round reads."""
+    return protocol.setup_run(config)[0].layout
 
 
 def weight_mode_of(config):

@@ -232,9 +232,9 @@ def test_traffic_reduction_relation():
     than 2 accuracy points against the same-seed fedavg reference."""
     started = time.perf_counter()
     fedavg = run(desk_config("fedavg"))
-    reference = summarize(fedavg.metrics, fedavg.dense_bytes_per_round)
+    reference = summarize(fedavg.metrics, fedavg.config.model.total_params)
     packed = run(desk_config("fedcspack"))
-    candidate = summarize(packed.metrics, packed.dense_bytes_per_round)
+    candidate = summarize(packed.metrics, packed.config.model.total_params)
     ok = candidate.compression_vs_dense >= 3.0
     ok = ok and candidate.mean_personalized_acc >= reference.mean_personalized_acc - 0.02
     ok = ok and (time.perf_counter() - started) < 120.0

@@ -368,7 +368,7 @@ class TestSweep:
             "total_bytes_up,compression_vs_dense"
         )
         result = run(config_from_dict(apply_overrides(base_doc(), ["cpr=1.0"])))
-        s = summarize(result.metrics, result.dense_bytes_per_round)
+        s = summarize(result.metrics, result.config.model.total_params)
         assert lines[2] == (
             f"1.0,cell_001,{s.method},{s.final_global_acc!r},{s.best_global_acc!r},"
             f"{s.mean_personalized_acc!r},{s.total_bytes_up},{s.compression_vs_dense!r}"

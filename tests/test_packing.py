@@ -80,6 +80,8 @@ class TestPackageViews:
         rows[:] = 5.0  # copies: a write leaves v alone
         tail[:] = 5.0
         assert v.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, 8, -2]
+        rows, tail = layout.blocks(v, np.array([0, 1, 2]))  # whole segments: copies too
+        assert not np.shares_memory(rows, v) and not np.shares_memory(tail, v)
         # a segment that holds no chosen package gives no block
         (rows,) = layout.blocks(v, np.array([0]))
         assert rows.tolist() == [[0, 1, 2, 3]]

@@ -1,10 +1,12 @@
 import csv
+import json
 
 import pytest
 
 import package_oracle as oracle
 from conftest import small_config
 from fedcspack import protocol
+from fedcspack.cli import write_run
 from fedcspack.protocol import RoundMetrics, run
 from fedcspack.report import (
     emit_series,
@@ -14,7 +16,7 @@ from fedcspack.report import (
 )
 
 
-def metric(round_, bytes_up=100, global_acc=0.5, personalized_acc=0.6):
+def metric(round_, bytes_up=100, global_acc=0.5, personalized_acc=0.6, participants=(0, 1)):
     return RoundMetrics(
         round=round_,
         method="fedavg",
@@ -23,7 +25,7 @@ def metric(round_, bytes_up=100, global_acc=0.5, personalized_acc=0.6):
         bytes_up=bytes_up,
         bytes_down=200,
         wall_ms=1.0,
-        participants=(0, 1),
+        participants=participants,
         violations=0,
     )
 
@@ -34,12 +36,18 @@ def test_summarize_requires_metrics():
 
 
 def test_summarize_reductions():
-    metrics = [metric(0, global_acc=0.2), metric(1, global_acc=0.9), metric(2, global_acc=0.7)]
-    s = summarize(metrics, dense_bytes_per_round=100)
+    # 1, 3 and 4 participants: the baseline counts 8 dense models of 4·25
+    # bytes, which no one round's count times the 3 rounds gives
+    metrics = [
+        metric(0, global_acc=0.2, participants=(2,)),
+        metric(1, global_acc=0.9, participants=(0, 1, 3)),
+        metric(2, global_acc=0.7, participants=(0, 1, 2, 3)),
+    ]
+    s = summarize(metrics, total_params=25)
     assert s.final_global_acc == 0.7
     assert s.best_global_acc == 0.9
     assert s.total_bytes_up == 300
-    assert s.compression_vs_dense == pytest.approx(1.0)
+    assert s.compression_vs_dense == 800 / 300
 
 
 def test_fedavg_dense_compression_near_one():
@@ -51,28 +59,32 @@ def test_fedavg_dense_compression_near_one():
         method="fedavg", rounds=3, pack=10_000, model=ShapeSpec([16, 64, 6])
     )
     result = run(config)
-    s = summarize(result.metrics, result.dense_bytes_per_round)
+    s = summarize(result.metrics, config.model.total_params)
     assert 1 / 1.01 <= s.compression_vs_dense <= 1.0
 
 
 def test_capped_run_compression():
     config = small_config(method="fedcspack", cap_ratio=0.25, pack=64, rounds=3)
     result = run(config)
-    s = summarize(result.metrics, result.dense_bytes_per_round)
+    s = summarize(result.metrics, config.model.total_params)
     assert s.compression_vs_dense > 1.0
 
 
 def test_summary_recomputable_from_csv(tmp_path):
-    config = small_config(rounds=3)
-    result = run(config)
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(result.metrics, path)
-    with open(path) as f:
+    """The summary a run prints follows from its metrics.csv and run.json
+    alone: the dense baseline is 4·d bytes per listed participant, with d
+    counted from the model widths."""
+    s = write_run(run(small_config(rounds=3)), tmp_path)
+    with open(tmp_path / "metrics.csv") as f:
         rows = list(csv.DictReader(f))
-    s = summarize(result.metrics, result.dense_bytes_per_round)
+    widths = json.loads((tmp_path / "run.json").read_text())["config"]["model"]["widths"]
+    d = sum(n_in * n_out + n_out for n_in, n_out in zip(widths, widths[1:]))
     assert float(rows[-1]["global_acc"]) == s.final_global_acc
     assert max(float(r["global_acc"]) for r in rows) == s.best_global_acc
-    assert sum(int(r["bytes_up"]) for r in rows) == s.total_bytes_up
+    bytes_up = sum(int(r["bytes_up"]) for r in rows)
+    assert bytes_up == s.total_bytes_up
+    participants = sum(len(r["participants"].split(";")) for r in rows)
+    assert 4 * d * participants / bytes_up == s.compression_vs_dense
 
 
 # the per-round series files and the metrics.csv columns each one holds
