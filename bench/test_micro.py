@@ -236,7 +236,7 @@ def test_client_update_wide(benchmark):
     local, global_ = model_pair(WIDE)
     global64 = global_.values.astype(np.float64)
     config = client_config(WIDE, method="fedcspack", cap_ratio=0.25)
-    layout = package_views(WIDE.total_params, 128)
+    layout = protocol.setup_run(config)[0].layout
     update = benchmark(protocol._client_update, config, 3, 0, local, global_, global64, layout)
     assert len(update.packages) == 134  # ceil(0.25 * 535): the cap binds
 
@@ -252,7 +252,7 @@ def test_client_update_topk(benchmark, shape, fraction, kept):
     local, global_ = model_pair(shape)
     global64 = global_.values.astype(np.float64)
     config = client_config(shape, topk_fraction=fraction)
-    layout = package_views(shape.total_params, 1)
+    layout = protocol.setup_run(config)[0].layout
     update = benchmark(protocol._client_update, config, 3, 0, local, global_, global64, layout)
     assert len(update.packages) == kept  # ceil_share(fraction, d)
 

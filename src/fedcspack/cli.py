@@ -16,9 +16,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import apply_overrides, config_from_dict
+from .config import apply_overrides, config_from_dict, unique_keys
 from .partition import label_histogram
-from .protocol import RunResult, build_dataset, checked_partition, run
+from .protocol import RunResult, build_dataset, run, setup_run
 from .report import (
     RunSummary,
     _write_csv,
@@ -33,7 +33,7 @@ from .report import (
 def _load_doc(args: argparse.Namespace) -> dict:
     """The command's config document: the --config file, --overrides applied."""
     with open(args.config) as f:
-        return apply_overrides(json.load(f), args.override)
+        return apply_overrides(json.load(f, object_pairs_hook=unique_keys), args.override)
 
 
 def write_run(result: RunResult, out: Path) -> RunSummary:
@@ -61,9 +61,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_report(args: argparse.Namespace) -> int:
-    config = config_from_dict(_load_doc(args))
-    dataset = build_dataset(config.dataset)
-    partition = checked_partition(config, dataset)
+    setup = setup_run(config_from_dict(_load_doc(args)))[0]
+    dataset, partition = setup.dataset, setup.partition
     print(f"dataset={dataset.name} rows={len(dataset)} classes={dataset.num_classes}")
     print("client  size  train  test  label_histogram")
     for i, rows in enumerate(partition.assignment):
@@ -87,8 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         keys.append(key)
         values.append(raw.split(","))
 
-    # every cell's config, dataset and partition is checked before --out is
-    # made or any cell runs
+    # every cell's set-up is checked before --out is made or any cell runs
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
     configs = [config_from_dict(apply_overrides(base, [f"{k}={v}" for k, v in cell.items()]))
                for cell in cells]
@@ -96,7 +94,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for config in configs:
         if config.dataset not in datasets:
             datasets[config.dataset] = build_dataset(config.dataset)
-        checked_partition(config, datasets[config.dataset])
+        setup_run(config, datasets[config.dataset])
     out = Path(args.out)
     rows = []
     for cell_id, (cell, config) in enumerate(zip(cells, configs)):

@@ -120,6 +120,18 @@ def check_fits(model: ShapeSpec, dim: int, num_classes: int) -> None:
         raise ConfigError(f"dataset num_classes {num_classes} > model outputs {model.num_classes}")
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json's object_pairs_hook for a config document: the object as a
+    dict, with a key repeated in it as ConfigError (json.load alone keeps
+    its last value)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"JSON object repeats key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _json_object(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
@@ -149,7 +161,7 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
 
 def _parse_value(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError:
         return text
 

@@ -67,15 +67,6 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     return load_idx(spec.images, spec.labels)
 
 
-def checked_partition(config: RunConfig, dataset: Dataset) -> Partition:
-    """The run's partition of `dataset`, after checking that the dataset
-    fits the model; raises ConfigError for a row width other than the
-    model's input width, more classes than the model has outputs, or a
-    partition the data cannot fill."""
-    check_fits(config.model, dataset.features.shape[1], dataset.num_classes)
-    return make_partition(dataset, config.partition)
-
-
 def _client_update(
     config: RunConfig,
     client_id: int,
@@ -203,10 +194,14 @@ def setup_run(
     config: RunConfig, dataset: Dataset | None = None
 ) -> tuple[RunSetup, ServerState, list[FlatParams]]:
     """The run's set-up and its state before round 0: the server and every
-    client's local model."""
+    client's local model.  Every command assembles and checks a run here:
+    raises ConfigError for a row width other than the model's input width,
+    more classes than the model has outputs, or a partition the data
+    cannot fill."""
     if dataset is None:
         dataset = build_dataset(config.dataset)
-    partition = checked_partition(config, dataset)
+    check_fits(config.model, dataset.features.shape[1], dataset.num_classes)
+    partition = make_partition(dataset, config.partition)
     # a method that sends by magnitude picks single coordinates
     pack = 1 if METHODS[config.method].sends == "magnitude" else config.pack
     layout = package_views(config.model.total_params, pack)

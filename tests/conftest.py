@@ -99,8 +99,9 @@ def topk_kept(local, global_, fraction):
         model=shape,
         dataset=DatasetSpec(kind="blobs", num_classes=shape.num_classes, dim=shape.input_dim),
     )
-    layout = package_views(shape.total_params, 1)
-    update = protocol._client_update(config, 0, 0, local, global_, widened(global_), layout)
+    update = protocol._client_update(
+        config, 0, 0, local, global_, widened(global_), layout_for(config)
+    )
     return update.packages
 
 

@@ -270,6 +270,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape("override 'rounds' is not key=value")):
             apply_overrides(base_doc(), ["rounds"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--out"], ["partition-report"], ["sweep", "--grid", "cpr=0.5,1.0", "--out"]],
+        ids=["run", "partition-report", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "plain, repeated, key",
+        [
+            ('"rounds": 3', '"rounds": 2, "rounds": 1', "rounds"),
+            ('"alpha": 0.5', '"alpha": 0.5, "alpha": 2.0', "alpha"),
+        ],
+        ids=["top-level", "in-section"],
+    )
+    def test_repeated_key_rejected_at_load(self, tmp_path, capsys, command, plain, repeated, key):
+        """json.load would keep a repeated key's last value; every command
+        rejects the file before it writes anything."""
+        text = json.dumps(base_doc())
+        assert text.count(plain) == 1
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(plain, repeated))
+        out = tmp_path / "out"
+        argv = [*command, str(out)] if command[-1] == "--out" else command
+        with pytest.raises(ConfigError, match=re.escape(f"JSON object repeats key '{key}'")):
+            main([*argv, "--config", str(path)])
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_repeated_key_in_an_override_value_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("JSON object repeats key 'alpha'")):
+            apply_overrides(base_doc(), ['partition={"law": "dirichlet", "alpha": 1, "alpha": 2}'])
+
 
 def reject_constant(name):
     """json's parse_constant hook: run.json holds no NaN or Infinity."""
@@ -353,6 +384,23 @@ class TestPartitionReport:
             with pytest.raises(ConfigError, match="dataset dim 16 != model input 12"):
                 main([*command, "--config", str(path)])
         assert capsys.readouterr().out == ""
+
+
+def test_commands_check_their_set_up_before_output(config_path, tmp_path, monkeypatch, capsys):
+    """partition-report and sweep assemble each run through setup_run, so
+    every check it makes fails them before partition-report prints or
+    sweep makes --out."""
+    def sentinel(*args, **kwargs):
+        raise ConfigError("sentinel")
+
+    monkeypatch.setattr(protocol, "init_params", sentinel)
+    with pytest.raises(ConfigError, match="sentinel"):
+        main(["partition-report", "--config", str(config_path)])
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="sentinel"):
+        main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0", "--out", str(out)])
+    assert not out.exists()
 
 
 class TestSweep:

@@ -103,7 +103,7 @@ class TestSameRun:
         train rows."""
         fields = one_sender(fields)
         config = config_of(fields, idx_spec)
-        partition = protocol.checked_partition(config, protocol.build_dataset(config.dataset))
+        partition = protocol.setup_run(config)[0].partition
         assume(min(len(rows) for rows in partition.train) > 0)
         d = d_of(fields)
         fedavg = trajectory(fields, idx_spec, method="fedavg", pack=d)
