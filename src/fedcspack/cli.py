@@ -47,10 +47,10 @@ def write_run(result: RunResult, out: Path) -> RunSummary:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = config_from_dict(_load_doc(args))
+    start = setup_run(config_from_dict(_load_doc(args)))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any round runs
-    summary = write_run(run(config), out)
+    out.mkdir(parents=True, exist_ok=True)  # after set-up checks the config, before any round
+    summary = write_run(run(*start), out)
     print(
         f"{summary.method}: final_global_acc={summary.final_global_acc:.4f} "
         f"personalized_acc={summary.mean_personalized_acc:.4f} "
@@ -86,21 +86,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         keys.append(key)
         values.append(raw.split(","))
 
-    # every cell's set-up is checked before --out is made or any cell runs
+    # every cell is set up, and so checked, before --out is made or any cell runs
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
     configs = [config_from_dict(apply_overrides(base, [f"{k}={v}" for k, v in cell.items()]))
                for cell in cells]
-    datasets = {}  # cells that differ only in method or lr share one dataset
+    datasets, starts = {}, []  # cells that differ only in method or lr share one dataset
     for config in configs:
         if config.dataset not in datasets:
             datasets[config.dataset] = build_dataset(config.dataset)
-        setup_run(config, datasets[config.dataset])
-    out = Path(args.out)
-    rows = []
-    for cell_id, (cell, config) in enumerate(zip(cells, configs)):
+        starts.append(setup_run(config, datasets[config.dataset]))
+    out, rows = Path(args.out), []
+    for cell_id, (cell, start) in enumerate(zip(cells, starts)):
         name = f"cell_{cell_id:03d}"
         (out / name).mkdir(parents=True, exist_ok=True)
-        summary = write_run(run(config, dataset=datasets[config.dataset]), out / name)
+        summary = write_run(run(*start), out / name)
         rows.append({**cell, "cell": name, **dataclasses.asdict(summary)})
 
     _write_csv(out / "sweep_summary.csv", list(rows[0]), [list(row.values()) for row in rows])

@@ -104,7 +104,7 @@ def synth_blobs(
 def _read_idx(path: str | Path, magic: int, dims: int) -> tuple[np.ndarray, list[int]]:
     """One IDX file's read-only u8 payload and its `dims` sizes, checked in
     order: the header fits, the magic matches, the payload covers every
-    element."""
+    element, and nothing follows it."""
     buf = Path(path).read_bytes()
     header = 4 * (1 + dims)
     if len(buf) < header:
@@ -115,6 +115,8 @@ def _read_idx(path: str | Path, magic: int, dims: int) -> tuple[np.ndarray, list
     count = math.prod(sizes)
     if len(buf) < header + count:
         raise IngestError(f"{path}: truncated at offset {len(buf)}")
+    if len(buf) > header + count:
+        raise IngestError(f"{path}: trailing bytes at offset {header + count}")
     return np.frombuffer(buf, dtype=np.uint8, count=count, offset=header), sizes
 
 

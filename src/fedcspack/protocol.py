@@ -294,12 +294,12 @@ def round_step(
     return server, metrics, per_client_acc
 
 
-def run(config: RunConfig, dataset: Dataset | None = None, round_hook=None) -> RunResult:
-    """Execute the full simulation, a fold of `round_step` over the rounds;
-    deterministic per config seed.  `round_hook` is `round_step`'s."""
-    setup, server, locals_ = setup_run(config, dataset)
+def run(setup: RunSetup, server: ServerState, locals_: list[FlatParams], round_hook=None) -> RunResult:
+    """Fold `round_step`, with its `round_hook`, over the rounds from a `setup_run` start."""
     metrics: list[RoundMetrics] = []
-    for t in range(config.rounds):
+    for t in range(setup.config.rounds):
         server, row, per_client_acc = round_step(setup, server, locals_, t, round_hook)
         metrics.append(row)
-    return RunResult(config, metrics, server, locals_, setup.partition, setup.dataset, per_client_acc)
+    return RunResult(
+        setup.config, metrics, server, locals_, setup.partition, setup.dataset, per_client_acc
+    )

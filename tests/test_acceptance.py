@@ -17,7 +17,7 @@ from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import Batch, FlatParams, ShapeSpec, forward_loss, gradient, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import PartitionSpec, label_histogram, make_partition, synth_blobs
-from fedcspack.protocol import run
+from fedcspack.protocol import run, setup_run
 from fedcspack.report import summarize
 from fedcspack.wire import PackedUpdate, decode_update, encode_update
 from test_model import central_difference
@@ -57,13 +57,13 @@ def test_fedavg_oracle_equivalence(monkeypatch):
     base = dict(rounds=20, pack=10_000, cpr=0.5, clients=8)
     oracle = {}
     run(
-        small_config(method="fedavg", **base),
+        *setup_run(small_config(method="fedavg", **base)),
         round_hook=lambda t, s: oracle.__setitem__(t, s.global_params.values.copy()),
     )
     candidate = {}
     full_selection_constant_weights(monkeypatch)
     run(
-        small_config(method="fedcspack", cap_ratio=1.0, **base),
+        *setup_run(small_config(method="fedcspack", cap_ratio=1.0, **base)),
         round_hook=lambda t, s: candidate.__setitem__(t, s.global_params.values.copy()),
     )
     ok = len(oracle) == 20 and all(
@@ -218,7 +218,7 @@ def test_wire_exactness():
 
     # dense fedavg: every round's bytes_up is participants * (22 + 16J + 4d)
     config = small_config(method="fedavg", rounds=3, pack=64)
-    result = run(config)
+    result = run(*setup_run(config))
     d = config.model.total_params
     j_count = -(-d // 64)
     for m in result.metrics:
@@ -231,9 +231,9 @@ def test_traffic_reduction_relation():
     """Capped packaging reaches >=3x uplink compression without losing more
     than 2 accuracy points against the same-seed fedavg reference."""
     started = time.perf_counter()
-    fedavg = run(desk_config("fedavg"))
+    fedavg = run(*setup_run(desk_config("fedavg")))
     reference = summarize(fedavg.metrics, fedavg.config.model.total_params)
-    packed = run(desk_config("fedcspack"))
+    packed = run(*setup_run(desk_config("fedcspack")))
     candidate = summarize(packed.metrics, packed.config.model.total_params)
     ok = candidate.compression_vs_dense >= 3.0
     ok = ok and candidate.mean_personalized_acc >= reference.mean_personalized_acc - 0.02

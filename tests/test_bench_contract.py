@@ -58,7 +58,7 @@ def test_traced_run_and_decoded_updates(tmp_path):
     round_hook = tracer.wrap("bench.round_hook", lambda t, server: None)
 
     def observe_run(run):
-        return lambda config, *args, **kwargs: run(config, *args, round_hook=round_hook, **kwargs)
+        return lambda setup, *args, **kwargs: run(setup, *args, round_hook=round_hook, **kwargs)
 
     def capture(encode_update):
         def observed(update):
@@ -74,6 +74,10 @@ def test_traced_run_and_decoded_updates(tmp_path):
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
 
     assert tracer.round == spans.REPORT
+    # cmd_run sets up before it calls run, so run's span holds only rounds
+    setup_names = ("partition.build_dataset", "partition.make_partition", "model.init_params")
+    set_up = [(n, r, parent) for n, _, _, parent, r in tracer.spans if n in setup_names]
+    assert sorted(set_up) == sorted((n, spans.SETUP, None) for n in setup_names)
     totals = tracer.layer_totals()
     assert totals["rounds"] == config.rounds
 

@@ -14,7 +14,7 @@ from fedcspack import cli, protocol
 from fedcspack.cli import main
 from fedcspack.config import apply_overrides, config_from_dict, config_to_dict
 from fedcspack.errors import ConfigError
-from fedcspack.protocol import build_dataset, run
+from fedcspack.protocol import build_dataset, run, setup_run
 from fedcspack.report import summarize
 
 
@@ -375,7 +375,7 @@ class TestPartitionReport:
 
     def test_rejects_what_run_rejects(self, tmp_path, capsys):
         """An IDX set whose row width is not the model's input fails both
-        commands, before partition-report prints anything."""
+        commands, before partition-report prints anything or run makes --out."""
         doc = base_doc()
         doc["dataset"] = dataclasses.asdict(idx_blobs(tmp_path, 5, 16, 40, seed=3))
         path = tmp_path / "idx.json"
@@ -384,12 +384,13 @@ class TestPartitionReport:
             with pytest.raises(ConfigError, match="dataset dim 16 != model input 12"):
                 main([*command, "--config", str(path)])
         assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def test_commands_check_their_set_up_before_output(config_path, tmp_path, monkeypatch, capsys):
-    """partition-report and sweep assemble each run through setup_run, so
-    every check it makes fails them before partition-report prints or
-    sweep makes --out."""
+    """Every command assembles its runs through setup_run before it writes,
+    so every check setup_run makes fails them before partition-report
+    prints or run and sweep make --out."""
     def sentinel(*args, **kwargs):
         raise ConfigError("sentinel")
 
@@ -397,6 +398,10 @@ def test_commands_check_their_set_up_before_output(config_path, tmp_path, monkey
     with pytest.raises(ConfigError, match="sentinel"):
         main(["partition-report", "--config", str(config_path)])
     assert capsys.readouterr().out == ""
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="sentinel"):
+        main(["run", "--config", str(config_path), "--out", str(out)])
+    assert not out.exists()
     out = tmp_path / "sweep"
     with pytest.raises(ConfigError, match="sentinel"):
         main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0", "--out", str(out)])
@@ -415,7 +420,7 @@ class TestSweep:
             "cpr,cell,method,final_global_acc,best_global_acc,mean_personalized_acc,"
             "total_bytes_up,compression_vs_dense"
         )
-        result = run(config_from_dict(apply_overrides(base_doc(), ["cpr=1.0"])))
+        result = run(*setup_run(config_from_dict(apply_overrides(base_doc(), ["cpr=1.0"]))))
         s = summarize(result.metrics, result.config.model.total_params)
         assert lines[2] == (
             f"1.0,cell_001,{s.method},{s.final_global_acc!r},{s.best_global_acc!r},"
@@ -424,6 +429,20 @@ class TestSweep:
         assert len(lines) == 4 and lines[3] == ""
         assert (out / "cell_000" / "metrics.csv").exists()
         assert (out / "cell_001" / "metrics.csv").exists()
+
+    def test_one_set_up_per_cell(self, config_path, tmp_path, monkeypatch):
+        """Each cell is partitioned once: the start its check builds is the
+        one it runs from."""
+        calls, make_partition = [], protocol.make_partition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_partition(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "make_partition", counted)
+        assert main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 2
 
     def test_bad_cell_fails_before_any_cell_runs(self, config_path, tmp_path):
         """A bad value in the grid's last cell fails at load: no cell has

@@ -21,7 +21,7 @@ import pytest
 from fedcspack.config import METHODS, DatasetSpec, RunConfig
 from fedcspack.model import ShapeSpec
 from fedcspack.partition import PartitionSpec, make_partition, synth_blobs
-from fedcspack.protocol import run
+from fedcspack.protocol import run, setup_run
 from fedcspack.report import METRICS_HEADER, metrics_rows
 
 PINS = Path(__file__).with_name("golden_trajectories.json")
@@ -64,7 +64,7 @@ def desk_config(**overrides) -> RunConfig:
 def trajectory(case: str) -> list[dict]:
     digests = []
     result = run(
-        desk_config(**CASES[case]),
+        *setup_run(desk_config(**CASES[case])),
         round_hook=lambda t, s: digests.append(hashlib.sha256(s.global_params.values).hexdigest()),
     )
     rows = [r[:WALL_MS] + r[WALL_MS + 1 :] for r in metrics_rows(result.metrics)]

@@ -52,7 +52,7 @@ def observe(config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_client_update", client_update)
-        result = outcome(lambda: protocol.run(config, round_hook=digest))
+        result = outcome(lambda: protocol.run(*protocol.setup_run(config), round_hook=digest))
     if isinstance(result, Exception):
         return (type(result), str(result)), sizes
     return [(g, m.global_acc, m.personalized_acc) for g, m in zip(digests, result.metrics)], sizes

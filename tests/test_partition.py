@@ -99,6 +99,16 @@ class TestIdx:
         with pytest.raises(IngestError, match="truncated"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which, extra", [("img", 9), ("lab", 3)])
+    def test_trailing_bytes(self, tmp_path, which, extra):
+        # 9 extra image bytes would make a 15th row; nothing may follow the payload
+        img, lab = self.write_pair(tmp_path, np.zeros((14, 3, 3), dtype=np.uint8), [0, 1] * 7)
+        path = {"img": img, "lab": lab}[which]
+        exact = path.read_bytes()
+        path.write_bytes(exact + bytes(extra))
+        with pytest.raises(IngestError, match=f"{path.name}: trailing bytes at offset {len(exact)}"):
+            load_idx(img, lab)
+
     @pytest.mark.parametrize("short", ["img", "lab"])
     def test_short_header_reported_before_magic(self, tmp_path, short):
         # the 6 bytes left hold a wrong magic, but the header is checked first

@@ -84,7 +84,7 @@ class TestRunLoop:
         config = small_config(
             method="fedavg", clients=1, cpr=1.0, rounds=3, pack=10_000
         )
-        result = run(config)
+        result = run(*setup_run(config))
         # the global model is the single client's trained model, up to the
         # float32 delta round-trip
         assert np.allclose(
@@ -93,7 +93,7 @@ class TestRunLoop:
 
     def test_sampling_size_and_distinctness(self):
         config = small_config(cpr=0.6, rounds=4)
-        result = run(config)
+        result = run(*setup_run(config))
         expect = oracle.ceil_share(0.6, config.clients)
         for m in result.metrics:
             assert len(m.participants) == expect
@@ -124,18 +124,18 @@ class TestRunLoop:
         drawn[-1] = drawn[0]
         monkeypatch.setattr(protocol.np.random, "default_rng", sampling_repeats)
         with pytest.raises(InvariantError) as raised:
-            run(config)
+            run(*setup_run(config))
         assert str(raised.value) == f"round 0: sampled clients {sorted(drawn.tolist())} are not distinct"
 
     def test_sample_size_is_the_decimal_share(self):
         # 0.14 * 50 is 7.000000000000001 in float64: 7 clients a round, not 8
-        result = run(small_config(clients=50, cpr=0.14, rounds=2))
+        result = run(*setup_run(small_config(clients=50, cpr=0.14, rounds=2)))
         assert [len(m.participants) for m in result.metrics] == [7, 7]
 
     def test_determinism_csv(self):
         config = small_config(rounds=4)
-        a = run(config)
-        b = run(config)
+        a = run(*setup_run(config))
+        b = run(*setup_run(config))
         # wall_ms (column 6) is the only non-deterministic field
         rows_a = [r[:6] + r[7:] for r in metrics_rows(a.metrics)]
         rows_b = [r[:6] + r[7:] for r in metrics_rows(b.metrics)]
@@ -143,13 +143,16 @@ class TestRunLoop:
 
     def test_fedcspack_matches_fedavg_with_overrides(self, monkeypatch):
         base = dict(rounds=6, pack=10_000, cpr=0.5)
-        fedavg = run(small_config(method="fedavg", **base))
+        fedavg = run(*setup_run(small_config(method="fedavg", **base)))
         trace = {}
         fedavg_trace = {}
-        run(small_config(method="fedavg", **base), round_hook=lambda t, s: fedavg_trace.__setitem__(t, s.global_params.values.copy()))
+        run(
+            *setup_run(small_config(method="fedavg", **base)),
+            round_hook=lambda t, s: fedavg_trace.__setitem__(t, s.global_params.values.copy()),
+        )
         full_selection_constant_weights(monkeypatch)
         run(
-            small_config(method="fedcspack", cap_ratio=1.0, **base),
+            *setup_run(small_config(method="fedcspack", cap_ratio=1.0, **base)),
             round_hook=lambda t, s: trace.__setitem__(t, s.global_params.values.copy()),
         )
         for t in fedavg_trace:
@@ -157,24 +160,24 @@ class TestRunLoop:
         assert fedavg.metrics  # sanity
 
     def test_cap_ratio_reduces_uplink(self):
-        full = run(small_config(cap_ratio=1.0, rounds=3))
-        capped = run(small_config(cap_ratio=0.25, rounds=3))
+        full = run(*setup_run(small_config(cap_ratio=1.0, rounds=3)))
+        capped = run(*setup_run(small_config(cap_ratio=0.25, rounds=3)))
         for a, b in zip(capped.metrics, full.metrics):
             assert a.bytes_up <= b.bytes_up
 
     def test_method_isolation_same_partition_and_init(self):
-        a = run(small_config(method="fedavg", rounds=1))
-        b = run(small_config(method="fedcspack", rounds=1))
+        a = run(*setup_run(small_config(method="fedavg", rounds=1)))
+        b = run(*setup_run(small_config(method="fedcspack", rounds=1)))
         for x, y in zip(a.partition.assignment, b.partition.assignment):
             assert np.array_equal(x, y)
 
     def test_prox_runs(self):
-        result = run(small_config(method="fedprox", prox_mu=0.1, rounds=3))
+        result = run(*setup_run(small_config(method="fedprox", prox_mu=0.1, rounds=3)))
         assert len(result.metrics) == 3
 
     def test_magnitude_topk_runs_and_is_sparse(self):
-        dense = run(small_config(method="fedavg", rounds=3, pack=10_000))
-        sparse = run(small_config(method="magnitude_topk", topk_fraction=0.05, rounds=3))
+        dense = run(*setup_run(small_config(method="fedavg", rounds=3, pack=10_000)))
+        sparse = run(*setup_run(small_config(method="magnitude_topk", topk_fraction=0.05, rounds=3)))
         assert sum(m.bytes_up for m in sparse.metrics) < sum(m.bytes_up for m in dense.metrics)
 
     def test_dataset_model_dim_mismatch(self, tmp_path):
@@ -184,18 +187,18 @@ class TestRunLoop:
         # an IDX file's width is known only once run reads it
         config = small_config(dataset=idx_blobs(tmp_path, 6, 16, 10, seed=4), model=ShapeSpec([20, 6]))
         with pytest.raises(ConfigError, match="dataset dim 16 != model input 20"):
-            run(config)
+            run(*setup_run(config))
 
     def test_idx_dataset_with_more_classes_than_model_outputs(self, tmp_path):
         config = small_config(
             dataset=idx_blobs(tmp_path, 12, 16, 10, seed=4), model=ShapeSpec([16, 24, 10])
         )
         with pytest.raises(ConfigError, match="12 > model outputs 10"):
-            run(config)
+            run(*setup_run(config))
 
     def test_weight_mode_ablation_runs(self):
         for mode in ("dual", "cos_only", "kl_only"):
-            result = run(small_config(weight_mode=mode, rounds=2))
+            result = run(*setup_run(small_config(weight_mode=mode, rounds=2)))
             assert len(result.metrics) == 2
 
     @pytest.mark.parametrize("overrides", [dict(method="fedcspack"), dict(method="fedprox", prox_mu=0.1)])
@@ -204,7 +207,7 @@ class TestRunLoop:
         # it and anchors on it, and never-sampled clients keep the initial one
         kept = []
         run(
-            small_config(rounds=4, **overrides),
+            *setup_run(small_config(rounds=4, **overrides)),
             round_hook=lambda t, s: kept.append(
                 (s.global_params.values, hashlib.sha256(s.global_params.values).digest())
             ),
@@ -214,7 +217,7 @@ class TestRunLoop:
             assert hashlib.sha256(values).digest() == digest
 
         config = small_config(rounds=1, **overrides)
-        result = run(config)
+        result = run(*setup_run(config))
         start = init_params(config.model, config.seed)
         never_sampled = sorted(set(range(config.clients)) - set(result.metrics[0].participants))
         assert never_sampled
@@ -246,7 +249,7 @@ class TestRunLoop:
             assert vector.tobytes() == want
 
         monkeypatch.setattr(protocol, "_client_update", observed)
-        run(small_config(method=method, rounds=3), round_hook=after_round)
+        run(*setup_run(small_config(method=method, rounds=3)), round_hook=after_round)
         assert sorted(rounds) == [0, 1, 2]
 
 
@@ -300,7 +303,7 @@ class TestMeteringCheck:
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(protocol, "decode_update", drop_last_entry(protocol.decode_update))
         with pytest.raises(InvariantError, match="metering drifted from the codec on client"):
-            run(small_config(rounds=1))
+            run(*setup_run(small_config(rounds=1)))
 
     def test_survives_optimized_mode(self):
         # `python -O` strips asserts; the check must still fire
@@ -309,7 +312,8 @@ class TestMeteringCheck:
             "from fedcspack import protocol; from fedcspack.errors import InvariantError; "
             "from test_protocol import drop_last_entry; "
             "protocol.decode_update = drop_last_entry(protocol.decode_update); "
-            "pytest.raises(InvariantError, protocol.run, small_config(rounds=1))"
+            "start = protocol.setup_run(small_config(rounds=1)); "
+            "pytest.raises(InvariantError, protocol.run, *start)"
         )
         tests = Path(__file__).resolve().parent
         env_path = f"{tests}:{tests.parent / 'src'}"
@@ -444,7 +448,9 @@ class TestMalformedUpdates:
             wrapped = corrupt_first_update(encode, corrupt, honest, sent)
         monkeypatch.setattr(protocol, "encode_update", wrapped)
         globals_ = []
-        result = run(config, round_hook=lambda t, s: globals_.append(s.global_params.values.copy()))
+        result = run(
+            *setup_run(config), round_hook=lambda t, s: globals_.append(s.global_params.values.copy())
+        )
 
         assert [m.violations for m in result.metrics] == [1, 0]
         assert all(np.isfinite(g).all() for g in globals_)
@@ -507,7 +513,9 @@ def trajectory(config):
     """Per round: the global parameters' digest and both accuracies; and
     the violation counts, after checking that every global is finite."""
     globals_ = []
-    result = run(config, round_hook=lambda t, s: globals_.append(s.global_params.values.copy()))
+    result = run(
+        *setup_run(config), round_hook=lambda t, s: globals_.append(s.global_params.values.copy())
+    )
     assert all(np.isfinite(g).all() for g in globals_)
     rounds = [
         (hashlib.sha256(g.tobytes()).hexdigest(), m.global_acc, m.personalized_acc)
@@ -613,14 +621,14 @@ class TestEvaluate:
                 law="pathological", num_clients=8, seed=2, shards_per_client=1
             ),
         )
-        result = run(config)
+        result = run(*setup_run(config))
         assert not any(len(rows) for rows in result.partition.test)
         assert [(m.global_acc, m.personalized_acc) for m in result.metrics] == [(0.0, 0.0)] * 2
         assert result.per_client_acc == [0.0] * 8
 
     def test_chance_level_for_zero_model(self):
         config = small_config(rounds=1)
-        result = run(config)
+        result = run(*setup_run(config))
         # untrained uniform model scores near chance on balanced classes
         spec = config.model
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)

@@ -7,7 +7,7 @@ import package_oracle as oracle
 from conftest import small_config
 from fedcspack import protocol
 from fedcspack.cli import write_run
-from fedcspack.protocol import RoundMetrics, run
+from fedcspack.protocol import RoundMetrics, run, setup_run
 from fedcspack.report import (
     emit_series,
     per_client_accuracy,
@@ -58,14 +58,14 @@ def test_fedavg_dense_compression_near_one():
     config = small_config(
         method="fedavg", rounds=3, pack=10_000, model=ShapeSpec([16, 64, 6])
     )
-    result = run(config)
+    result = run(*setup_run(config))
     s = summarize(result.metrics, config.model.total_params)
     assert 1 / 1.01 <= s.compression_vs_dense <= 1.0
 
 
 def test_capped_run_compression():
     config = small_config(method="fedcspack", cap_ratio=0.25, pack=64, rounds=3)
-    result = run(config)
+    result = run(*setup_run(config))
     s = summarize(result.metrics, config.model.total_params)
     assert s.compression_vs_dense > 1.0
 
@@ -74,7 +74,7 @@ def test_summary_recomputable_from_csv(tmp_path):
     """The summary a run prints follows from its metrics.csv and run.json
     alone: the dense baseline is 4·d bytes per listed participant, with d
     counted from the model widths."""
-    s = write_run(run(small_config(rounds=3)), tmp_path)
+    s = write_run(run(*setup_run(small_config(rounds=3))), tmp_path)
     with open(tmp_path / "metrics.csv") as f:
         rows = list(csv.DictReader(f))
     widths = json.loads((tmp_path / "run.json").read_text())["config"]["model"]["widths"]
@@ -102,7 +102,7 @@ def read_csv(path):
 
 def test_emit_series_shapes(tmp_path):
     config = small_config(rounds=3)
-    result = run(config)
+    result = run(*setup_run(config))
     assert emit_series(result.metrics, per_client_accuracy(result), tmp_path) is None
     assert {f.name for f in tmp_path.iterdir()} == SERIES_FILES
     assert len(read_csv(tmp_path / "acc_vs_round.csv")) == 4  # header + 3 rounds
@@ -118,7 +118,7 @@ def test_emit_series_empty_metrics(tmp_path):
 
 
 def test_round_series_are_column_views_of_metrics_csv(tmp_path):
-    result = run(small_config(method="fedcspack", cap_ratio=0.5, rounds=3))
+    result = run(*setup_run(small_config(method="fedcspack", cap_ratio=0.5, rounds=3)))
     write_metrics_csv(result.metrics, tmp_path / "metrics.csv")
     emit_series(result.metrics, per_client_accuracy(result), tmp_path)
     header, *rows = read_csv(tmp_path / "metrics.csv")
@@ -138,7 +138,7 @@ def test_per_client_accuracy_matches_reference(monkeypatch, method):
         return partition
 
     monkeypatch.setattr(protocol, "make_partition", client_1_without_test_rows)
-    result = run(small_config(method=method, rounds=2))
+    result = run(*setup_run(small_config(method=method, rounds=2)))
     accs = per_client_accuracy(result)
     assert accs[1] == 0.0 and any(a > 0 for a in accs)
     assert accs == oracle.per_client_accuracy(result)

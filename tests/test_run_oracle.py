@@ -109,7 +109,9 @@ def check_run(config):
     """Run `config` and the oracle, and compare every round exactly; when
     either fails, both must fail with the same error type and message."""
     servers = []
-    result = outcome(lambda: run(config, round_hook=lambda t, server: servers.append(server)))
+    result = outcome(
+        lambda: run(*setup_run(config), round_hook=lambda t, server: servers.append(server))
+    )
     oracle = outcome(lambda: run_oracle.run(config))
     if isinstance(result, Exception) or isinstance(oracle, Exception):
         assert (type(result), str(result)) == (type(oracle), str(oracle))
@@ -232,7 +234,9 @@ class TestResume:
         fields, k = case
         config = config_of(fields, idx_spec)
         servers = []
-        whole = outcome(lambda: run(config, round_hook=lambda t, server: servers.append(server)))
+        whole = outcome(
+            lambda: run(*setup_run(config), round_hook=lambda t, server: servers.append(server))
+        )
         parts = outcome(lambda: resumed(config, k))
         if isinstance(whole, Exception) or isinstance(parts, Exception):
             assert (type(parts), str(parts)) == (type(whole), str(whole))
