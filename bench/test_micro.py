@@ -288,14 +288,16 @@ def test_selective_pull_wide_pack1(benchmark):
 
 
 def evaluate_wide(benchmark, pack: int, valid_share: float):
-    dataset = synth_blobs(10, 256, 100, 0.1, 0)
-    spec = PartitionSpec(law="dirichlet", num_clients=20, seed=5, alpha=1.0)
-    partition = make_partition(dataset, spec)
+    """A fedcspack run's set-up on the wide model at `pack`, over blobs
+    dealt to 20 Dirichlet clients."""
+    config = client_config(
+        WIDE, method="fedcspack", pack=pack,
+        partition={"law": "dirichlet", "num_clients": 20, "seed": 5, "alpha": 1.0},
+    )
+    setup = protocol.setup_run(config, synth_blobs(10, 256, 100, 0.1, 0))[0]
     local, global_, mask, layout = pull_inputs(pack, valid_share)
     server = ServerState(global_, mask)
-    _, _, per_client = benchmark(
-        protocol.evaluate, server, [local] * 20, partition, dataset, layout
-    )
+    _, _, per_client = benchmark(protocol.evaluate, setup, server, [local] * 20)
     assert len(per_client) == 20
 
 

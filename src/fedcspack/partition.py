@@ -77,7 +77,8 @@ def synth_blobs(
     spread: float,
     seed: int,
 ) -> Dataset:
-    """Gaussian blobs: one unit-norm random center per class, isotropic noise."""
+    """Gaussian blobs: one unit-norm random center per class, isotropic noise.
+    Raises ConfigError when a feature is not finite in float32."""
     if min(num_classes, dim, samples_per_class) < 1:
         raise ConfigError("counts must be >= 1")
     require_real("spread", spread, "(0, inf)")
@@ -88,11 +89,14 @@ def synth_blobs(
     centers = rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     features = np.empty((num_classes * samples_per_class, dim), dtype=np.float32)
-    for c in range(num_classes):
-        z = rng.standard_normal((samples_per_class, dim))
-        z *= spread
-        z += centers[c]
-        features[c * samples_per_class : (c + 1) * samples_per_class] = z
+    with np.errstate(over="ignore"):  # an overflow is reported below, as a ConfigError
+        for c in range(num_classes):
+            z = rng.standard_normal((samples_per_class, dim))
+            z *= spread
+            z += centers[c]
+            features[c * samples_per_class : (c + 1) * samples_per_class] = z
+    if not np.isfinite(features).all():
+        raise ConfigError(f"dataset.spread {spread!r} overflows float32 features")
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class),

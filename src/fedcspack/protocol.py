@@ -30,6 +30,8 @@ from .wire import PackedUpdate, decode_update, encode_update
 
 log = logging.getLogger(__name__)
 
+BROADCAST_ID = 0xFFFFFFFF  # the client id of the server's metered broadcast
+
 
 @dataclass(frozen=True)
 class RoundMetrics:
@@ -44,14 +46,21 @@ class RoundMetrics:
     violations: int
 
 
-@dataclass
-class RunResult:
+@dataclass(frozen=True)
+class RunSetup:
+    """What a run fixes before round 0; a round only reads it."""
+
     config: RunConfig
+    dataset: Dataset
+    partition: Partition
+    layout: PackageLayout
+
+
+@dataclass(frozen=True)
+class RunResult(RunSetup):  # a finished run: its set-up, then what its rounds made
     metrics: list[RoundMetrics]
     server: ServerState
     locals_: list[FlatParams]
-    partition: Partition
-    dataset: Dataset
     per_client_acc: list[float]
 
 
@@ -145,15 +154,12 @@ def _server_ingest(
 
 
 def evaluate(
-    server: ServerState,
-    locals_: list[FlatParams],
-    partition: Partition,
-    dataset: Dataset,
-    layout: PackageLayout,
+    setup: RunSetup, server: ServerState, locals_: list[FlatParams]
 ) -> tuple[float, float, list[float]]:
     """Global accuracy on the pooled test rows, the dataset-size weighted
     mean of per-client post-pull accuracies on their own test rows, and
     those per-client accuracies (0.0 for a client without test rows)."""
+    dataset, partition, layout = setup.dataset, setup.partition, setup.layout
     layout.check(server.global_params.shape.total_params)
     pooled = np.concatenate(partition.test)
     global_acc = 0.0
@@ -178,16 +184,6 @@ def evaluate(
         num += size * per_client[-1]
         den += size
     return global_acc, (num / den if den else 0.0), per_client
-
-
-@dataclass(frozen=True)
-class RunSetup:
-    """What a run fixes before round 0; a round only reads it."""
-
-    config: RunConfig
-    dataset: Dataset
-    partition: Partition
-    layout: PackageLayout
 
 
 def setup_run(
@@ -276,16 +272,14 @@ def round_step(
     # as one full-vector entry per recipient
     d, values = config.model.total_params, server.global_params.values
     broadcast = PackedUpdate(
-        0xFFFFFFFF, t, d, np.zeros(1, np.intp), np.ones(1), np.zeros(1), np.array([d]), values
+        BROADCAST_ID, t, d, np.zeros(1, np.intp), np.ones(1), np.zeros(1), np.array([d]), values
     )
     bytes_down = len(encode_update(broadcast)) * len(sampled)
 
     if round_hook is not None:
         round_hook(t, server)
 
-    global_acc, personalized_acc, per_client_acc = evaluate(
-        server, locals_, partition, dataset, layout
-    )
+    global_acc, personalized_acc, per_client_acc = evaluate(setup, server, locals_)
     metrics = RoundMetrics(
         round=t, method=config.method, global_acc=global_acc, personalized_acc=personalized_acc,
         bytes_up=bytes_up, bytes_down=bytes_down, wall_ms=(time.perf_counter() - t0) * 1000.0,
@@ -301,5 +295,5 @@ def run(setup: RunSetup, server: ServerState, locals_: list[FlatParams], round_h
         server, row, per_client_acc = round_step(setup, server, locals_, t, round_hook)
         metrics.append(row)
     return RunResult(
-        setup.config, metrics, server, locals_, setup.partition, setup.dataset, per_client_acc
+        **vars(setup), metrics=metrics, server=server, locals_=locals_, per_client_acc=per_client_acc
     )

@@ -28,6 +28,8 @@ MODULES = {
     "aggregation": aggregation, "cli": cli, "model": model, "packing": packing,
     "partition": partition, "protocol": protocol, "report": report, "wire": wire,
 }
+# perfbench's own literal (perfbench/run.py), not protocol.BROADCAST_ID: this
+# states perfbench's contract, so it must not follow a change in src/
 BROADCAST_ID = 0xFFFFFFFF
 
 

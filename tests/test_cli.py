@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,26 @@ def test_commands_check_their_set_up_before_output(config_path, tmp_path, monkey
     with pytest.raises(ConfigError, match="sentinel"):
         main(["sweep", "--config", str(config_path), "--grid", "cpr=0.5,1.0", "--out", str(out)])
     assert not out.exists()
+
+
+def test_commands_reject_a_spread_beyond_float32(config_path, tmp_path, capsys):
+    """Blobs whose features overflow float32 fail every command at set-up,
+    with no overflow warning, before partition-report prints or run and
+    sweep make --out."""
+    spread = ["--override", "dataset.spread=1e300"]
+    commands = {
+        "partition-report": ["partition-report"],
+        "run": ["run", "--out", str(tmp_path / "run")],
+        "sweep": ["sweep", "--grid", "cpr=0.5,1.0", "--out", str(tmp_path / "sweep")],
+    }
+    for name, command in commands.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dataset.spread"):
+                main([*command, "--config", str(config_path), *spread])
+        assert capsys.readouterr().out == "", name
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "sweep").exists()
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import package_oracle as oracle
 from conftest import cosine_of, kl_of, layout_of, params_of, small_config, widened
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
+from fedcspack.config import DatasetSpec
 from fedcspack.errors import ShapeError
 from fedcspack.model import ShapeSpec, init_params
 from fedcspack.packing import (
@@ -22,8 +24,8 @@ from fedcspack.packing import (
     score_packages,
     select_topk,
 )
-from fedcspack.partition import Dataset, Partition
-from fedcspack.protocol import _client_update, evaluate
+from fedcspack.partition import Partition
+from fedcspack.protocol import _client_update, evaluate, setup_run
 
 
 @st.composite
@@ -164,15 +166,20 @@ class TestPackageViews:
         a64 = widened(a)
         layout = package_views(12, 4)  # 3 packages, as a layout of 10 has
         server = ServerState(a, GlobalMask(np.ones(3)))
-        # no test rows, so evaluate pulls nothing: its own check must fire
+        # a run of a's model, its layout swapped and its test rows dropped,
+        # so evaluate pulls nothing: its own check must fire
+        config = small_config(
+            clients=1, model=a.shape,
+            dataset=DatasetSpec(kind="blobs", num_classes=1, dim=9, samples_per_class=2, seed=3),
+        )
         partition = Partition([np.arange(2)], [np.arange(2)], [np.arange(0)])
-        dataset = Dataset(np.ones((2, 9), dtype=np.float32), np.zeros(2, dtype=np.int64), 1)
+        setup = dataclasses.replace(setup_run(config)[0], partition=partition, layout=layout)
         kernels = {
             "score_packages": lambda: score_packages(a64, a64, layout),
             "package_kl": lambda: package_kl(a64, a64, layout, np.arange(3)),
             "aggregate": lambda: aggregate(server, [], layout, "dual"),
             "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
-            "evaluate": lambda: evaluate(server, [a], partition, dataset, layout),
+            "evaluate": lambda: evaluate(setup, server, [a]),
         }
         for name, call in kernels.items():
             with subtests.test(kernel=name):

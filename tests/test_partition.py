@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -33,11 +34,16 @@ def assert_exact_cover(partition, n_rows):
         (lambda: Dataset(np.zeros((2, 2)), np.array([-1, 0]), 2), "label out of range"),
         (lambda: synth_blobs(0, 4, 10, 0.3, 0), "counts must be >= 1"),
         (lambda: synth_blobs(2, 4, 0, 0.3, 0), "counts must be >= 1"),
+        # features that overflow float32, and float64 before the cast
+        (lambda: synth_blobs(10, 64, 1, 1e300, 0), "dataset.spread"),
+        (lambda: synth_blobs(10, 64, 1, 1.7e308, 0), "dataset.spread"),
     ],
 )
 def test_bad_dataset_rejected(build, message):
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ConfigError alone, no warning before it
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
 
 
 class TestSynthBlobs:
@@ -51,6 +57,11 @@ class TestSynthBlobs:
         b = synth_blobs(5, 4, 30, spread=0.3, seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_large_finite_spread_kept(self):
+        data = synth_blobs(10, 64, 1, spread=1e30, seed=0)
+        assert np.isfinite(data.features).all()
+        assert np.abs(data.features).max() > 1e30
 
     def test_separability_limit(self):
         data = synth_blobs(6, 8, 50, spread=1e-6, seed=2)

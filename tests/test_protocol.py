@@ -30,11 +30,11 @@ from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolV
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
 from fedcspack.partition import Dataset, Partition, PartitionSpec
-from fedcspack.protocol import evaluate, round_step, run, setup_run
+from fedcspack.protocol import (
+    BROADCAST_ID, RunResult, RunSetup, evaluate, round_step, run, setup_run
+)
 from fedcspack.report import metrics_rows
 from fedcspack.wire import MAGIC, VERSION, encode_update
-
-BROADCAST_ID = 0xFFFFFFFF
 
 
 class TestMagnitudeTopk:
@@ -80,6 +80,21 @@ class TestMagnitudeTopk:
 
 
 class TestRunLoop:
+    def test_result_fields_are_the_set_up_then_the_outcome(self):
+        names = [f.name for f in dataclasses.fields(RunResult)]
+        setup_names = [f.name for f in dataclasses.fields(RunSetup)]
+        assert names == setup_names + ["metrics", "server", "locals_", "per_client_acc"]
+
+    def test_result_carries_its_start(self):
+        start = setup_run(small_config(rounds=1))
+        result = run(*start)
+        setup, _, locals_ = start
+        for name in ("config", "dataset", "partition", "layout"):
+            assert getattr(result, name) is getattr(setup, name), name
+        assert result.locals_ is locals_
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.metrics = []
+
     def test_single_client_fedavg_degeneracy(self):
         config = small_config(
             method="fedavg", clients=1, cpr=1.0, rounds=3, pack=10_000
@@ -590,6 +605,12 @@ class TestEvaluate:
     def test_dataset_size_weighting(self):
         # |D_1| = 3 |D_2|; client 1 always right, client 2 always wrong
         spec = ShapeSpec([2, 2])
+        config = small_config(
+            clients=2, pack=spec.total_params, model=spec,
+            dataset=DatasetSpec(
+                kind="blobs", num_classes=2, dim=2, samples_per_class=4, spread=0.3, seed=3
+            ),
+        )
         features = np.zeros((8, 2), dtype=np.float32)
         labels = np.array([0] * 6 + [0, 0])
         dataset = Dataset(features=features, labels=labels, num_classes=2)
@@ -603,9 +624,8 @@ class TestEvaluate:
             global_params=FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec),
             global_mask=GlobalMask(np.zeros(1)),  # nothing valid: pull keeps locals
         )
-        _, personalized, per_client = evaluate(
-            server, locals_, partition, dataset, package_views(spec.total_params, spec.total_params)
-        )
+        setup = dataclasses.replace(setup_run(config)[0], dataset=dataset, partition=partition)
+        _, personalized, per_client = evaluate(setup, server, locals_)
         assert personalized == pytest.approx(0.75 * 1.0 + 0.25 * 0.0)
         assert per_client == [1.0, 0.0]
 
@@ -628,14 +648,10 @@ class TestEvaluate:
 
     def test_chance_level_for_zero_model(self):
         config = small_config(rounds=1)
-        result = run(*setup_run(config))
+        setup = setup_run(config)[0]
         # untrained uniform model scores near chance on balanced classes
         spec = config.model
         zero = FlatParams(np.zeros(spec.total_params, dtype=np.float32), spec)
-        server = ServerState(zero, GlobalMask(np.ones(1)))
-        locals_ = [zero] * config.clients
-        global_acc, _, _ = evaluate(
-            server, locals_, result.partition, result.dataset,
-            package_views(spec.total_params, spec.total_params),
-        )
+        server = ServerState(zero, GlobalMask(np.ones(setup.layout.num_packages)))
+        global_acc, _, _ = evaluate(setup, server, [zero] * config.clients)
         assert 0.0 <= global_acc <= 0.45  # 6 classes, argmax ties resolve to class 0
