@@ -7,7 +7,7 @@ wide model (fedcspack-wide) and on the IDX model with the proximal term
 (fedprox-idx), the encode and decode of one client update in the
 magnitude Top-k shape at desk scale (topk-desk) and in the fedcspack shape
 of the wide model (fedcspack-wide), one round's aggregation of 10 client
-updates in those two shapes under fedcspack's weighting and the
+updates in those two shapes at fedcspack's weights and at the
 baselines' and of the dense updates that fedavg and fedprox fold (wide
 and IDX models), the server's ingest of one client's blob in those
 shapes, package scoring, the KL of the 134 packages that one fedcspack
@@ -42,7 +42,7 @@ from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_
 from fedcspack.config import config_from_dict
 from fedcspack.model import Batch, FlatParams, ShapeSpec, init_params, local_train
 from fedcspack.packing import (
-    ceil_share, least_k, package_kl, package_views, score_packages, select_topk
+    ceil_share, least_k, mask_weights, package_kl, package_views, score_packages, select_topk
 )
 from fedcspack.partition import (
     Dataset, PartitionSpec, _split_train_test, make_partition, synth_blobs
@@ -136,21 +136,22 @@ def model_pair(shape: ShapeSpec):
     return local, global_
 
 
-# "dual" weighs each package from its theta and beta (fedcspack), None
+# "dual" weighs each package from its theta and beta (fedcspack), "ones"
 # weighs every package 1.0 (the baselines); fedavg and fedprox fold dense
-# updates, every package of every client
+# updates, every package of every client.  The weights are built before the
+# timed fold, as `round_step` builds them before it calls `aggregate`
 @pytest.mark.parametrize(
-    "shape, pack, per_client, weight_mode",
+    "shape, pack, per_client, weighting",
     [
         pytest.param(DESK, 1, 277, "dual", id="topk-desk-10x277x1-dual"),
-        pytest.param(DESK, 1, 277, None, id="topk-desk-10x277x1-None"),
+        pytest.param(DESK, 1, 277, "ones", id="topk-desk-10x277x1-ones"),
         pytest.param(WIDE, 128, 134, "dual", id="wide-10x134x128-dual"),
-        pytest.param(WIDE, 128, 134, None, id="wide-10x134x128-None"),
-        pytest.param(WIDE, 128, 535, None, id="wide-dense-10x535x128-None"),
-        pytest.param(IDX, 128, 38, None, id="fedprox-idx-dense-10x38x128-None"),
+        pytest.param(WIDE, 128, 134, "ones", id="wide-10x134x128-ones"),
+        pytest.param(WIDE, 128, 535, "ones", id="wide-dense-10x535x128-ones"),
+        pytest.param(IDX, 128, 38, "ones", id="fedprox-idx-dense-10x38x128-ones"),
     ],
 )
-def test_aggregate(benchmark, shape, pack, per_client, weight_mode):
+def test_aggregate(benchmark, shape, pack, per_client, weighting):
     layout = package_views(shape.total_params, pack)
     rng = np.random.default_rng(0)
     server = ServerState(init_params(shape, 0), GlobalMask(np.ones(layout.num_packages)))
@@ -162,7 +163,11 @@ def test_aggregate(benchmark, shape, pack, per_client, weight_mode):
         theta = rng.uniform(-1.0, 1.0, size=per_client).astype(np.float32)
         beta = rng.uniform(0.0, 0.5, size=per_client).astype(np.float32)
         updates.append(PackedUpdate(cid, 0, pack, packages, theta, beta, lengths, payload))
-    benchmark(aggregate, server, updates, layout, weight_mode)
+    if weighting == "dual":
+        weights = [mask_weights(u.theta, u.beta, "dual") for u in updates]
+    else:
+        weights = [np.ones(per_client) for _ in updates]
+    benchmark(aggregate, server, updates, weights, layout)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import FlatParams
-from .packing import PackageLayout, mask_weights
+from .packing import PackageLayout
 from .wire import PackedUpdate
 
 # Kept importable from this module too: tools that time package_views patch
@@ -44,36 +44,37 @@ class AggregateResult:
 def aggregate(
     server: ServerState,
     updates: list[PackedUpdate],
+    weights: list[np.ndarray],
     layout: PackageLayout,
-    weight_mode: str | None,
 ) -> AggregateResult:
-    """One round of dual-weight aggregation of updates the server has
-    accepted (`protocol._server_ingest` is the one place that rejects).
-
-    A package's mask weight is `mask_weights` of its transmitted theta and
-    beta under `weight_mode`; under None (the baselines) every package
-    weighs 1.0, so the combination is the plain mean over senders.  Per
-    package the applied step is the mask-weight normalized combination of
-    client payloads.  Folding is fixed to ascending client id so float
-    sums are order-independent of the caller.
+    """Fold the updates the server has accepted (`protocol._server_ingest`
+    is the one place that rejects): each package of `updates[k]` weighs
+    `weights[k]`, as `protocol.fold_weights` decides, and steps by the
+    weight-normalized combination of its senders' payloads, folded in
+    ascending client id so float sums do not depend on the caller's order.
+    Raises ShapeError for a weight or payload length that does not fit
+    the packages and ValueError for a weight not finite and > 0.
     """
     old = server.global_params
     total_params = old.shape.total_params
     layout.check(total_params)
 
-    updates = sorted(updates, key=lambda u: u.client_id)
-    weights = [mask_weights(u.theta, u.beta, weight_mode) for u in updates]
+    folds = sorted(zip(updates, weights, strict=True), key=lambda uw: uw[0].client_id)
     totals = np.zeros(layout.num_packages)
-    for u, w in zip(updates, weights):
+    for u, w in folds:
         expected = layout.lengths[u.packages].sum()
         if len(u.payload) != expected:
             raise ShapeError(f"payload of {len(u.payload)} values for packages of {expected}")
+        if len(w) != len(u.packages):
+            raise ShapeError(f"{len(w)} weights for {len(u.packages)} packages")
+        if not ((0 < w) & (w < np.inf)).all():
+            raise ValueError("a fold weight is not finite and > 0")
         totals[u.packages] += w
 
     # each client adds (w_j / total_j) * payload to its packages, which never
     # overlap, so every element sums its clients' terms in ascending client id
     acc = np.zeros(total_params)
-    for u, w in zip(updates, weights):
+    for u, w in folds:
         layout.add(acc, u.packages, w / totals[u.packages], u.payload)
 
     # float32(float64(global) + step), adopted where the new mask is valid

@@ -21,7 +21,7 @@ class Method(NamedTuple):
 
     sends: str  # "cosine" packages, "magnitude" coordinates or "all" packages
     selective_pull: bool  # a client pulls only the valid global packages
-    weighted: bool  # the server folds by weight_mode, else every package weighs 1.0
+    weighted: bool  # `protocol.fold_weights` weighs by weight_mode, else every package 1.0
     proximal: bool  # local SGD adds the prox_mu term
 
 

@@ -215,15 +215,13 @@ def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarra
     return candidates[least_k(cos[candidates], k)]
 
 
-def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str | None = "dual") -> np.ndarray:
+def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str = "dual") -> np.ndarray:
     """Mask weight of each shared package from its cosine and KL terms, in
     float64 and floored at EPS_W (a NaN term stays NaN).
 
-    weight_mode drops one of the two terms for ablations; None, the
-    baselines' rule, weighs every package 1.0 whatever the terms say.
+    weight_mode, one of `config.WEIGHT_MODES`, drops one of the two terms
+    for ablations.
     """
-    if weight_mode is None:
-        return np.ones(len(cos))
     if weight_mode == "dual":
         w = np.add(cos, kl, dtype=np.float64)
     elif weight_mode == "cos_only":

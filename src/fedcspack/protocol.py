@@ -6,8 +6,8 @@ state before round 0; `round_step` carries that state through one round, and
 `run` folds it over the rounds.  The state is the server, the clients' local
 models and t alone: every random stream is keyed by (seed, tag, t[, i]), so a
 run resumed from a copy of the state equals a whole one.  The four methods
-differ only in their row of `config.METHODS`, which `setup_run`, `round_step`
-and `_client_update` read.
+differ only in their row of `config.METHODS`, which `setup_run`, `round_step`,
+`_client_update` and `fold_weights` read.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from .config import METHODS, DatasetSpec, RunConfig, check_fits
 from .errors import DecodeError, InvariantError, ProtocolViolation
 from .model import Batch, FlatParams, forward_loss, init_params, local_train
-from .packing import (
-    PackageLayout, ceil_share, least_k, package_kl, package_views, score_packages, select_topk
-)
+from .packing import PackageLayout, ceil_share, least_k, mask_weights, package_kl, package_views
+from .packing import score_packages, select_topk
 from .partition import Dataset, Partition, load_idx, make_partition, synth_blobs
 from .wire import PackedUpdate, decode_update, encode_update
 
@@ -122,9 +121,8 @@ def _server_ingest(
     other than (sender, round, pack), a package index >= J, a payload
     length other than its package's, a theta outside [-1, 1], a beta that
     is not finite and >= 0, or a non-finite payload value.  With finite
-    theta and beta every mask weight is finite and >= EPS_W, so `aggregate`
-    folds every update this returns: its one check, a ShapeError on a
-    payload length, serves direct callers and never fires in a run.
+    theta and beta every fold weight is finite and >= EPS_W, so `aggregate`
+    folds every update this returns: its checks serve direct callers.
     """
     update = decode_update(blob)
     if len(blob) != update.encoded_length():
@@ -151,6 +149,14 @@ def _server_ingest(
     if not np.isfinite(update.payload).all():
         raise ProtocolViolation("non-finite payload value")
     return update
+
+
+def fold_weights(config: RunConfig, update: PackedUpdate) -> np.ndarray:
+    """`aggregate`'s weight for each package of an accepted update: its `mask_weights`
+    under `config.weight_mode` for a weighted method row, else 1.0 (the plain mean)."""
+    if METHODS[config.method].weighted:
+        return mask_weights(update.theta, update.beta, config.weight_mode)
+    return np.ones(len(update.packages))
 
 
 def evaluate(
@@ -224,7 +230,6 @@ def round_step(
     """
     config, dataset, partition, layout = setup.config, setup.dataset, setup.partition, setup.layout
     method = METHODS[config.method]
-    weight_mode = config.weight_mode if method.weighted else None
     prox_mu = config.prox_mu if method.proximal else 0.0
     sample_size = ceil_share(config.cpr, config.clients)
 
@@ -266,7 +271,7 @@ def round_step(
         except (DecodeError, ProtocolViolation) as exc:
             log.info("round %d: update from client %d rejected: %s", t, i, exc)
             rejected += 1
-    server = aggregate(server, updates, layout, weight_mode).state
+    server = aggregate(server, updates, [fold_weights(config, u) for u in updates], layout).state
 
     # dense broadcast of the new global model, metered through the codec
     # as one full-vector entry per recipient

@@ -3,7 +3,7 @@ import pytest
 
 from fedcspack import protocol
 from fedcspack.aggregation import GlobalMask, ServerState
-from fedcspack.config import METHODS, DatasetSpec, RunConfig
+from fedcspack.config import DatasetSpec, RunConfig
 from fedcspack.model import FlatParams, ShapeSpec
 from fedcspack.packing import package_kl, package_views, score_packages
 from fedcspack.partition import Dataset, PartitionSpec, save_idx, synth_blobs
@@ -131,22 +131,14 @@ def layout_for(config):
     return protocol.setup_run(config)[0].layout
 
 
-def weight_mode_of(config):
-    """The weighting `run` folds with: the configured mode for a method
-    whose row is weighted, None (every package 1.0) for the others."""
-    return config.weight_mode if METHODS[config.method].weighted else None
-
-
 def full_selection_constant_weights(monkeypatch):
-    """Make fedcspack send every package at weight 1.0, which turns it into
-    FedAvg (with a single package the selection returns it anyway)."""
-    from fedcspack import aggregation, protocol
-
+    """Make fedcspack send and fold every package at weight 1.0, which turns
+    it into FedAvg (with a single package the selection returns it anyway)."""
     monkeypatch.setattr(
         protocol, "select_topk", lambda profile, cap_ratio: np.arange(profile.num_packages)
     )
     monkeypatch.setattr(
-        aggregation, "mask_weights", lambda cos, kl, weight_mode: np.ones(len(cos))
+        protocol, "fold_weights", lambda config, update: np.ones(len(update.packages))
     )
 
 

@@ -112,11 +112,12 @@ def test_aggregation_brute_force_oracle():
             sel = np.sort(rng.choice(j_count, size=int(rng.integers(1, j_count + 1)), replace=False))
             weights = rng.uniform(0.01, 2.0, size=len(sel))
             payload = rng.normal(size=pack * len(sel)).astype(np.float32)
-            # under "dual", theta 0.0 and beta w weigh a package at exactly w
+            # beta carries each package's fold weight w; theta is unused
             zeros, lengths = np.zeros(len(sel)), np.full(len(sel), pack)
             updates.append(PackedUpdate(cid, 0, pack, sel, zeros, weights, lengths, payload))
         layout = package_views(d, pack)
-        got = aggregate(server, updates, layout, "dual").state.global_params.values
+        by_beta = [u.beta for u in updates]
+        got = aggregate(server, updates, by_beta, layout).state.global_params.values
 
         step = [0.0] * d
         totals = [0.0] * (j_count + 1)

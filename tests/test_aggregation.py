@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import package_oracle as oracle
 from conftest import layout_of, params_of, same
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.errors import NumericError, ProtocolViolation, ShapeError
 from fedcspack.packing import mask_weights, package_views
 from fedcspack.protocol import _server_ingest
 from fedcspack.wire import PackedUpdate, encode_update
+from test_kernels_bitwise import rounds, weights_under
 
 
 def update_of(client_id, weights, payloads=None, pack=3):
     """A PackedUpdate from {package: weight} and {package: payload} that
-    `aggregate` weighs, under "dual", at the float32 of each weight: theta
-    0.0 and beta the weight.  Payloads default to ones of length `pack`."""
+    `fold` weighs, under "dual", at the float32 of each weight: theta 0.0
+    and beta the weight.  Payloads default to ones of length `pack`."""
     entries = {j: {"theta": 0.0, "beta": w} for j, w in weights.items()}
     for j, payload in (payloads or {}).items():
         entries[j]["payload"] = payload
@@ -35,6 +39,12 @@ def packed_of(client_id, entries, pack=3):
         np.array([len(p) for p in payloads], dtype=np.uint32),
         np.concatenate([np.zeros(0, np.float32)] + payloads),
     )
+
+
+def fold(server, updates, pack):
+    """`aggregate` of `updates` at their "dual" weights, at package size `pack`."""
+    weights = weights_under(updates, "dual")
+    return aggregate(server, updates, weights, layout_of(server.global_params, pack))
 
 
 def scalar_reference(global_values, pack, updates):
@@ -63,7 +73,7 @@ class TestFoldMasks:
 
     def test_empty(self):
         server = make_server(np.zeros(12), pack=3)
-        gm = aggregate(server, [], layout_of(server.global_params, 3), "dual").state.global_mask
+        gm = fold(server, [], 3).state.global_mask
         assert np.array_equal(gm.totals, np.zeros(4))
         assert not gm.valid.any()
 
@@ -71,7 +81,7 @@ class TestFoldMasks:
         server = make_server(np.zeros(9), pack=3)
         a = update_of(0, {1: 0.5})
         b = update_of(1, {1: 0.25, 2: 0.1})
-        gm = aggregate(server, [a, b], layout_of(server.global_params, 3), "dual").state.global_mask
+        gm = fold(server, [a, b], 3).state.global_mask
         assert gm.totals[1] == pytest.approx(0.75)
         assert gm.totals[2] == pytest.approx(0.1)
         assert list(gm.valid) == [False, True, True]
@@ -86,7 +96,7 @@ class TestFoldMasks:
                 for j in rng.choice(6, size=rng.integers(1, 6), replace=False)
             }
             updates.append(update_of(cid, entries, pack=2))
-        gm = aggregate(server, updates, layout_of(server.global_params, 2), "dual").state.global_mask
+        gm = fold(server, updates, 2).state.global_mask
         expected = np.zeros(6)
         for u in updates:
             for j, w in zip(u.packages, u.beta):
@@ -97,7 +107,53 @@ class TestFoldMasks:
         server = make_server(np.zeros(12), pack=3)
         short = update_of(0, {0: 1.0}, {0: np.ones(2, dtype=np.float32)})
         with pytest.raises(ShapeError, match="payload of 2 values for packages of 3"):
-            aggregate(server, [short], layout_of(server.global_params, 3), "dual")
+            fold(server, [short], 3)
+
+
+class TestFoldWeights:
+    """`aggregate` folds the weights it is handed: one finite, positive
+    float64 weight per package, and only their ratios within a package
+    move the model."""
+
+    def test_weight_count_mismatch(self):
+        server = make_server(np.zeros(9), pack=3)
+        update = update_of(0, {0: 1.0, 2: 1.0})
+        with pytest.raises(ShapeError, match="1 weights for 2 packages"):
+            aggregate(server, [update], [np.ones(1)], layout_of(server.global_params, 3))
+
+    @pytest.mark.parametrize("bad_weight", [0.0, -1.0, np.nan, np.inf])
+    def test_weight_not_finite_and_positive(self, bad_weight):
+        server = make_server(np.zeros(9), pack=3)
+        update = update_of(0, {0: 1.0, 2: 1.0})
+        with pytest.raises(ValueError, match="not finite and > 0"):
+            aggregate(
+                server, [update], [np.array([1.0, bad_weight])], layout_of(server.global_params, 3)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(rounds(), st.integers(-30, 30))
+    def test_power_of_two_scale_is_bit_identical(self, case, k):
+        """Scaling every weight by 2^k scales each package's total exactly
+        and leaves every normalized step, so the model, bit for bit."""
+        server, updates, pack, weight_mode = case
+        layout = layout_of(server.global_params, pack)
+        weights = weights_under(updates, weight_mode)
+        got = aggregate(server, updates, weights, layout).state
+        scaled = aggregate(server, updates, [w * 2.0**k for w in weights], layout).state
+        assert same(scaled.global_params.values, got.global_params.values)
+        assert same(scaled.global_mask.totals, got.global_mask.totals * 2.0**k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rounds())
+    def test_all_ones_is_the_plain_mean(self, case):
+        """Weight 1.0 on every package is the oracle's plain mean over
+        senders, the baselines' fold."""
+        server, updates, pack, _ = case
+        ones = [np.ones(len(u.packages)) for u in updates]
+        got = aggregate(server, updates, ones, layout_of(server.global_params, pack)).state
+        want = oracle.aggregate(server, updates, pack, None).state
+        assert same(got.global_params.values, want.global_params.values)
+        assert same(got.global_mask.totals, want.global_mask.totals)
 
 
 def make_server(values, pack):
@@ -109,14 +165,14 @@ def make_server(values, pack):
 class TestAggregate:
     def test_empty_updates(self):
         server = make_server(np.arange(6, dtype=float), pack=3)
-        result = aggregate(server, [], layout_of(server.global_params, 3), "dual")
+        result = fold(server, [], 3)
         assert np.array_equal(result.state.global_params.values, server.global_params.values)
 
     def test_single_client_weights_cancel(self):
         server = make_server(np.zeros(3), pack=3)
         payload = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         update = update_of(0, {0: 0.37}, {0: payload})
-        result = aggregate(server, [update], layout_of(server.global_params, 3), "dual")
+        result = fold(server, [update], 3)
         assert np.allclose(result.state.global_params.values, payload, atol=1e-7)
 
     def test_two_clients_weighted(self):
@@ -124,7 +180,7 @@ class TestAggregate:
         p = np.array([1.0, 0.0, 2.0], dtype=np.float32)
         q = np.array([0.0, 4.0, -2.0], dtype=np.float32)
         updates = [update_of(0, {0: 1.0}, {0: p}), update_of(1, {0: 3.0}, {0: q})]
-        result = aggregate(server, updates, layout_of(server.global_params, 3), "dual")
+        result = fold(server, updates, 3)
         assert np.allclose(result.state.global_params.values, 0.25 * p + 0.75 * q, atol=1e-7)
 
     def test_randomized_brute_force(self):
@@ -142,7 +198,7 @@ class TestAggregate:
                     j: rng.normal(size=pack).astype(np.float32) for j in entries
                 }
                 updates.append(update_of(cid, entries, deltas))
-            result = aggregate(server, updates, layout_of(server.global_params, pack), "dual")
+            result = fold(server, updates, pack)
             expected = scalar_reference(server.global_params.values, pack, updates)
             assert np.allclose(
                 result.state.global_params.values, expected, atol=1e-6
@@ -152,7 +208,7 @@ class TestAggregate:
         rng = np.random.default_rng(3)
         server = make_server(rng.normal(size=9), pack=3)
         update = update_of(0, {1: 1.0})
-        result = aggregate(server, [update], layout_of(server.global_params, 3), "dual")
+        result = fold(server, [update], 3)
         out = result.state.global_params.values
         assert np.array_equal(out[0:3], server.global_params.values[0:3])
         assert np.array_equal(out[6:9], server.global_params.values[6:9])
@@ -165,9 +221,9 @@ class TestAggregate:
             entries = {int(j): float(rng.uniform(0.1, 1.0)) for j in rng.choice(3, 2, replace=False)}
             deltas = {j: rng.normal(size=4).astype(np.float32) for j in entries}
             updates.append(update_of(cid, entries, deltas))
-        a = aggregate(server, updates, layout_of(server.global_params, 4), "dual")
+        a = fold(server, updates, 4)
         shuffled = [updates[i] for i in rng.permutation(5)]
-        b = aggregate(server, shuffled, layout_of(server.global_params, 4), "dual")
+        b = fold(server, shuffled, 4)
         assert np.array_equal(a.state.global_params.values, b.state.global_params.values)
 
     def test_convex_combination_bound(self):
@@ -177,7 +233,7 @@ class TestAggregate:
         updates = [
             update_of(i, {0: float(rng.uniform(0.1, 2.0))}, {0: p}) for i, p in enumerate(payloads)
         ]
-        result = aggregate(server, updates, layout_of(server.global_params, 4), "dual")
+        result = fold(server, updates, 4)
         applied = result.state.global_params.values
         lo = np.min(payloads, axis=0)
         hi = np.max(payloads, axis=0)
@@ -207,7 +263,7 @@ class TestAggregate:
         good = ingest(packed_of(0, {0: {}}))
         with pytest.raises(ProtocolViolation):
             ingest(bad)
-        result = aggregate(server, [good], layout, "dual")
+        result = aggregate(server, [good], weights_under([good], "dual"), layout)
         assert np.allclose(result.state.global_params.values[:3], 1.0, atol=1e-7)
         assert np.array_equal(result.state.global_params.values[3:], np.zeros(3, dtype=np.float32))
         assert list(result.state.global_mask.totals) == [1.0, 0.0]
@@ -223,7 +279,7 @@ class TestAggregate:
         blob = encode_update(packed_of(0, {0: {"payload": np.full(3, big, np.float32)}}))
         update = _server_ingest(blob, 0, 0, layout)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
-            aggregate(server, [update], layout, "dual")
+            aggregate(server, [update], weights_under([update], "dual"), layout)
         assert same(server.global_params.values, values)
         assert same(server.global_mask.totals, totals)
 
@@ -233,7 +289,7 @@ class TestAggregate:
         server = make_server(rng.normal(size=d), pack=d)
         deltas = [rng.normal(size=d).astype(np.float32) for _ in range(4)]
         updates = [update_of(i, {0: 1.0}, {0: p}) for i, p in enumerate(deltas)]
-        result = aggregate(server, updates, layout_of(server.global_params, d), "dual")
+        result = fold(server, updates, d)
         fedavg = server.global_params.values.astype(np.float64) + np.mean(
             [p.astype(np.float64) for p in deltas], axis=0
         )

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import (
-    layout_for, layout_of, same, small_config, spec_with_total, topk_kept, weight_mode_of, widened
-)
-from fedcspack import packing
+from conftest import layout_for, layout_of, same, small_config, spec_with_total, topk_kept, widened
+from fedcspack import packing, protocol
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import (
     SimilarityProfile,
+    mask_weights,
     package_kl,
     package_views,
     score_packages,
@@ -256,12 +255,21 @@ def rounds(draw):
     return server, updates, pack, weight_mode
 
 
+def weights_under(updates, weight_mode):
+    """The fold weights the oracle derives under `weight_mode`: each
+    update's `mask_weights`, or 1.0 for every package under None."""
+    if weight_mode is None:
+        return [np.ones(len(u.packages)) for u in updates]
+    return [mask_weights(u.theta, u.beta, weight_mode) for u in updates]
+
+
 class TestAggregate:
     @settings(max_examples=150, deadline=None)
     @given(rounds())
     def test_matches_oracle(self, case):
         server, updates, pack, weight_mode = case
-        got = aggregate(server, updates, layout_of(server.global_params, pack), weight_mode)
+        layout = layout_of(server.global_params, pack)
+        got = aggregate(server, updates, weights_under(updates, weight_mode), layout)
         want = oracle.aggregate(server, updates, pack, weight_mode)
         assert same(got.state.global_params.values, want.state.global_params.values)
         assert same(got.state.global_mask.totals, want.state.global_mask.totals)
@@ -298,7 +306,7 @@ class TestAggregate:
             theta = rng.uniform(-1.0, 1.0, size=len(chosen)).astype(np.float32)
             beta = rng.exponential(size=len(chosen)).astype(np.float32)
             updates.append(PackedUpdate(cid, 0, pack, chosen, theta, beta, lengths, payload))
-        got = aggregate(server, updates, layout, weight_mode).state
+        got = aggregate(server, updates, weights_under(updates, weight_mode), layout).state
         want = oracle.aggregate(server, updates, pack, weight_mode).state
         assert same(got.global_params.values, want.global_params.values)
         assert same(got.global_mask.totals, want.global_mask.totals)
@@ -341,9 +349,11 @@ class TestClientIngestAndFold:
         for field in ("packages", "theta", "beta", "lengths", "payload"):
             assert same(getattr(got, field), getattr(want, field))
 
-        # folded under the run's weighting of this method
+        # folded at the run's weights for this method; the oracle reads the
+        # method name itself, as run_oracle.py does
         server = ServerState(global_, GlobalMask(np.ones(layout.num_packages)))
-        folded = aggregate(server, [got], layout, weight_mode_of(config)).state
-        want = oracle.aggregate(server, [want], layout.pack, weight_mode_of(config)).state
+        folded = aggregate(server, [got], [protocol.fold_weights(config, got)], layout).state
+        weight_mode = config.weight_mode if config.method == "fedcspack" else None
+        want = oracle.aggregate(server, [want], layout.pack, weight_mode).state
         assert same(folded.global_params.values, want.global_params.values)
         assert same(folded.global_mask.totals, want.global_mask.totals)

@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import idx_blobs
 from fedcspack import protocol
@@ -35,10 +36,11 @@ def idx_spec(tmp_path_factory):
     return idx_blobs(tmp_path_factory.mktemp("idx"), **IDX)
 
 
-def observe(config):
+def observe(config, mask=False):
     """The run's (global digest, global acc, personalized acc) per round,
     or the type and message of the error it raises; and the encoded size
-    of every update a client built."""
+    of every update a client built.  With `mask`, the digest covers the
+    global mask's totals too."""
     digests, sizes = [], []
     build = protocol._client_update
 
@@ -48,7 +50,10 @@ def observe(config):
         return update
 
     def digest(t, server):
-        digests.append(hashlib.sha256(server.global_params.values).hexdigest())
+        state = hashlib.sha256(server.global_params.values)
+        if mask:
+            state.update(server.global_mask.totals)
+        digests.append(state.hexdigest())
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_client_update", client_update)
@@ -58,8 +63,8 @@ def observe(config):
     return [(g, m.global_acc, m.personalized_acc) for g, m in zip(digests, result.metrics)], sizes
 
 
-def trajectory(fields, idx_spec, **overrides):
-    return observe(config_of(dict(fields, **overrides), idx_spec))[0]
+def trajectory(fields, idx_spec, mask=False, **overrides):
+    return observe(config_of(dict(fields, **overrides), idx_spec), mask)[0]
 
 
 def d_of(fields) -> int:
@@ -74,6 +79,7 @@ def one_sender(fields) -> dict:
 
 
 RELATION = settings(max_examples=25, deadline=None)
+BASELINES = ["fedavg", "fedprox", "magnitude_topk"]
 
 
 class TestSameRun:
@@ -120,6 +126,19 @@ class TestSameRun:
         dual = trajectory(fields, idx_spec, weight_mode="dual")
         for mode in ("cos_only", "kl_only"):
             assert trajectory(fields, idx_spec, weight_mode=mode) == dual, mode
+
+    @RELATION
+    @given(fields=configs(), method=st.sampled_from(BASELINES))
+    @example(fields=TAIL, method="fedavg")
+    @example(fields=TAIL, method="fedprox")
+    @example(fields=TAIL, method="magnitude_topk")
+    def test_baselines_ignore_weight_mode(self, idx_spec, fields, method):
+        """A baseline folds every package at 1.0, so neither its model nor
+        its mask totals depend on weight_mode."""
+        fields = dict(fields, method=method)
+        dual = trajectory(fields, idx_spec, mask=True, weight_mode="dual")
+        for mode in ("cos_only", "kl_only"):
+            assert trajectory(fields, idx_spec, mask=True, weight_mode=mode) == dual, mode
 
 
 class TestBytes:

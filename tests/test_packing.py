@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import package_oracle as oracle
 from conftest import cosine_of, kl_of, layout_of, params_of, small_config, widened
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
-from fedcspack.config import DatasetSpec
+from fedcspack.config import WEIGHT_MODES, DatasetSpec
 from fedcspack.errors import ShapeError
 from fedcspack.model import ShapeSpec, init_params
 from fedcspack.packing import (
@@ -25,7 +25,8 @@ from fedcspack.packing import (
     select_topk,
 )
 from fedcspack.partition import Partition
-from fedcspack.protocol import _client_update, evaluate, setup_run
+from fedcspack.protocol import _client_update, evaluate, fold_weights, setup_run
+from fedcspack.wire import PackedUpdate
 
 
 @st.composite
@@ -177,7 +178,7 @@ class TestPackageViews:
         kernels = {
             "score_packages": lambda: score_packages(a64, a64, layout),
             "package_kl": lambda: package_kl(a64, a64, layout, np.arange(3)),
-            "aggregate": lambda: aggregate(server, [], layout, "dual"),
+            "aggregate": lambda: aggregate(server, [], [], layout),
             "selective_pull": lambda: selective_pull(a, a, server.global_mask, layout),
             "evaluate": lambda: evaluate(setup, server, [a]),
         }
@@ -352,7 +353,7 @@ class TestSelectTopk:
 
 
 class TestBuildMask:
-    """mask_weights: the weight of each shared package."""
+    """mask_weights and fold_weights: the weight of each shared package."""
 
     def test_empty_selection(self):
         assert mask_weights(np.array([]), np.array([])).shape == (0,)
@@ -372,12 +373,18 @@ class TestBuildMask:
             mask_weights(cos, kl, "both")
 
     def test_baselines_weigh_every_package_one(self):
+        """`fold_weights` weighs every package of a baseline's update 1.0,
+        whatever its terms and the configured weight_mode say."""
         cos = np.array([-1.0, 0.5, np.nan, np.inf], dtype=np.float32)
         kl = np.array([3.0, -np.inf, 0.0, np.nan], dtype=np.float32)
-        w = mask_weights(cos, kl, None)
-        assert w.dtype == np.float64 and (w == 1.0).all()
+        update = PackedUpdate(0, 0, 1, np.arange(4), cos, kl, np.ones(4), np.zeros(4, np.float32))
+        baselines = ["fedavg", "fedprox", "magnitude_topk"]
+        for method, mode in itertools.product(baselines, WEIGHT_MODES):
+            config = small_config(method=method, weight_mode=mode, prox_mu=0.1)
+            w = fold_weights(config, update)
+            assert w.dtype == np.float64 and (w == 1.0).all(), (method, mode)
 
-    @pytest.mark.parametrize("mode", [None, "dual", "cos_only", "kl_only"])
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
     def test_float32_terms_widened_to_float64(self, mode, rng):
         """float32 theta and beta, as they arrive off the wire, weigh as
         their float64 widening does, bit for bit."""

@@ -20,7 +20,6 @@ from conftest import (
     params_of,
     small_config,
     topk_kept,
-    weight_mode_of,
     widened,
 )
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate
@@ -476,7 +475,8 @@ class TestMalformedUpdates:
         others = [protocol._server_ingest(blob, cid, 0, layout) for cid, blob in honest]
         assert len(others) == len(sent) - 1 == len(result.metrics[0].participants) - 1
         server = ServerState(start, GlobalMask(np.ones(layout.num_packages)))
-        want = aggregate(server, others, layout, weight_mode_of(config)).state.global_params.values
+        weights = [protocol.fold_weights(config, u) for u in others]
+        want = aggregate(server, others, weights, layout).state.global_params.values
         assert np.array_equal(globals_[0], want)
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
