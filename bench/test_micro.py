@@ -105,8 +105,9 @@ def sparse_update(shape: ShapeSpec, pack: int, count: int) -> PackedUpdate:
 # (shape, pack, entries) of one client update in the topk-desk and
 # fedcspack-wide workloads
 UPDATE_SHAPES = [
-    # MLP 32-64-10 (d = 2,762) at pack 1: 276 one-value entries
-    pytest.param(DESK, 1, 276, id="topk-desk-276x1"),
+    # MLP 32-64-10 (d = 2,762) at pack 1: the ceil_share(0.1, 2,762) = 277
+    # one-value entries every topk-desk client sends
+    pytest.param(DESK, 1, 277, id="topk-desk-277x1"),
     # 99 of the 535 packages of 128: about what one fedcspack-wide
     # client sends in a round
     pytest.param(WIDE, 128, 99, id="wide-99x128"),

@@ -53,7 +53,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = write_run(run(*start), out)
     print(
         f"{summary.method}: final_global_acc={summary.final_global_acc:.4f} "
-        f"personalized_acc={summary.mean_personalized_acc:.4f} "
+        f"personalized_acc={summary.final_personalized_acc:.4f} "
         f"bytes_up={summary.total_bytes_up} "
         f"compression_vs_dense={summary.compression_vs_dense:.2f}"
     )

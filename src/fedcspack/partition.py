@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, require_int, require_real
+from .errors import ConfigError, IngestError, InvariantError, require_int, require_real
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -185,13 +185,16 @@ def _group_by_owner(rows: np.ndarray, owner: np.ndarray, num_owners: int) -> lis
 
 
 def _rebalance_floor(assignment: list[np.ndarray], floor: int = 2) -> list[np.ndarray]:
-    """Move single rows from the largest client until everyone holds >= floor."""
+    """Move single rows from the largest client until everyone holds >= floor.
+    Raises InvariantError when no client holds more than floor rows to give."""
     sizes = [len(a) for a in assignment]
     while min(sizes) < floor:
         donor = int(np.argmax(sizes))
         needy = int(np.argmin(sizes))
         if sizes[donor] <= floor:
-            break
+            raise InvariantError(
+                f"rebalance: {sum(sizes)} rows cannot give {len(sizes)} clients {floor} each"
+            )
         moved = assignment[donor][-1]
         assignment[donor] = assignment[donor][:-1]
         assignment[needy] = np.append(assignment[needy], moved)
@@ -205,10 +208,11 @@ def _split_train_test(
     test_fraction: float,
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Seeded per-client holdout, stratified by label where counts allow;
-    every client keeps at least one train and one test row.
+    """Seeded per-client holdout, stratified by label where counts allow.
+    Every client must hold at least two rows, as `make_partition` ensures;
+    each then keeps at least one train and one test row.
 
-    A client with two or more rows has one segment per label it holds,
+    A client has one segment per label it holds,
     taken in (client, label) order: a stable sort leaves each segment's
     positions ascending, so shuffling it in place draws and yields what
     `rng.permutation` of those positions would.  One loop walks the
@@ -219,19 +223,15 @@ def _split_train_test(
     max(1, floor(rows * test_fraction)).  floor(k * f) < k for 0 < f < 1,
     so every client keeps a train row.
     """
-    train = [np.asarray(rows) for rows in assignment]
-    test = [np.array([], dtype=np.int64) for _ in assignment]
-    held = [i for i, rows in enumerate(train) if len(rows) >= 2]
-    if not held:
-        return train, test
-    sizes = [len(train[i]) for i in held]
-    rows = np.concatenate([train[i] for i in held]).astype(np.int64, copy=False)
-    client = np.repeat(np.arange(len(held)), sizes)
+    num_clients = len(assignment)
+    sizes = [len(rows) for rows in assignment]
+    rows = np.concatenate(assignment).astype(np.int64, copy=False)
+    client = np.repeat(np.arange(num_clients), sizes)
     row_labels = labels[rows]
     num_labels = int(row_labels.max()) + 1
     key = client * num_labels + row_labels
     by_segment = np.argsort(key, kind="stable")
-    seg_sizes = np.bincount(key, minlength=len(held) * num_labels).reshape(len(held), num_labels)
+    seg_sizes = np.bincount(key, minlength=num_clients * num_labels).reshape(num_clients, num_labels)
     seg_test = np.floor(seg_sizes * test_fraction).astype(np.int64)
 
     picked = []
@@ -249,10 +249,8 @@ def _split_train_test(
             picked.append(first + rng.permutation(size)[: max(1, int(size * test_fraction))])
     is_test = np.zeros(len(rows), dtype=bool)
     is_test[np.concatenate(picked)] = True
-    groups = _group_by_owner(rows, client + len(held) * is_test, 2 * len(held))
-    for h, i in enumerate(held):
-        train[i], test[i] = groups[h], groups[len(held) + h]
-    return train, test
+    groups = _group_by_owner(rows, client + num_clients * is_test, 2 * num_clients)
+    return groups[:num_clients], groups[num_clients:]
 
 
 def _dirichlet_owners(
@@ -261,8 +259,6 @@ def _dirichlet_owners(
     """Label skew: each class's rows divided by a Dir(alpha) draw.  Each
     class's block of `by_label` is shuffled in place, as rng.permutation
     would shuffle a copy, before its draw."""
-    if len(data) < spec.num_clients:
-        raise ConfigError(f"insufficient data: {len(data)} rows for {spec.num_clients} clients")
     class_sizes = np.bincount(data.labels, minlength=data.num_classes)
     proportions = np.zeros((data.num_classes, spec.num_clients))
     alphas = np.full(spec.num_clients, spec.alpha)
@@ -293,12 +289,18 @@ def _shard_owners(n: int, spec: PartitionSpec, rng: np.random.Generator) -> np.n
 def make_partition(data: Dataset, spec: PartitionSpec) -> Partition:
     """The one partition entry point: the law gives an owner to each row of
     the stable label sort, then the shared steps (group, rebalance,
-    holdout) run on the same generator."""
+    holdout) run on the same generator.  Raises ConfigError for fewer than
+    two rows per client: each needs a train row and a test row."""
     rng = np.random.default_rng(spec.seed)
     # each class's rows, ascending, one block per class
     by_label = np.argsort(data.labels, kind="stable")
     owner = (_dirichlet_owners(data, spec, rng, by_label) if spec.law == "dirichlet"
              else _shard_owners(len(data), spec, rng))
+    if len(data) < 2 * spec.num_clients:
+        raise ConfigError(
+            f"insufficient data: {len(data)} rows for {spec.num_clients} clients "
+            "(each needs a train row and a test row)"
+        )
     assignment = _rebalance_floor(_group_by_owner(by_label, owner, spec.num_clients))
     train, test = _split_train_test(assignment, data.labels, spec.test_fraction, rng)
     return Partition(assignment=assignment, train=train, test=test)

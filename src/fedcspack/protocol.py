@@ -164,32 +164,21 @@ def evaluate(
 ) -> tuple[float, float, list[float]]:
     """Global accuracy on the pooled test rows, the dataset-size weighted
     mean of per-client post-pull accuracies on their own test rows, and
-    those per-client accuracies (0.0 for a client without test rows)."""
+    those per-client accuracies."""
     dataset, partition, layout = setup.dataset, setup.partition, setup.layout
     layout.check(server.global_params.shape.total_params)
     pooled = np.concatenate(partition.test)
-    global_acc = 0.0
-    if len(pooled):
-        batch = Batch(dataset.features[pooled], dataset.labels[pooled])
-        _, correct = forward_loss(server.global_params, batch)
-        global_acc = correct / len(pooled)
+    batch = Batch(dataset.features[pooled], dataset.labels[pooled])
+    global_acc = forward_loss(server.global_params, batch)[1] / len(pooled)
 
     per_client = []
     num = 0.0
-    den = 0.0
-    for i in range(partition.num_clients):
-        rows = partition.test[i]
-        if len(rows) == 0:
-            per_client.append(0.0)
-            continue
+    for i, rows in enumerate(partition.test):
         model = selective_pull(locals_[i], server.global_params, server.global_mask, layout)
         batch = Batch(dataset.features[rows], dataset.labels[rows])
-        _, correct = forward_loss(model, batch)
-        per_client.append(correct / len(rows))
-        size = len(partition.assignment[i])
-        num += size * per_client[-1]
-        den += size
-    return global_acc, (num / den if den else 0.0), per_client
+        per_client.append(forward_loss(model, batch)[1] / len(rows))
+        num += len(partition.assignment[i]) * per_client[-1]
+    return global_acc, num / sum(len(rows) for rows in partition.assignment), per_client
 
 
 def setup_run(
@@ -247,9 +236,6 @@ def round_step(
 
     bytes_up, rejected, updates = 0, 0, []
     for i in sampled:
-        if len(partition.train[i]) == 0:
-            log.info("round %d: client %d has no train data, skipped", t, i)
-            continue
         pulled = global_snapshot
         if method.selective_pull:
             pulled = selective_pull(locals_[i], global_snapshot, mask_snapshot, layout)

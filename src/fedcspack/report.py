@@ -23,7 +23,7 @@ class RunSummary:
     method: str
     final_global_acc: float
     best_global_acc: float
-    mean_personalized_acc: float
+    final_personalized_acc: float
     total_bytes_up: int
     compression_vs_dense: float
 
@@ -38,7 +38,7 @@ def summarize(metrics: list[RoundMetrics], total_params: int) -> RunSummary:
         method=metrics[0].method,
         final_global_acc=metrics[-1].global_acc,
         best_global_acc=max(m.global_acc for m in metrics),
-        mean_personalized_acc=metrics[-1].personalized_acc,
+        final_personalized_acc=metrics[-1].personalized_acc,
         total_bytes_up=total_up,
         compression_vs_dense=dense_total / total_up if total_up else float("inf"),
     )
@@ -87,7 +87,6 @@ def emit_series(metrics: list[RoundMetrics], per_client_acc: list[float], out_di
 
 
 def per_client_accuracy(result) -> list[float]:
-    """Final post-pull accuracy of every client on its own test rows (0.0
-    for a client without test rows), as the last round's evaluation
-    recorded it."""
+    """Final post-pull accuracy of every client on its own test rows, as
+    the last round's evaluation recorded it."""
     return result.per_client_acc

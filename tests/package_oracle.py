@@ -227,9 +227,6 @@ def per_client_accuracy(result) -> list[float]:
     accs = []
     for i in range(result.partition.num_clients):
         rows = result.partition.test[i]
-        if len(rows) == 0:
-            accs.append(0.0)
-            continue
         model = selective_pull(
             result.locals_[i], result.server.global_params, result.server.global_mask, pack
         )

@@ -66,10 +66,6 @@ def _split_train_test(assignment, labels, test_fraction, rng):
     train, test = [], []
     for rows in assignment:
         rows = np.asarray(rows)
-        if len(rows) < 2:
-            train.append(rows)
-            test.append(np.array([], dtype=np.int64))
-            continue
         row_labels = labels[rows]
         positions = np.arange(len(rows))
         te_parts = []

@@ -3,10 +3,10 @@ from the reference oracles in package_oracle.py, model_oracle.py and
 partition_oracle.py.
 
 Each round samples ceil_share(cpr, clients) distinct clients from the
-generator [seed, 17, t].  Each sampled client with train rows starts from
-the global model (fedcspack pulls it through last round's mask onto its
-own last model), trains on the generator [seed, 29, t, i] (fedprox
-anchored on that start), and sends its update, which the server reads
+generator [seed, 17, t].  Each sampled client starts from the global
+model (fedcspack pulls it through last round's mask onto its own last
+model), trains on the generator [seed, 29, t, i] (fedprox anchored on
+that start), and sends its update, which the server reads
 as the codec carries it: u32 indices and lengths, f32 theta, beta and
 payload.  Uplink bytes follow the codec's closed form 22 + 16·n + 4·Σlen;
 the dense broadcast is one entry of d values to every sampled client.
@@ -87,18 +87,13 @@ def received(update: PackedUpdate) -> PackedUpdate:
 
 def evaluate(server, locals_, partition, dataset, pack):
     """Global accuracy on the pooled test rows; each client's accuracy
-    after a pull through the round's mask (0.0 without test rows); and
-    their mean weighted by the clients' row counts."""
+    after a pull through the round's mask; and their mean weighted by the
+    clients' row counts."""
     pooled = np.concatenate(partition.test)
-    global_acc = 0.0
-    if len(pooled):
-        batch = Batch(dataset.features[pooled], dataset.labels[pooled])
-        global_acc = model_oracle.forward_loss(server.global_params, batch)[1] / len(pooled)
+    batch = Batch(dataset.features[pooled], dataset.labels[pooled])
+    global_acc = model_oracle.forward_loss(server.global_params, batch)[1] / len(pooled)
     per_client, num, den = [], 0.0, 0.0
     for i, rows in enumerate(partition.test):
-        if len(rows) == 0:
-            per_client.append(0.0)
-            continue
         model = package_oracle.selective_pull(
             locals_[i], server.global_params, server.global_mask, pack
         )
@@ -106,7 +101,7 @@ def evaluate(server, locals_, partition, dataset, pack):
         per_client.append(model_oracle.forward_loss(model, batch)[1] / len(rows))
         num += len(partition.assignment[i]) * per_client[-1]
         den += len(partition.assignment[i])
-    return global_acc, (num / den if den else 0.0), per_client
+    return global_acc, num / den, per_client
 
 
 def run(config) -> tuple[list[OracleRound], list[float]]:
@@ -133,8 +128,6 @@ def run(config) -> tuple[list[OracleRound], list[float]]:
         updates, bytes_up = [], 0
         for i in sampled:
             rows = partition.train[i]
-            if len(rows) == 0:
-                continue
             start = server.global_params
             if selective:
                 start = package_oracle.selective_pull(locals_[i], start, server.global_mask, pack)

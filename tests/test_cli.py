@@ -429,6 +429,25 @@ def test_commands_reject_a_spread_beyond_float32(config_path, tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_commands_reject_a_starving_partition(config_path, tmp_path, capsys):
+    """Five rows for three clients, one short of a train row and a test row
+    each, fail every command at set-up, before partition-report prints or
+    run and sweep make --out."""
+    starving = ["--override", "dataset.samples_per_class=1", "--override", "clients=3",
+                "--override", "partition.num_clients=3"]
+    commands = {
+        "partition-report": ["partition-report"],
+        "run": ["run", "--out", str(tmp_path / "run")],
+        "sweep": ["sweep", "--grid", "cpr=0.5,1.0", "--out", str(tmp_path / "sweep")],
+    }
+    for name, command in commands.items():
+        with pytest.raises(ConfigError, match="insufficient data: 5 rows for 3 clients"):
+            main([*command, "--config", str(config_path), *starving])
+        assert capsys.readouterr().out == "", name
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "sweep").exists()
+
+
 class TestSweep:
     def test_grid(self, config_path, tmp_path):
         """sweep_summary.csv: the grid keys, the cell, then the RunSummary
@@ -438,14 +457,14 @@ class TestSweep:
                      "--out", str(out)]) == 0
         lines = (out / "sweep_summary.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == (
-            "cpr,cell,method,final_global_acc,best_global_acc,mean_personalized_acc,"
+            "cpr,cell,method,final_global_acc,best_global_acc,final_personalized_acc,"
             "total_bytes_up,compression_vs_dense"
         )
         result = run(*setup_run(config_from_dict(apply_overrides(base_doc(), ["cpr=1.0"]))))
         s = summarize(result.metrics, result.config.model.total_params)
         assert lines[2] == (
             f"1.0,cell_001,{s.method},{s.final_global_acc!r},{s.best_global_acc!r},"
-            f"{s.mean_personalized_acc!r},{s.total_bytes_up},{s.compression_vs_dense!r}"
+            f"{s.final_personalized_acc!r},{s.total_bytes_up},{s.compression_vs_dense!r}"
         )
         assert len(lines) == 4 and lines[3] == ""
         assert (out / "cell_000" / "metrics.csv").exists()

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import idx_blobs
 from fedcspack import protocol
+from fedcspack.errors import NumericError
 from fedcspack.packing import ceil_share
 from fedcspack.partition import PartitionSpec
 from test_run_oracle import FOLD_ORDER, IDX, OVERFLOW, config_of, configs, outcome
@@ -25,8 +26,8 @@ from test_run_oracle import FOLD_ORDER, IDX, OVERFLOW, config_of, configs, outco
 # a drawn config whose SGD diverges compares the NumericError both runs raise
 pytestmark = OVERFLOW
 
-# d = 12 at pack 5: two full packages and a short tail; each of the three
-# clients holds train rows, and one is sampled per round
+# d = 12 at pack 5: two full packages and a short tail; one of the three
+# clients is sampled per round
 TAIL = dict(FOLD_ORDER, clients=3, cpr=0.3, pack=5,
             partition=PartitionSpec(law="dirichlet", num_clients=3, seed=4, alpha=5.0))
 
@@ -67,6 +68,20 @@ def trajectory(fields, idx_spec, mask=False, **overrides):
     return observe(config_of(dict(fields, **overrides), idx_spec), mask)[0]
 
 
+def metered(config):
+    """The metrics row of every round `config` completes: a run whose SGD
+    diverges stops at the round that raises NumericError."""
+    setup, server, locals_ = protocol.setup_run(config)
+    rows = []
+    try:
+        for t in range(config.rounds):
+            server, row, _ = protocol.round_step(setup, server, locals_, t)
+            rows.append(row)
+    except NumericError:
+        pass
+    return rows
+
+
 def d_of(fields) -> int:
     return fields["model"].total_params
 
@@ -104,13 +119,10 @@ class TestSameRun:
     @example(fields=TAIL)
     def test_one_sender_fedcspack_at_whole_model_pack_is_fedavg(self, idx_spec, fields):
         """One package and one sender: the package is always sent, weighs
-        w / w = 1, and every pull adopts it, as fedavg's does.  A round
-        without a sender would leave it invalid, so every client must hold
-        train rows."""
+        w / w = 1, and every pull adopts it, as fedavg's does.  Every client
+        holds train rows, so no round is left without a sender to leave the
+        package invalid."""
         fields = one_sender(fields)
-        config = config_of(fields, idx_spec)
-        partition = protocol.setup_run(config)[0].partition
-        assume(min(len(rows) for rows in partition.train) > 0)
         d = d_of(fields)
         fedavg = trajectory(fields, idx_spec, method="fedavg", pack=d)
         for pack in (d, d + 5):
@@ -161,3 +173,21 @@ class TestBytes:
         _, sizes = observe(config_of(dict(fields, method="fedcspack", cap_ratio=1.0), idx_spec))
         assert set(fedavg) <= {dense}
         assert all(size <= dense for size in sizes)
+
+    @RELATION
+    @given(fields=configs(), method=st.sampled_from(BASELINES))
+    @example(fields=TAIL, method="fedavg")
+    @example(fields=TAIL, method="fedprox")
+    @example(fields=TAIL, method="magnitude_topk")
+    def test_every_participant_sends_one_update(self, idx_spec, fields, method):
+        """Every sampled client holds train rows, so each sends one update
+        of its method's closed-form size: 22 + 16 J + 4 d dense, and
+        22 + 20 k for Top-k's k = ceil_share(f, d) one-value entries."""
+        config = config_of(dict(fields, method=method), idx_spec)
+        d = d_of(fields)
+        if method == "magnitude_topk":
+            size = 22 + 20 * ceil_share(config.topk_fraction, d)
+        else:
+            size = 22 + 16 * -(-d // config.pack) + 4 * d
+        for row in metered(config):
+            assert row.bytes_up == len(row.participants) * size, row.round

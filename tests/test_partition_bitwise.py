@@ -9,16 +9,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partition_oracle as oracle
 from conftest import same
 from fedcspack import partition
+from fedcspack.errors import ConfigError, InvariantError
 from fedcspack.model import ShapeSpec, init_params
 from fedcspack.partition import (
     Dataset,
     PartitionSpec,
+    _rebalance_floor,
     _split_train_test,
     load_idx,
     make_partition,
@@ -62,11 +64,11 @@ def matches_oracle(data, spec, reference) -> bool:
 
 
 @st.composite
-def labelled(draw, max_classes=12, max_rows=240):
+def labelled(draw, max_classes=12, max_rows=240, min_rows=1):
     """Labels over up to 12 classes, some of them empty and the rest of
     very different sizes (a class may hold one row)."""
     num_classes = draw(st.integers(1, max_classes))
-    n = draw(st.integers(1, max_rows))
+    n = draw(st.integers(min_rows, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.random(num_classes) ** draw(st.sampled_from([1.0, 4.0, 12.0]))
     weights[rng.random(num_classes) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
@@ -82,18 +84,18 @@ seeds = st.integers(0, 2**32 - 1)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    data=labelled(),
+    data=labelled(min_rows=2),
     clients=st.integers(1, 60),
     alpha=st.one_of(st.floats(0.01, 5.0), st.sampled_from([0.01, 0.05, 1.0, 5.0])),
     test_fraction=fractions,
     seed=seeds,
 )
 def test_dirichlet_matches_oracle(data, clients, alpha, test_fraction, seed):
-    # clients beyond the row count are cut back so the spec is valid; with
-    # up to 60 clients over a few rows per class, many clients hold 0 or 1
-    # row after the Dirichlet cut and _rebalance_floor moves rows
+    # clients beyond half the row count are cut back so the spec is valid;
+    # with up to 60 clients over as few as two rows each, many clients hold
+    # 0 or 1 row after the Dirichlet cut and _rebalance_floor moves rows
     spec = PartitionSpec(
-        law="dirichlet", num_clients=min(clients, len(data)), seed=seed,
+        law="dirichlet", num_clients=min(clients, len(data) // 2), seed=seed,
         alpha=alpha, test_fraction=test_fraction,
     )
     assert matches_oracle(data, spec, oracle.partition_dirichlet)
@@ -101,14 +103,15 @@ def test_dirichlet_matches_oracle(data, clients, alpha, test_fraction, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    data=labelled(),
+    data=labelled(min_rows=2),
     clients=st.integers(1, 40),
     shards=st.integers(1, 4),
     test_fraction=fractions,
     seed=seeds,
 )
 def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed):
-    clients = max(1, min(clients, len(data) // shards))
+    # every shard holds a row and every client two
+    clients = max(1, min(clients, len(data) // max(2, shards)))
     shards = min(shards, len(data))
     spec = PartitionSpec(
         law="pathological", num_clients=clients, seed=seed,
@@ -119,19 +122,23 @@ def test_pathological_matches_oracle(data, clients, shards, test_fraction, seed)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    data=labelled(max_rows=120),
+    data=labelled(max_rows=120, min_rows=2),
     cuts=st.lists(st.integers(0, 120), max_size=12),
     dtype=st.sampled_from([np.int64, np.int32]),
     test_fraction=st.one_of(fractions, st.just(float(np.nextafter(1.0, 0.0))), st.just(1e-9)),
     seed=seeds,
 )
 def test_split_train_test_matches_oracle(data, cuts, dtype, test_fraction, seed):
-    """Arbitrary client blocks: empty, single-row, unsorted and of a
-    narrower dtype, at holdout fractions up to just below 1.  The
+    """Client blocks of two rows or more (exactly two included), unsorted
+    and of a narrower dtype, at holdout fractions up to just below 1.  The
     generator must be left where the oracle leaves it, so a holdout that
     draws more, less or otherwise fails even when its rows agree."""
     order = np.random.default_rng(seed).permutation(len(data)).astype(dtype)
-    assignment = np.split(order, sorted(min(c, len(data)) for c in cuts))
+    # len(cuts) + 1 blocks at most, each of two rows plus a share of the spare rows
+    blocks = min(len(cuts) + 1, len(data) // 2)
+    spare = len(data) - 2 * blocks
+    starts = [min(c, spare) + 2 * j for j, c in enumerate(sorted(cuts[: blocks - 1]), 1)]
+    assignment = np.split(order, starts)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _split_train_test(list(assignment), data.labels, test_fraction, got_rng)
     want = oracle._split_train_test(list(assignment), data.labels, test_fraction, want_rng)
@@ -139,17 +146,68 @@ def test_split_train_test_matches_oracle(data, cuts, dtype, test_fraction, seed)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_rebalance_tiny_client_and_fallback():
-    """One hand-picked case through every rare path at once: rows moved by
-    _rebalance_floor (so a client's rows are no longer sorted), a client
-    left with 1 row, and clients whose labels are all singletons (the
-    fallback permutation)."""
-    data = Dataset(np.zeros((7, 1), dtype=np.float32), np.arange(7) % 4, 4)
-    spec = PartitionSpec(law="dirichlet", num_clients=4, seed=3, alpha=0.05)
+def test_rebalance_moved_rows_and_fallback():
+    """One hand-picked case of exactly two rows per client through the rare
+    paths at once: rows moved by _rebalance_floor to a client the Dirichlet
+    cut left empty (so its rows are no longer sorted), clients whose labels
+    are all singletons (the fallback permutation) beside clients with a
+    label segment of two (the stratified draw)."""
+    data = Dataset(np.zeros((8, 1), dtype=np.float32), np.arange(8) % 5, 5)
+    spec = PartitionSpec(law="dirichlet", num_clients=4, seed=14, alpha=0.05, test_fraction=0.5)
     got = make_partition(data, spec)
     assert same_partition(got, oracle.partition_dirichlet(data, spec))
-    assert [a.tolist() for a in got.assignment] == [[6, 3], [0, 4], [1, 2], [5]]
-    assert [len(t) for t in got.test] == [1, 1, 1, 0]
+    assert [a.tolist() for a in got.assignment] == [[7, 4], [0, 5], [2, 3], [1, 6]]
+    assert [t.tolist() for t in got.test] == [[4], [0], [3], [1]]
+
+
+@st.composite
+def sized_specs(draw):
+    """A labelled dataset and a spec of either law with one shard per
+    client, for a client count on either side of half the row count."""
+    data = draw(labelled())
+    n = len(data)
+    starving = n < 2 or draw(st.booleans())
+    clients = draw(st.integers(n // 2 + 1, n) if starving else st.integers(1, n // 2))
+    law = draw(st.sampled_from(["dirichlet", "pathological"]))
+    spec = PartitionSpec(
+        law=law, num_clients=clients, seed=draw(seeds), alpha=draw(st.sampled_from([0.01, 0.5])),
+        shards_per_client=1, test_fraction=draw(fractions),
+    )
+    return data, spec
+
+
+def bound_case(law, n):
+    """n rows of 3 labels for 5 clients: 9 is one short of two rows each."""
+    data = Dataset(np.zeros((n, 1), dtype=np.float32), np.arange(n) % 3, 3)
+    return data, PartitionSpec(law=law, num_clients=5, seed=1, shards_per_client=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sized_specs())
+@example(case=bound_case("dirichlet", 9))
+@example(case=bound_case("dirichlet", 10))
+@example(case=bound_case("pathological", 9))
+@example(case=bound_case("pathological", 10))
+def test_every_client_holds_a_train_and_a_test_row(case):
+    """C <= N < 2C rows raise the set-up error under both laws, and N >= 2C
+    gives every client at least one train row and one test row; the
+    pinned examples sit at N = 2C - 1 and N = 2C."""
+    data, spec = case
+    n, clients = len(data), spec.num_clients
+    if n < 2 * clients:
+        with pytest.raises(ConfigError, match=f"insufficient data: {n} rows for {clients} clients"):
+            make_partition(data, spec)
+        return
+    got = make_partition(data, spec)
+    assert min(len(rows) for rows in got.train) >= 1
+    assert min(len(rows) for rows in got.test) >= 1
+
+
+def test_rebalance_raises_on_too_few_rows():
+    """Too few rows to give every client the floor raise, where a loop
+    without the check would move client 0's row to itself forever."""
+    with pytest.raises(InvariantError, match="2 rows cannot give 2 clients 2 each"):
+        _rebalance_floor([np.array([0]), np.array([1])])
 
 
 @pytest.mark.parametrize(
@@ -166,7 +224,7 @@ def test_synth_blobs_matches_oracle(classes, dim, per_class, spread):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    count=st.integers(1, 60),
+    count=st.integers(2, 60),
     rows=st.integers(1, 6),
     cols=st.integers(1, 6),
     classes=st.integers(1, 10),

@@ -28,7 +28,7 @@ from fedcspack import protocol
 from fedcspack.errors import ConfigError, DecodeError, InvariantError, ProtocolViolation
 from fedcspack.model import FlatParams, ShapeSpec, init_params
 from fedcspack.packing import package_views
-from fedcspack.partition import Dataset, Partition, PartitionSpec
+from fedcspack.partition import Dataset, Partition
 from fedcspack.protocol import (
     BROADCAST_ID, RunResult, RunSetup, evaluate, round_step, run, setup_run
 )
@@ -628,23 +628,6 @@ class TestEvaluate:
         _, personalized, per_client = evaluate(setup, server, locals_)
         assert personalized == pytest.approx(0.75 * 1.0 + 0.25 * 0.0)
         assert per_client == [1.0, 0.0]
-
-    def test_no_client_holds_a_test_row(self):
-        # 8 one-row classes dealt as 8 one-shard clients: every row trains
-        config = small_config(
-            rounds=2,
-            model=ShapeSpec([16, 24, 8]),
-            dataset=DatasetSpec(
-                kind="blobs", num_classes=8, dim=16, samples_per_class=1, spread=0.3, seed=3
-            ),
-            partition=PartitionSpec(
-                law="pathological", num_clients=8, seed=2, shards_per_client=1
-            ),
-        )
-        result = run(*setup_run(config))
-        assert not any(len(rows) for rows in result.partition.test)
-        assert [(m.global_acc, m.personalized_acc) for m in result.metrics] == [(0.0, 0.0)] * 2
-        assert result.per_client_acc == [0.0] * 8
 
     def test_chance_level_for_zero_model(self):
         config = small_config(rounds=1)

@@ -37,10 +37,11 @@ def idx_spec(tmp_path_factory):
 def configs(draw):
     """The fields of a tiny run: every method and weight mode; a pack that
     divides d, leaves a short tail or exceeds d; both partition laws, with
-    as few rows as clients (some clients then hold no rows at all)."""
+    as few as two rows per client (so `_rebalance_floor` moves rows and
+    the holdout's fallback draws)."""
     method = draw(st.sampled_from(["fedcspack", "fedavg", "fedprox", "magnitude_topk"]))
     kind = draw(st.sampled_from(["blobs", "blobs", "idx"]))
-    if kind == "idx":  # 24 rows fill any partition drawn here
+    if kind == "idx":  # 24 rows give any partition drawn here two rows per client
         classes, dim = IDX["num_classes"], IDX["dim"]
     else:
         classes, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -56,7 +57,8 @@ def configs(draw):
     shards = draw(st.integers(1, 2)) if law == "pathological" else 1
     dataset = ("idx", None)
     if kind == "blobs":
-        fewest = -(-clients * shards // classes)  # rows per class to fill every shard
+        # rows per class to fill every shard and give every client two rows
+        fewest = -(-clients * max(2, shards) // classes)
         dataset = ("blobs", dict(
             num_classes=classes,
             dim=dim,
@@ -184,19 +186,6 @@ class TestRunOracle:
         """The divergent example fails in both loops, and fails alike."""
         error = check_run(config_of(DIVERGES, idx_spec=None))
         assert isinstance(error, NumericError) and str(error) == "non-finite parameter values"
-
-    def test_client_without_train_rows(self):
-        """Three rows for three clients: one client holds no rows, so it
-        is sampled but neither trains nor sends."""
-        fields = dict(
-            FOLD_ORDER,
-            clients=3,
-            partition=PartitionSpec(law="dirichlet", num_clients=3, seed=0, alpha=0.05),
-            model=ShapeSpec((2, 1)),
-            dataset=("blobs", dict(num_classes=1, dim=2, samples_per_class=3, seed=1)),
-        )
-        result = check_run(config_of(fields, idx_spec=None))
-        assert min(len(rows) for rows in result.partition.train) == 0
 
 
 @st.composite
