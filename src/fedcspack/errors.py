@@ -12,10 +12,6 @@ class NumericError(ArithmeticError):
     """A computation produced NaN/Inf."""
 
 
-class EmptyDataError(ValueError):
-    """A client has no usable training data."""
-
-
 class ConfigError(ValueError):
     """Invalid or unknown configuration."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataError, NumericError, ShapeError, require_int
+from .errors import NumericError, ShapeError, require_int
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -77,7 +77,7 @@ class FlatParams:
 
 @dataclass(frozen=True)
 class Batch:
-    """Feature matrix (rows = samples) with integer class labels."""
+    """Feature matrix (rows = samples, at least one) with integer class labels."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -87,6 +87,8 @@ class Batch:
             raise ShapeError("features must be 2-D")
         if len(self.features) != len(self.labels):
             raise ShapeError("features/labels row count mismatch")
+        if len(self.features) == 0:
+            raise ShapeError("empty batch")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -135,8 +137,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward_loss(params: FlatParams, batch: Batch) -> tuple[float, int]:
     """Mean cross-entropy and count of argmax-correct predictions."""
-    if len(batch) == 0:
-        raise ShapeError("empty batch")
     layers = _layers(params.values.astype(np.float64), params.shape)
     logits, _ = _forward(layers, params.shape, batch.features)
     logp = _log_softmax(logits)
@@ -208,8 +208,6 @@ def local_train(
         raise ValueError("epochs must be >= 1")
     if prox_mu < 0:
         raise ValueError("prox_mu must be >= 0")
-    if len(data) == 0:
-        raise EmptyDataError("client has no data")
 
     shape = params.shape
     w = params.values.astype(np.float64)

@@ -113,9 +113,7 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row has zero norm.
 
     Each row product is one BLAS dot, so a row's value does not depend on
-    the other rows.  It equals a 1-D `@` of the same values copied elsewhere
-    only under an OpenBLAS kernel whose sum ignores alignment: SkylakeX,
-    Haswell, Sandybridge or Nehalem, not Katmai (`OPENBLAS_CORETYPE=Prescott`).
+    the other rows: it equals a 1-D `@` of the same row read in place.
     """
     dot = np.matmul(a[:, None, :], b[:, :, None]).ravel()
     na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None]).ravel())
@@ -200,19 +198,15 @@ def ceil_share(fraction: float, n: int) -> int:
 
 
 def select_topk(profile: SimilarityProfile, cap_ratio: float = 1.0) -> np.ndarray:
-    """Pick the shared packages: those less similar than the overall cosine,
-    at most the ceil_share(cap_ratio, J) least similar (lower index on ties).
-    Never empty: if no package is below the threshold, share the single
-    least similar one.  Returns the indices ascending, as sent.
-    """
+    """The shared packages, ascending: the k least similar (lower index on
+    ties), k = min(max(below, 1), ceil_share(cap_ratio, J)) where `below`
+    counts the packages less similar than the overall cosine: with below >= 1
+    every package sent, ties at the k-th included, is one of them."""
     if not 0 < cap_ratio <= 1:
         raise ValueError("cap_ratio must be in (0, 1]")
     cos = profile.per_package_cos
-    candidates = np.flatnonzero(cos < profile.overall)
-    if len(candidates) == 0:
-        return least_k(cos, 1)
-    k = min(len(candidates), ceil_share(cap_ratio, profile.num_packages))
-    return candidates[least_k(cos[candidates], k)]
+    below = np.count_nonzero(cos < profile.overall)
+    return least_k(cos, min(max(below, 1), ceil_share(cap_ratio, profile.num_packages)))
 
 
 def mask_weights(cos: np.ndarray, kl: np.ndarray, weight_mode: str = "dual") -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedcspack.errors import EmptyDataError, NumericError, ShapeError
+from fedcspack.errors import NumericError, ShapeError
 from fedcspack.model import Batch, FlatParams, ShapeSpec
 
 
@@ -50,8 +50,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_loss(params: FlatParams, batch: Batch) -> tuple[float, int]:
-    if len(batch) == 0:
-        raise ShapeError("empty batch")
     logits, _ = _forward(params, batch.features)
     logp = _log_softmax(logits)
     n = len(batch)
@@ -118,8 +116,6 @@ def local_train(
         raise ValueError("epochs must be >= 1")
     if prox_mu < 0:
         raise ValueError("prox_mu must be >= 0")
-    if len(data) == 0:
-        raise EmptyDataError("client has no data")
     if prox_mu > 0 and anchor is None:
         raise ValueError("prox_mu > 0 requires an anchor")
 

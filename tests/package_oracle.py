@@ -23,8 +23,8 @@ from fedcspack.wire import PackedUpdate
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a64 = np.asarray(a).astype(np.float64)
-    b64 = np.asarray(b).astype(np.float64)
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
     na = np.linalg.norm(a64)
     nb = np.linalg.norm(b64)
     if na == 0.0 or nb == 0.0:
@@ -63,13 +63,17 @@ def views(total_params: int, pack: int) -> list[tuple[int, int, int]]:
 
 
 def score_packages(local: FlatParams, global_: FlatParams, pack: int) -> ScoredProfile:
+    """Each model is widened once, as the round loop does, and every package
+    is read as a view of that vector: at the offset the program reads it."""
     vs = views(local.shape.total_params, pack)
-    overall = cosine(local.values, global_.values)
+    local64 = local.values.astype(np.float64)
+    global64 = global_.values.astype(np.float64)
+    overall = cosine(local64, global64)
     cos = np.empty(len(vs))
     kl = np.empty(len(vs))
     for j, start, stop in vs:
-        lv = local.values[start:stop]
-        gv = global_.values[start:stop]
+        lv = local64[start:stop]
+        gv = global64[start:stop]
         cos[j] = cosine(lv, gv)
         kl[j] = kl_package(lv, gv)
     return ScoredProfile(overall=overall, per_package_cos=cos, per_package_kl=kl)

@@ -47,27 +47,6 @@ def fold(server, updates, pack):
     return aggregate(server, updates, weights, layout_of(server.global_params, pack))
 
 
-def scalar_reference(global_values, pack, updates):
-    """Straight-line per-coordinate aggregation oracle for `update_of`'s
-    updates, whose weight is the beta."""
-    d = len(global_values)
-    layout = package_views(d, pack)
-    totals = [0.0] * layout.num_packages
-    for u in updates:
-        for j, w in zip(u.packages, u.beta):
-            totals[j] += float(w)
-    starts = np.cumsum(layout.lengths) - layout.lengths
-    out = [float(v) for v in global_values]
-    for u in sorted(updates, key=lambda u: u.client_id):
-        read = 0
-        for j, w in zip(u.packages, u.beta):
-            coef = float(w) / totals[j]
-            for k in range(int(layout.lengths[j])):
-                out[int(starts[j]) + k] += coef * float(u.payload[read])
-                read += 1
-    return np.array(out)
-
-
 class TestFoldMasks:
     """The global mask is the sum of the accepted clients' weights."""
 
@@ -85,23 +64,6 @@ class TestFoldMasks:
         assert gm.totals[1] == pytest.approx(0.75)
         assert gm.totals[2] == pytest.approx(0.1)
         assert list(gm.valid) == [False, True, True]
-
-    def test_brute_force_oracle(self):
-        rng = np.random.default_rng(7)
-        server = make_server(np.zeros(12), pack=2)
-        updates = []
-        for cid in range(10):
-            entries = {
-                int(j): float(rng.uniform(0.01, 2.0))
-                for j in rng.choice(6, size=rng.integers(1, 6), replace=False)
-            }
-            updates.append(update_of(cid, entries, pack=2))
-        gm = fold(server, updates, 2).state.global_mask
-        expected = np.zeros(6)
-        for u in updates:
-            for j, w in zip(u.packages, u.beta):
-                expected[j] += w
-        assert np.allclose(gm.totals, expected, atol=1e-12)
 
     def test_length_mismatch(self):
         server = make_server(np.zeros(12), pack=3)
@@ -182,27 +144,6 @@ class TestAggregate:
         updates = [update_of(0, {0: 1.0}, {0: p}), update_of(1, {0: 3.0}, {0: q})]
         result = fold(server, updates, 3)
         assert np.allclose(result.state.global_params.values, 0.25 * p + 0.75 * q, atol=1e-7)
-
-    def test_randomized_brute_force(self):
-        rng = np.random.default_rng(99)
-        for _ in range(25):
-            j_count = int(rng.integers(1, 5))
-            pack = 3
-            d = j_count * pack
-            server = make_server(rng.normal(size=d), pack=pack)
-            updates = []
-            for cid in range(int(rng.integers(1, 6))):
-                sel = rng.choice(j_count, size=rng.integers(1, j_count + 1), replace=False)
-                entries = {int(j): float(rng.uniform(0.01, 2.0)) for j in sel}
-                deltas = {
-                    j: rng.normal(size=pack).astype(np.float32) for j in entries
-                }
-                updates.append(update_of(cid, entries, deltas))
-            result = fold(server, updates, pack)
-            expected = scalar_reference(server.global_params.values, pack, updates)
-            assert np.allclose(
-                result.state.global_params.values, expected, atol=1e-6
-            )
 
     def test_untouched_packages_bitwise_unchanged(self):
         rng = np.random.default_rng(3)

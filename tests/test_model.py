@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import model_oracle as oracle
-from fedcspack.errors import EmptyDataError, ShapeError
+from fedcspack.errors import ShapeError
 from fedcspack.model import (
     Batch,
     FlatParams,
@@ -213,18 +213,12 @@ def test_local_train_deterministic():
         (np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64), "features must be 2-D"),
         (np.zeros((3, 2), dtype=np.float32), np.zeros(2, dtype=np.int64),
          "features/labels row count mismatch"),
+        (np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), "empty batch"),
     ],
 )
 def test_bad_batch_rejected(features, labels, message):
     with pytest.raises(ShapeError, match=message):
         Batch(features, labels)
-
-
-def test_forward_loss_empty_batch():
-    params = init_params(ShapeSpec([3, 2]), seed=1)
-    empty = Batch(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ShapeError, match="empty batch"):
-        forward_loss(params, empty)
 
 
 @pytest.mark.parametrize(
@@ -236,11 +230,3 @@ def test_local_train_bad_arguments(epochs, prox_mu, message):
     batch = random_batch(np.random.default_rng(0), 4, 3, 2)
     with pytest.raises(ValueError, match=message):
         local_train(params, batch, epochs, 0.1, 4, np.random.default_rng(0), prox_mu=prox_mu)
-
-
-def test_local_train_empty_data():
-    spec = ShapeSpec([3, 2])
-    params = init_params(spec, seed=1)
-    empty = Batch(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
-    with pytest.raises(EmptyDataError):
-        local_train(params, empty, 1, 0.1, 4, np.random.default_rng(0))

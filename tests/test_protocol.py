@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import package_oracle as oracle
 from conftest import (
     copied_state,
-    full_selection_constant_weights,
     idx_blobs,
     layout_for,
     params_of,
@@ -154,24 +153,6 @@ class TestRunLoop:
         rows_a = [r[:6] + r[7:] for r in metrics_rows(a.metrics)]
         rows_b = [r[:6] + r[7:] for r in metrics_rows(b.metrics)]
         assert rows_a == rows_b
-
-    def test_fedcspack_matches_fedavg_with_overrides(self, monkeypatch):
-        base = dict(rounds=6, pack=10_000, cpr=0.5)
-        fedavg = run(*setup_run(small_config(method="fedavg", **base)))
-        trace = {}
-        fedavg_trace = {}
-        run(
-            *setup_run(small_config(method="fedavg", **base)),
-            round_hook=lambda t, s: fedavg_trace.__setitem__(t, s.global_params.values.copy()),
-        )
-        full_selection_constant_weights(monkeypatch)
-        run(
-            *setup_run(small_config(method="fedcspack", cap_ratio=1.0, **base)),
-            round_hook=lambda t, s: trace.__setitem__(t, s.global_params.values.copy()),
-        )
-        for t in fedavg_trace:
-            assert np.allclose(trace[t], fedavg_trace[t], atol=1e-6)
-        assert fedavg.metrics  # sanity
 
     def test_cap_ratio_reduces_uplink(self):
         full = run(*setup_run(small_config(cap_ratio=1.0, rounds=3)))
