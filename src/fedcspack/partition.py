@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +64,6 @@ class Partition:
     assignment: list[np.ndarray]
     train: list[np.ndarray]
     test: list[np.ndarray]
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.assignment)
 
 
 def synth_blobs(
@@ -175,10 +171,10 @@ def _largest_remainder_counts(sizes: np.ndarray, proportions: np.ndarray) -> np.
 
 
 def _group_by_owner(rows: np.ndarray, owner: np.ndarray, num_owners: int) -> list[np.ndarray]:
-    """Each owner's rows (row indices, so >= 0) in ascending order: one
-    sort of the key owner * span + row, then one cut at the owner counts."""
+    """Each owner's rows (row indices, so >= 0; at least one) in ascending
+    order: one sort of the key owner * span + row, then one cut at the owner counts."""
     counts = np.bincount(owner, minlength=num_owners)
-    base = np.arange(num_owners) * (int(rows.max()) + 1 if len(rows) else 1)
+    base = np.arange(num_owners) * (int(rows.max()) + 1)
     grouped = np.sort(base[owner] + rows) - np.repeat(base, counts)
     ends = np.cumsum(counts).tolist()
     return [grouped[start:end] for start, end in zip([0] + ends[:-1], ends)]

@@ -166,7 +166,6 @@ def evaluate(
     mean of per-client post-pull accuracies on their own test rows, and
     those per-client accuracies."""
     dataset, partition, layout = setup.dataset, setup.partition, setup.layout
-    layout.check(server.global_params.shape.total_params)
     pooled = np.concatenate(partition.test)
     batch = Batch(dataset.features[pooled], dataset.labels[pooled])
     global_acc = forward_loss(server.global_params, batch)[1] / len(pooled)

@@ -33,11 +33,11 @@ from .errors import DecodeError
 
 MAGIC = b"FCSP"
 VERSION = 2
-HEADER_LEN = 22
-ENTRY_OVERHEAD = 16
 _HEADER = struct.Struct("<4sHIIII")
 # the entry table, column by column, in wire order
 _TABLE = (("packages", "<u4"), ("theta", "<f4"), ("beta", "<f4"), ("lengths", "<u4"))
+HEADER_LEN = _HEADER.size
+ENTRY_OVERHEAD = sum(np.dtype(dtype).itemsize for _, dtype in _TABLE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,6 @@ in fedcspack.packing and fedcspack.aggregation replace.
 
 Each function walks the packages one at a time, exactly as the simulator
 used to, so `np.array_equal` against it proves a kernel bit for bit.
-`per_client_accuracy` is the separate pull-and-score loop that the
-report used before `evaluate` returned the per-client accuracies.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from fedcspack.aggregation import AggregateResult, GlobalMask, ServerState
 from fedcspack.errors import ShapeError
-from fedcspack.model import Batch, FlatParams, forward_loss
+from fedcspack.model import FlatParams
 from fedcspack.packing import EPS_Q, EPS_W, SimilarityProfile
 from fedcspack.wire import PackedUpdate
 
@@ -223,18 +221,3 @@ def client_update(config, client_id, round_, trained, global_snapshot) -> Packed
         lengths=np.array([len(e[3]) for e in entries], dtype=np.intp),
         payload=np.concatenate([np.zeros(0, np.float32)] + [e[3] for e in entries]),
     )
-
-
-def per_client_accuracy(result) -> list[float]:
-    """Final post-pull accuracy of every client on its own test rows."""
-    pack = package_size(result.config)
-    accs = []
-    for i in range(result.partition.num_clients):
-        rows = result.partition.test[i]
-        model = selective_pull(
-            result.locals_[i], result.server.global_params, result.server.global_mask, pack
-        )
-        batch = Batch(result.dataset.features[rows], result.dataset.labels[rows])
-        _, correct = forward_loss(model, batch)
-        accs.append(correct / len(rows))
-    return accs

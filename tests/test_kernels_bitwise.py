@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import package_oracle as oracle
-from conftest import layout_for, layout_of, same, small_config, spec_with_total, topk_kept, widened
+from conftest import (
+    layout_for, layout_of, params_of, same, small_config, spec_with_total, topk_kept, widened
+)
 from fedcspack import packing, protocol
 from fedcspack.aggregation import GlobalMask, ServerState, aggregate, selective_pull
 from fedcspack.model import FlatParams, ShapeSpec, init_params
@@ -196,6 +198,12 @@ class TestMagnitudeTopk:
             got = topk_kept(local, global_, fraction)
             assert len(got) == k
             assert same(got, oracle.magnitude_topk(local, global_, fraction))
+
+    @pytest.mark.parametrize("fraction", [0.55, np.float64(0.55)], ids=["float", "float64"])
+    def test_fraction_is_the_decimal_share(self, fraction):
+        # 0.55 * 100 is 55.00000000000001 in float64: 55 coordinates, not 56
+        loc = params_of(np.random.default_rng(3).normal(size=100))
+        assert len(topk_kept(loc, params_of(np.zeros(100)), fraction)) == 55
 
     @pytest.mark.parametrize("fraction", [0.001, 0.05, 0.5, 1.0])
     def test_tie_heavy_client_update(self, fraction):

@@ -24,7 +24,6 @@ from fedcspack.packing import (
     score_packages,
     select_topk,
 )
-from fedcspack.partition import Partition
 from fedcspack.protocol import _client_update, evaluate, fold_weights, setup_run
 from fedcspack.wire import PackedUpdate
 
@@ -167,14 +166,12 @@ class TestPackageViews:
         a64 = widened(a)
         layout = package_views(12, 4)  # 3 packages, as a layout of 10 has
         server = ServerState(a, GlobalMask(np.ones(3)))
-        # a run of a's model, its layout swapped and its test rows dropped,
-        # so evaluate pulls nothing: its own check must fire
+        # a run of a's model with its layout swapped: evaluate's pull must fire
         config = small_config(
             clients=1, model=a.shape,
             dataset=DatasetSpec(kind="blobs", num_classes=1, dim=9, samples_per_class=2, seed=3),
         )
-        partition = Partition([np.arange(2)], [np.arange(2)], [np.arange(0)])
-        setup = dataclasses.replace(setup_run(config)[0], partition=partition, layout=layout)
+        setup = dataclasses.replace(setup_run(config)[0], layout=layout)
         kernels = {
             "score_packages": lambda: score_packages(a64, a64, layout),
             "package_kl": lambda: package_kl(a64, a64, layout, np.arange(3)),
